@@ -414,6 +414,10 @@ def length_ball(datum, max_len, budget=None):
 def enumerate_straight_classes(datum, max_len, budget=None):
     """All straight conjugacy classes with a representative of length
     <= max_len, sorted by (length, nu_bar, kappa)."""
+    cached = datum._cache.setdefault("straight_classes", {})
+    hit = cached.get(max_len)
+    if hit is not None:
+        return hit
     groups = {}
     for w in length_ball(datum, max_len, budget):
         if not is_straight(w):
@@ -425,9 +429,11 @@ def enumerate_straight_classes(datum, max_len, budget=None):
                 raise InternalAssertion("defect is not constant on a straight class")
         else:
             groups[key] = _class_of_straight(w)
-    return tuple(
+    result = tuple(
         sorted(groups.values(), key=lambda c: (c.length, c.nu_bar, c.kappa))
     )
+    cached[max_len] = result
+    return result
 
 
 def resolve_class(datum, kappa, nu_bar):

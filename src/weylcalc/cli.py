@@ -470,19 +470,7 @@ def cmd_table(args):
 def cmd_verify(args):
     datum = _load_datum(args.group)
     if args.suite == "all":
-        names = [
-            "oracle",
-            "straightness",
-            "min",
-            "census",
-            "straight-cyclic",
-            "p-alcove",
-            "dim-bound",
-            "grass",
-            "superregular",
-            "master",
-            "finite-delta",
-        ]
+        names = list(verify.SUITES)
     elif args.suite in verify.SUITES:
         names = [args.suite]
     else:

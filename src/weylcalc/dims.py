@@ -1,12 +1,12 @@
 """Dimension and nonemptiness evaluators.
 
-dim_X_flag runs the reduction recursion: at a minimal-length element the
-cell either meets the straight class and contributes the length of the
-finite factor, or is empty; otherwise a level-preserving shift exposes a
-length-reducing step and the dimension is 1 + max over the two shorter
-elements.  Everything else is a closed formula layered on top, and the
-affine Lusztig evaluators add the fiber dimension carried by a
-GammaDescriptor.
+dim_profile runs the reduction recursion once per element for every
+straight class at once: a minimal-length element w = u x meets only the
+class of x, in dimension l(u); otherwise a level-preserving shift exposes a
+length-reducing step and each class's dimension is 1 + max over the two
+shorter elements.  dim_X_flag reads one class off the profile.  Everything
+else is a closed formula layered on top, and the affine Lusztig evaluators
+add the fiber dimension carried by a GammaDescriptor.
 
 The empty value is absorbing under +1 and max and is kept distinct from 0
 everywhere, including serialization.
@@ -15,6 +15,9 @@ everywhere, including serialization.
 from __future__ import annotations
 
 import heapq
+import json
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,8 +129,13 @@ def _validate_class(datum, cls):
         )
 
 
-def _class_key(cls):
-    return (cls.kappa, cls.nu_bar)
+def _eta(w):
+    """eta_decomposition(w), memoised per element on the datum."""
+    memo = w.datum._cache.setdefault("eta", {})
+    dec = memo.get(w.key)
+    if dec is None:
+        dec = memo[w.key] = eta_decomposition(w)
+    return dec
 
 
 def virtual_dimension(w, cls):
@@ -138,7 +146,7 @@ def virtual_dimension(w, cls):
     as an error carrying the exact rational, never rounded.
     """
     _validate_class(w.datum, cls)
-    eta = eta_decomposition(w).eta
+    eta = _eta(w).eta
     num = w.length + eta.length - cls.defect - cls.length
     d_b = (
         Fraction(w.length + eta.length - cls.defect, 2)
@@ -152,10 +160,19 @@ def virtual_dimension(w, cls):
 
 
 class DimCache:
-    """Get-or-compute table for flag dimensions, with hit/miss counters."""
+    """Get-or-compute table of dimension profiles keyed by element, with
+    hit/miss counters.
+
+    A profile maps each straight class the cell meets to its dimension; a
+    class that is absent is Empty.  Classes enter profiles as small integer
+    ids, so that merging profiles hashes no rationals.  Profiles are shared
+    between the elements of a shift class and never mutated.
+    """
 
     def __init__(self):
         self.table = {}
+        self.class_ids = {}  # class pair key (kappa, nu_bar) -> id
+        self.class_keys = []  # id -> class pair key
         self.hits = 0
         self.misses = 0
 
@@ -170,6 +187,13 @@ class DimCache:
     def put(self, key, value):
         self.table.setdefault(key, value)
 
+    def class_id(self, ckey):
+        cid = self.class_ids.get(ckey)
+        if cid is None:
+            cid = self.class_ids[ckey] = len(self.class_keys)
+            self.class_keys.append(ckey)
+        return cid
+
 
 def _dim_cache(datum):
     cache = datum._cache.get("dim_x_flag")
@@ -179,20 +203,11 @@ def _dim_cache(datum):
     return cache
 
 
-def dim_X_flag(w, cls, budget=None):
-    """Dimension of the flag cell intersection for (w, straight class).
-
-    Memoized recursion; the result is independent of which shift witness is
-    used, and this is asserted by recomputing along a second witness when
-    one exists.
-    """
-    _validate_class(w.datum, cls)
-    cache = _dim_cache(w.datum)
-    ckey = _class_key(cls)
-    hit = cache.get((w.key, ckey))
-    if hit is not None:
-        return hit
-
+def _shift_witnesses(w, budget=None):
+    """Explore the length-preserving shift class of w, smallest key first,
+    until two witnesses (v, s) with l(s v s) < l(w) are found.  Returns the
+    explored elements by key and the witnesses; no witness means w is of
+    minimal length and the whole shift class was explored."""
     refl = simple_reflections(w.datum)
     lw = w.length
     elts = {w.key: w}
@@ -200,9 +215,8 @@ def dim_X_flag(w, cls, budget=None):
     witnesses = []
     max_nodes = 1_000_000 if budget is None else budget
     while heap and len(witnesses) < 2:
-        k = heapq.heappop(heap)
-        v = elts[k]
-        for label, s in refl:
+        v = elts[heapq.heappop(heap)]
+        for _, s in refl:
             v2 = s * v * s
             if v2.length < lw:
                 witnesses.append((v, s))
@@ -215,29 +229,78 @@ def dim_X_flag(w, cls, budget=None):
                     raise ExplorationBudgetExceeded(
                         f"shift-class exploration exceeded {max_nodes} nodes"
                     )
+    return elts, witnesses
 
-    if witnesses:
-        values = []
-        for v, s in witnesses:
-            sv = s * v
-            svs = sv * s
-            values.append(
-                dim_max(dim_X_flag(sv, cls, budget), dim_X_flag(svs, cls, budget)).plus(1)
-            )
-        if len(values) == 2 and values[0] != values[1]:
-            raise InternalAssertion(
-                f"reduction result depends on the chosen witness: {values}"
-            )
-        result = values[0]
-    else:
-        # the whole shift-class admits no descent, so w is of minimal length
-        dec = ux_decompose(w, budget, check_minimal=False)
-        x_class = _class_of_straight(dec.x)
-        result = finite(dec.u.length) if x_class == cls else EMPTY
 
-    for key in elts:
-        cache.put((key, ckey), result)
-    return result
+def _raise_by_one(a, b):
+    """Class-by-class max of two profiles, plus 1; Empty stays absorbing."""
+    out = {ckey: d + 1 for ckey, d in a.items()}
+    for ckey, d in b.items():
+        if out.get(ckey, -1) <= d:
+            out[ckey] = d + 1
+    return out
+
+
+def dim_profile(w, budget=None):
+    """Dimension of the flag cell of w for every straight class at once, as
+    a profile {class id: dim} (ids from DimCache.class_id).
+
+    The reduction tree depends on w alone; only its leaves depend on the
+    class.  A minimal-length leaf w = u x contributes l(u) to the class of
+    x; an inner node with witness (v, s) is 1 + the class-by-class max over
+    s v and s v s.  The tree is walked on an explicit stack, so no
+    recursion limit caps the length of w.  The result is independent of
+    the witness, and this is asserted by comparing the whole profiles
+    along a second witness when one exists.
+    """
+    cache = _dim_cache(w.datum)
+    hit = cache.get(w.key)
+    if hit is not None:
+        return hit
+    table = cache.table
+    stack = [[w, None]]  # [element, its shift class and witness children]
+    while stack:
+        frame = stack[-1]
+        v = frame[0]
+        if v.key in table:
+            stack.pop()
+            continue
+        if frame[1] is None:
+            elts, witnesses = _shift_witnesses(v, budget)
+            children = [(s * u, s * u * s) for u, s in witnesses]
+            frame[1] = (elts, children)
+            missing = [
+                c for pair in children for c in pair if cache.get(c.key) is None
+            ]
+            if missing:
+                stack.extend([c, None] for c in missing)
+                continue
+        elts, children = frame[1]
+        if children:
+            values = [_raise_by_one(table[a.key], table[b.key]) for a, b in children]
+            if len(values) == 2 and values[0] != values[1]:
+                raise InternalAssertion(
+                    f"reduction result depends on the chosen witness: {values}"
+                )
+            profile = values[0]
+        else:
+            # the whole shift class admits no descent, so v is of minimal length
+            dec = ux_decompose(v, budget, check_minimal=False)
+            profile = {cache.class_id(_class_of_straight(dec.x).pair_key): dec.u.length}
+        for key in elts:
+            cache.put(key, profile)
+        stack.pop()
+    return table[w.key]
+
+
+def dim_X_flag(w, cls, budget=None):
+    """Dimension of the flag cell intersection for (w, straight class):
+    the class's entry of dim_profile(w), Empty when absent."""
+    _validate_class(w.datum, cls)
+    profile = dim_profile(w, budget)
+    cid = _dim_cache(w.datum).class_ids.get(cls.pair_key)
+    dim = None if cid is None else profile.get(cid)
+    return EMPTY if dim is None else DimValue(dim)
 
 
 def dim_X_grass(datum, mu, cls):
@@ -316,7 +379,7 @@ def dim_Y_superregular(x, mu, y, gd, budget=None, cross_check=True):
     if not datum.dominance_leq(shifted, mu):
         raise HypothesisViolated("nu + 2 rho^vee is not dominated by mu")
     w = from_finite(x) * translation(datum, mu) * from_finite(y)
-    eta = eta_decomposition(w)
+    eta = _eta(w)
     if eta.x != x or eta.mu != mu or eta.y != y:
         raise HypothesisViolated(
             "x t^mu y is not the canonical dominant decomposition of the product"
@@ -337,60 +400,116 @@ def dim_Y_superregular(x, mu, y, gd, budget=None, cross_check=True):
     return result
 
 
-def save_cache(datum, directory):
-    """Persist the flag-dimension memo table, keyed by the datum hash."""
-    import json
-    import os
+CACHE_VERSION = 2
 
+
+def _cache_path(datum, directory):
+    return os.path.join(directory, f"dimx-{datum.hash_hex[:16]}.json")
+
+
+def save_cache(datum, directory):
+    """Persist the profile memo, one entry per element, keyed by the datum
+    hash.  The file is written next to its final path and then moved into
+    place, so a reader never sees a partial file."""
     cache = _dim_cache(datum)
-    entries = []
-    for (wkey, ckey), value in sorted(cache.table.items(), key=lambda kv: str(kv[0])):
-        lam, matrix = wkey
-        kappa, nu_bar = ckey
-        entries.append(
-            {
-                "lambda": list(lam),
-                "matrix": [list(row) for row in matrix],
-                "kappa": list(kappa),
-                "nu": [linalg.format_fraction(x) for x in nu_bar],
-                "dim": value.dim,
-            }
-        )
+    # classes are written sorted by key and renumbered, so the file does not
+    # depend on the order in which this process met them
+    classes = sorted({cid for profile in cache.table.values() for cid in profile},
+                     key=cache.class_keys.__getitem__)
+    file_id = {cid: i for i, cid in enumerate(classes)}
+    profiles, profile_index, elements = [], {}, []
+    for (lam, matrix), profile in sorted(cache.table.items()):
+        i = profile_index.get(id(profile))
+        if i is None:
+            i = profile_index[id(profile)] = len(profiles)
+            profiles.append(sorted([file_id[c], d] for c, d in profile.items()))
+        elements.append([list(lam), [list(row) for row in matrix], i])
+    payload = {
+        "version": CACHE_VERSION,
+        "datum": datum.hash_hex,
+        "classes": [
+            [list(kappa), [linalg.format_fraction(x) for x in nu_bar]]
+            for kappa, nu_bar in map(cache.class_keys.__getitem__, classes)
+        ],
+        "profiles": profiles,
+        "elements": elements,
+    }
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"dimx-{datum.hash_hex[:16]}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": 1, "datum": datum.hash_hex, "entries": entries}, fh)
+    path = _cache_path(datum, directory)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, separators=(",", ":"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return path
 
 
-def load_cache(datum, directory):
-    """Load a persisted memo table; entries for a different datum hash are
-    discarded.  Returns the number of entries loaded."""
-    import json
-    import os
+def _int(x):
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
-    path = os.path.join(directory, f"dimx-{datum.hash_hex[:16]}.json")
+
+def _parse_cache(payload, cache):
+    """Element key -> profile from a version-2 payload, with classes renumbered
+    to the ids of `cache`; raises on any malformed part, so a bad file loads
+    no profile."""
+    classes = [
+        cache.class_id(
+            (tuple(_int(x) for x in kappa), tuple(linalg.parse_fraction(x) for x in nu))
+        )
+        for kappa, nu in payload["classes"]
+    ]
+    profiles = []
+    for pairs in payload["profiles"]:
+        profile = {}
+        for ci, dim in pairs:
+            if _int(dim) < 0:
+                raise ValueError(f"negative dimension {dim}")
+            profile[classes[_int(ci)]] = dim
+        profiles.append(profile)
+    table = {}
+    for lam, matrix, pi in payload["elements"]:
+        key = (tuple(_int(x) for x in lam), tuple(tuple(_int(x) for x in row) for row in matrix))
+        table[key] = profiles[_int(pi)]
+    return table
+
+
+def load_cache(datum, directory):
+    """Load a persisted profile memo and return the number of elements
+    loaded.  A missing file, or one for a different datum, loads nothing; an
+    unreadable or malformed file, or another format version, also loads
+    nothing and is reported by one warning on stderr."""
+    path = _cache_path(datum, directory)
     if not os.path.exists(path):
         return 0
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != 1 or payload.get("datum") != datum.hash_hex:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        version = payload.get("version")
+        if version != CACHE_VERSION:
+            print(
+                f"weylcalc: ignoring cache {path}: format version {version!r}, "
+                f"expected {CACHE_VERSION}",
+                file=sys.stderr,
+            )
+            return 0
+        if payload.get("datum") != datum.hash_hex:
+            return 0
+        cache = _dim_cache(datum)
+        table = _parse_cache(payload, cache)
+    except (
+        OSError, ValueError, ZeroDivisionError, KeyError, TypeError, IndexError, AttributeError
+    ) as exc:
+        print(f"weylcalc: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
         return 0
-    cache = _dim_cache(datum)
-    loaded = 0
-    for entry in payload["entries"]:
-        wkey = (
-            tuple(int(x) for x in entry["lambda"]),
-            tuple(tuple(int(x) for x in row) for row in entry["matrix"]),
-        )
-        ckey = (
-            tuple(int(x) for x in entry["kappa"]),
-            tuple(Fraction(s) for s in entry["nu"]),
-        )
-        dim = entry["dim"]
-        cache.put((wkey, ckey), EMPTY if dim is None else DimValue(int(dim)))
-        loaded += 1
-    return loaded
+    for key, profile in table.items():
+        cache.put(key, profile)
+    return len(table)
 
 
 def grass_fibration_max(datum, mu, cls, budget=None):

@@ -208,13 +208,6 @@ def _resolve_delta(datum, delta):
     return delta
 
 
-def apply_delta(delta, w):
-    """The automorphism of W0 induced by a diagram automorphism: g M g^-1."""
-    g = delta.matrix
-    ginv = linalg.invert_unimodular(g)
-    return _intern(w.datum, linalg.mat_mul(g, linalg.mat_mul(w.matrix, ginv)))
-
-
 def twisted_conjugate(w, i, delta):
     """s_i * w * delta(s_i)."""
     return fw_simple(w.datum, i) * w * fw_simple(w.datum, delta.perm[i])

@@ -51,10 +51,6 @@ def mat_mul(a, b):
     )
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def _rref(rows):
     """Row-reduce a list of Fraction rows in place; returns pivot columns."""
     nrows = len(rows)
