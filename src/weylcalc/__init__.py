@@ -40,7 +40,6 @@ from .finiteweyl import (
     FiniteWeylElt,
     delta_reduce_to_min,
     enumerate_w0,
-    fw_compose,
     fw_from_word,
     fw_identity,
     fw_inverse,
@@ -56,7 +55,6 @@ from .affweyl import (
     EtaDecomposition,
     aw_identity,
     aw_inv,
-    aw_length,
     aw_mul,
     defect_of,
     eta_decomposition,

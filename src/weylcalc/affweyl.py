@@ -23,6 +23,7 @@ from .finiteweyl import (
     fw_reflection,
     fw_simple,
 )
+from .search import descend, left_moves
 
 
 class AffineWeylElt:
@@ -120,10 +121,6 @@ def aw_inv(a):
     return a.inv()
 
 
-def aw_length(w):
-    return w.length
-
-
 def simple_reflections(datum):
     """The labeled generating set of the affine Weyl group.
 
@@ -213,19 +210,8 @@ def eta_decomposition(w):
     """Unique decomposition w = x t^mu y with mu dominant and t^mu y of
     minimal length in its W0-coset; eta(w) = y x."""
     datum = w.datum
-    m = w
-    while True:
-        i = next(
-            (
-                i
-                for i in range(datum.n_simple)
-                if (from_finite(fw_simple(datum, i)) * m).length < m.length
-            ),
-            None,
-        )
-        if i is None:
-            break
-        m = from_finite(fw_simple(datum, i)) * m
+    gens = [(i, from_finite(fw_simple(datum, i))) for i in range(datum.n_simple)]
+    m, _ = descend(w, left_moves(gens), None, "coset-minimal strip")
     mu, y = m.lam, m.fw
     if not datum.is_dominant(mu):
         raise DecompositionFailure(f"coset-minimal translation part {mu} is not dominant")

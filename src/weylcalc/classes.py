@@ -6,15 +6,14 @@ shifts, the decomposition of a minimal-length element as (finite part u) x
 conjugacy classes keyed by (kappa, dominant Newton point), and the alcove
 sign test for Levi compatibility.
 
-All searches are deterministic: frontiers are explored smallest canonical
-key first and generators in label order, so reported witnesses and paths are
-reproducible.  Every closure is budget-capped and raises instead of
-truncating silently.
+All searches run on the kernel in weylcalc.search and are deterministic:
+levels are explored smallest canonical key first and generators in label
+order, so reported witnesses and paths are reproducible.  Every search is
+budget-capped and raises instead of truncating silently.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,15 +30,9 @@ from .affweyl import (
     transport_affine_root,
     AffineRoot,
 )
-from .errors import (
-    DecompositionNotFound,
-    ExplorationBudgetExceeded,
-    InternalAssertion,
-    NotMinimal,
-    UnknownClass,
-)
-
-DEFAULT_BUDGET = 1_000_000
+from .errors import DecompositionNotFound, InternalAssertion, NotMinimal, UnknownClass
+from .finiteweyl import fw_identity, fw_reflection
+from .search import closure, descend, left_moves, right_moves
 
 
 @dataclass(frozen=True)
@@ -131,6 +124,12 @@ def _class_of_straight(x):
     )
 
 
+def shift_moves(datum):
+    """Cyclic shifts v -> s v s by the simple reflections, in label order."""
+    refl = simple_reflections(datum)
+    return lambda v: ((label, s * v * s) for label, s in refl)
+
+
 def reduce_to_min(w, budget=None):
     """Minimal-length element of the conjugacy class of w.
 
@@ -139,78 +138,23 @@ def reduce_to_min(w, budget=None):
     at the first strictly shorter conjugate found.  The returned path records
     every step taken.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     memo = w.datum._cache.setdefault("reduce_min", {})
     hit = memo.get(w.key)
     if hit is not None:
         return hit
-    refl = simple_reflections(w.datum)
-    path = []
-    current = w
-    explored = 0
-    while True:
-        lcur = current.length
-        elts = {current.key: current}
-        parent = {current.key: None}
-        heap = [current.key]
-        descent = None
-        while heap:
-            k = heapq.heappop(heap)
-            v = elts[k]
-            for label, s in refl:
-                v2 = s * v * s
-                if v2.length < lcur:
-                    descent = (v, label, v2)
-                    break
-                if v2.length == lcur and v2.key not in parent:
-                    parent[v2.key] = (k, label)
-                    elts[v2.key] = v2
-                    heapq.heappush(heap, v2.key)
-                    explored += 1
-                    if explored > budget:
-                        raise ExplorationBudgetExceeded(
-                            f"cyclic-shift search exceeded {budget} nodes"
-                        )
-            if descent is not None:
-                break
-        if descent is None:
-            result = MinimizationResult(current, tuple(path))
-            memo[w.key] = result
-            return result
-        v, label, v2 = descent
-        chain = []
-        k = v.key
-        while parent[k] is not None:
-            pk, plabel = parent[k]
-            chain.append(ConjugationStep(plabel, elts[pk], elts[k]))
-            k = pk
-        chain.reverse()
-        path.extend(chain)
-        path.append(ConjugationStep(label, v, v2))
-        current = v2
+    w_min, steps = descend(w, shift_moves(w.datum), budget, "cyclic-shift search")
+    result = MinimizationResult(w_min, tuple(ConjugationStep(*step) for step in steps))
+    memo[w.key] = result
+    return result
 
 
 def approx_closure(w, budget=None):
     """All elements connected to w by length-preserving conjugation steps,
     as a list sorted by canonical key."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    refl = simple_reflections(w.datum)
     lw = w.length
-    elts = {w.key: w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for _, s in refl:
-                v2 = s * v * s
-                if v2.length == lw and v2.key not in elts:
-                    elts[v2.key] = v2
-                    nxt.append(v2)
-                    if len(elts) > budget:
-                        raise ExplorationBudgetExceeded(
-                            f"shift-class closure exceeded {budget} nodes"
-                        )
-        frontier = nxt
+    elts = closure(
+        [w], shift_moves(w.datum), budget, "shift-class closure", keep=lambda v: v.length == lw
+    )
     return [elts[k] for k in sorted(elts)]
 
 
@@ -234,24 +178,9 @@ def _spherical_subsets(datum):
 def enumerate_parabolic(datum, labels, cap=100_000):
     """The finite subgroup generated by the labeled generators."""
     refl = dict(simple_reflections(datum))
-    gens = [refl[l] for l in labels]
-    ident = aw_identity(datum)
-    seen = {ident.key: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in gens:
-                v2 = v * s
-                if v2.key not in seen:
-                    seen[v2.key] = v2
-                    nxt.append(v2)
-                    if len(seen) > cap:
-                        raise ExplorationBudgetExceeded(
-                            f"parabolic subgroup closure exceeded {cap} elements"
-                        )
-        frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    gens = [(l, refl[l]) for l in labels]
+    elts = closure([aw_identity(datum)], right_moves(gens), cap, "parabolic subgroup closure")
+    return [elts[k] for k in sorted(elts)]
 
 
 def is_spherical(datum, labels):
@@ -313,47 +242,30 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
     if hit is not None:
         return hit
     refl = dict(simple_reflections(datum))
-    closure = approx_closure(w_min, budget)
-    for w2 in closure:
+    shift_class = approx_closure(w_min, budget)
+    for w2 in shift_class:
         for k_labels in _spherical_subsets(datum):
             gens = [(l, refl[l]) for l in k_labels]
-            x = w2
-            u_word = []
-            changed = True
-            while changed:
-                changed = False
-                for label, s in gens:
-                    if (s * x).length < x.length:
-                        u_word.append(label)
-                        x = s * x
-                        changed = True
-                        break
+            # left multiplication changes length by one, so every level of
+            # this walk is a single element and it strips K-descents greedily
+            x, steps = descend(w2, left_moves(gens), budget, "K-descent strip")
             if not is_straight(x):
                 continue
             # x must be minimal on both sides of W_K
             if any((x * s).length < x.length for _, s in gens):
                 continue
-            u = aw_identity(datum)
-            for label in u_word:
-                u = u * refl[label]
-            if u.length != len(u_word) or u.length + x.length != w2.length:
+            xinv = x.inv()
+            u = w2 * xinv
+            if u.length != len(steps) or u.length + x.length != w2.length:
                 continue
             # conjugation by x must permute the chosen generators
-            xinv = x.inv()
-            images = []
-            ok = True
-            for _, s in gens:
-                c = x * s * xinv
-                match = next((l for l, g in gens if g == c), None)
-                if match is None:
-                    ok = False
-                    break
-                images.append(match)
-            if not ok or sorted(images) != sorted(k_labels):
+            conjugates = [x * s * xinv for _, s in gens]
+            images = [next((l for l, g in gens if g == c), None) for c in conjugates]
+            if None in images or sorted(images) != sorted(k_labels):
                 continue
             result = UxDecomposition(u=u, x=x, K=tuple(k_labels), witness=w2)
             memo[w_min.key] = result
-            for elt in closure:
+            for elt in shift_class:
                 memo.setdefault(elt.key, result)
             return result
     raise DecompositionNotFound(
@@ -384,28 +296,14 @@ def length_ball(datum, max_len, budget=None):
     BFS closure under right multiplication by the generators, seeded with
     the length-zero elements, accepting only elements inside the ball.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     cached = datum._cache.setdefault("length_ball", {})
     hit = cached.get(max_len)
     if hit is not None:
         return hit
-    refl = simple_reflections(datum)
-    seed = omega_elements(datum)
-    elts = {w.key: w for w in seed}
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for _, s in refl:
-                v2 = v * s
-                if v2.length <= max_len and v2.key not in elts:
-                    elts[v2.key] = v2
-                    nxt.append(v2)
-                    if len(elts) > budget:
-                        raise ExplorationBudgetExceeded(
-                            f"length ball exceeded {budget} elements"
-                        )
-        frontier = nxt
+    elts = closure(
+        omega_elements(datum), right_moves(simple_reflections(datum)), budget, "length ball",
+        keep=lambda v: v.length <= max_len,
+    )
     result = tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
     cached[max_len] = result
     return result
@@ -466,24 +364,13 @@ def p_alcove_test(w, nu):
     levi = datum._cache.setdefault("levi_groups", {})
     group = levi.get(nu)
     if group is None:
-        gens = []
-        for beta, betavee in zip(datum.pos_roots, datum.pos_coroots):
-            if linalg.vec_dot(beta, nu) == 0:
-                gens.append(datum.reflection_matrix(beta, betavee))
-        ident = linalg.identity_matrix(datum.rank)
-        group = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    m2 = linalg.mat_mul(m, g)
-                    if m2 not in group:
-                        group.add(m2)
-                        nxt.append(m2)
-            frontier = nxt
-        levi[nu] = group
-    if w.fw.matrix not in group:
+        gens = [
+            (k, fw_reflection(datum, beta, betavee))
+            for k, (beta, betavee) in enumerate(zip(datum.pos_roots, datum.pos_coroots))
+            if linalg.vec_dot(beta, nu) == 0
+        ]
+        group = levi[nu] = closure([fw_identity(datum)], right_moves(gens), None, "Levi subgroup")
+    if w.fw.key not in group:
         return False
 
     n_roots = [

@@ -83,13 +83,38 @@ def _parse_word(text):
     return word
 
 
-def _parse_element(datum, text):
+def _ints(values, what):
+    """A JSON list of integers; bools and floats are refused, never truncated."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise UsageError(f"{what} must be a list of integers, got {json.dumps(values)}")
+    return values
+
+
+def _rationals(values, what):
+    """A list of rationals, each an integer or a 'p/q' string."""
+    try:
+        if isinstance(values, list):
+            return [parse_fraction(x) for x in values]
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(f"{what} must be a list of integers or 'p/q' strings, got {json.dumps(values)}")
+
+
+def _json(text, what, shape):
+    """A JSON document of the given shape (dict or list)."""
     try:
         doc = json.loads(text)
-        lam = [int(x) for x in doc["lambda"]]
-        word = [int(i) - 1 for i in doc.get("word", [])]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f'bad element {text!r} (expected {{"lambda": [...], "word": [...]}}): {exc}') from exc
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"bad {what} {text[:80]!r}: {exc}") from exc
+    if not isinstance(doc, shape):
+        raise UsageError(f"bad {what} {text[:80]!r}: expected a JSON {shape.__name__}")
+    return doc
+
+
+def _parse_element(datum, text):
+    doc = _json(text, "element", dict)
+    lam = _ints(doc.get("lambda"), "lambda")
+    word = [i - 1 for i in _ints(doc.get("word", []), "word")]
     if len(lam) != datum.rank:
         raise UsageError(f"lambda must have {datum.rank} coordinates")
     if any(i < 0 or i >= datum.n_simple for i in word):
@@ -97,34 +122,36 @@ def _parse_element(datum, text):
     return from_parts(datum, lam, word)
 
 
-def _parse_vector(datum, text):
+def _parse_vector(datum, text, integral=False):
     parts = [tok for tok in text.split(",") if tok.strip() != ""]
     if len(parts) != datum.rank:
         raise UsageError(f"expected {datum.rank} comma-separated coordinates")
-    return tuple(parse_fraction(tok) for tok in parts)
+    vec = tuple(_rationals(parts, "coordinates"))
+    if integral and any(x.denominator != 1 for x in vec):
+        raise UsageError(f"expected integer coordinates, got {text!r}")
+    return tuple(int(x) for x in vec) if integral else vec
 
 
-def _parse_class(datum, text):
-    try:
-        doc = json.loads(text)
-        kappa = [int(x) for x in doc["kappa"]]
-        nu = [parse_fraction(x) for x in doc["nu"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f'bad class {text!r} (expected {{"kappa": [...], "nu": [...]}}): {exc}') from exc
+def _parse_class(datum, doc):
+    """A class from its parsed JSON document."""
+    if not isinstance(doc, dict):
+        raise UsageError(f'a class is {{"kappa": [...], "nu": [...]}}, got {json.dumps(doc)}')
+    kappa = _ints(doc.get("kappa"), "kappa")
+    nu = _rationals(doc.get("nu"), "nu")
     if len(kappa) != datum.rank or len(nu) != datum.rank:
         raise UsageError(f"kappa and nu must each have {datum.rank} coordinates")
     return resolve_class(datum, kappa, nu)
 
 
 def _gamma(datum, cls, args):
-    if args.springer_dim is None and args.d is None:
-        raise UsageError("supply --springer-dim or both --d and --c")
-    return GammaDescriptor(
-        cls,
-        springer_dim=args.springer_dim,
-        d_gamma=args.d,
-        c_gamma=args.c,
-    )
+    if (args.d is None) != (args.c is None) or (args.springer_dim is None and args.d is None):
+        raise UsageError("supply --springer-dim, or both --d and --c")
+    gd = GammaDescriptor(cls, springer_dim=args.springer_dim, d_gamma=args.d, c_gamma=args.c)
+    try:
+        gd.resolve_springer_dim(datum)
+    except (ValueError, NonIntegralDimension) as exc:
+        raise UsageError(str(exc)) from exc
+    return gd
 
 
 def _emit(doc):
@@ -285,7 +312,7 @@ def _with_cache(datum, args, fn):
 
 def cmd_dim(args):
     datum = _load_datum(args.group)
-    cls = _parse_class(datum, args.cls)
+    cls = _parse_class(datum, _json(args.cls, "class", dict))
     started = time.perf_counter()
 
     if args.kind in ("x-flag", "y-flag"):
@@ -323,7 +350,7 @@ def cmd_dim(args):
     if args.kind in ("x-gr", "y-gr"):
         if args.mu is None:
             raise UsageError("--mu is required for Grassmannian queries")
-        mu = tuple(int(x) for x in _parse_vector(datum, args.mu))
+        mu = _parse_vector(datum, args.mu, integral=True)
         if args.kind == "x-gr":
             value = dims.dim_X_grass(datum, mu, cls)
         else:
@@ -341,7 +368,7 @@ def cmd_dim(args):
     if args.kind == "y-super":
         if args.mu is None:
             raise UsageError("--mu is required for y-super")
-        mu = tuple(int(x) for x in _parse_vector(datum, args.mu))
+        mu = _parse_vector(datum, args.mu, integral=True)
         x = fw_from_word(datum, _parse_word(args.x_word))
         y = fw_from_word(datum, _parse_word(args.y_word))
         gd = _gamma(datum, cls, args)
@@ -444,14 +471,7 @@ def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None, ca
 def cmd_table(args):
     datum = _load_datum(args.group)
     if args.classes:
-        try:
-            specs = json.loads(args.classes)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad --classes: {exc}") from exc
-        classes = [
-            resolve_class(datum, spec["kappa"], [parse_fraction(x) for x in spec["nu"]])
-            for spec in specs
-        ]
+        classes = [_parse_class(datum, doc) for doc in _json(args.classes, "--classes", list)]
     else:
         classes = list(enumerate_straight_classes(datum, args.class_length, args.budget))
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)

@@ -14,7 +14,6 @@ everywhere, including serialization.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import sys
@@ -23,9 +22,8 @@ from fractions import Fraction
 
 from . import linalg
 from .affweyl import eta_decomposition, from_finite, simple_reflections, translation
-from .classes import StraightClass, _class_of_straight, ux_decompose
+from .classes import StraightClass, _class_of_straight, shift_moves, ux_decompose
 from .errors import (
-    ExplorationBudgetExceeded,
     HypothesisViolated,
     InternalAssertion,
     NegativeDimension,
@@ -34,6 +32,7 @@ from .errors import (
     NotDominant,
 )
 from .finiteweyl import enumerate_w0, longest_element, supp
+from .search import explore_level
 
 
 @dataclass(frozen=True)
@@ -208,28 +207,11 @@ def _shift_witnesses(w, budget=None):
     until two witnesses (v, s) with l(s v s) < l(w) are found.  Returns the
     explored elements by key and the witnesses; no witness means w is of
     minimal length and the whole shift class was explored."""
-    refl = simple_reflections(w.datum)
-    lw = w.length
-    elts = {w.key: w}
-    heap = [w.key]
-    witnesses = []
-    max_nodes = 1_000_000 if budget is None else budget
-    while heap and len(witnesses) < 2:
-        v = elts[heapq.heappop(heap)]
-        for _, s in refl:
-            v2 = s * v * s
-            if v2.length < lw:
-                witnesses.append((v, s))
-                if len(witnesses) >= 2:
-                    break
-            elif v2.length == lw and v2.key not in elts:
-                elts[v2.key] = v2
-                heapq.heappush(heap, v2.key)
-                if len(elts) > max_nodes:
-                    raise ExplorationBudgetExceeded(
-                        f"shift-class exploration exceeded {max_nodes} nodes"
-                    )
-    return elts, witnesses
+    refl = dict(simple_reflections(w.datum))
+    elts, descents = explore_level(
+        w, shift_moves(w.datum), budget, "shift-class exploration", want=2
+    )
+    return elts, [(v, refl[label]) for v, label, _ in descents]
 
 
 def _raise_by_one(a, b):

@@ -10,8 +10,9 @@ per-element caches (word, inverse, inversion pattern) are shared.
 from __future__ import annotations
 
 from . import linalg
-from .errors import DatumMismatch, GroupTooLarge
+from .errors import DatumMismatch, ExplorationBudgetExceeded, GroupTooLarge
 from .rootdata import DiagramAutomorphism
+from .search import closure, descend, left_moves, right_moves
 
 W0_CAP = 10_000_000
 
@@ -50,19 +51,9 @@ class FiniteWeylElt:
     def word(self):
         """Canonical reduced word: repeatedly strip the smallest left descent."""
         if self._word is None:
-            d = self.datum
-            word = []
-            m = self.matrix
-            ident = linalg.identity_matrix(d.rank)
-            while m != ident:
-                i = next(
-                    i
-                    for i in range(d.n_simple)
-                    if linalg.row_mat(d.simple_roots[i], m) in d._neg_set
-                )
-                word.append(i)
-                m = linalg.mat_mul(d.simple_reflection_matrix(i), m)
-            self._word = tuple(word)
+            gens = [(i, fw_simple(self.datum, i)) for i in range(self.datum.n_simple)]
+            _, steps = descend(self, left_moves(gens), W0_CAP, "canonical word")
+            self._word = tuple(i for i, _, _ in steps)
             if len(self._word) != self.length:
                 raise AssertionError("canonical word length disagrees with inversion count")
         return self._word
@@ -103,10 +94,6 @@ class FiniteWeylElt:
     def act(self, v):
         """Action on a coweight vector."""
         return linalg.mat_vec(self.matrix, v)
-
-    def act_root(self, beta):
-        """Action on a root functional: beta o (matrix inverse)."""
-        return linalg.row_mat(beta, self.inverse().matrix)
 
     def inv_act_root(self, beta):
         """The inverse element acting on a root functional: beta o matrix."""
@@ -160,10 +147,6 @@ def fw_reflection(datum, beta, betavee):
     return _intern(datum, datum.reflection_matrix(beta, betavee))
 
 
-def fw_compose(a, b):
-    return a * b
-
-
 def fw_inverse(a):
     return a.inverse()
 
@@ -177,21 +160,12 @@ def enumerate_w0(datum, cap=W0_CAP):
     cached = datum._cache.get("w0")
     if cached is not None:
         return cached
-    gens = [fw_simple(datum, i) for i in range(datum.n_simple)]
-    seen = {fw_identity(datum).key: fw_identity(datum)}
-    frontier = [fw_identity(datum)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = w * s
-                if ws.key not in seen:
-                    seen[ws.key] = ws
-                    nxt.append(ws)
-                    if len(seen) > cap:
-                        raise GroupTooLarge(f"|W0| exceeds cap {cap}")
-        frontier = nxt
-    result = tuple(sorted(seen.values(), key=lambda w: (w.length, w.key)))
+    gens = [(i, fw_simple(datum, i)) for i in range(datum.n_simple)]
+    try:
+        elts = closure([fw_identity(datum)], right_moves(gens), cap, "W0 enumeration")
+    except ExplorationBudgetExceeded as exc:
+        raise GroupTooLarge(f"|W0| exceeds cap {cap}") from exc
+    result = tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
     datum._cache["w0"] = result
     return result
 
@@ -221,44 +195,14 @@ def delta_reduce_to_min(w, delta=None):
     and descends at the first strictly shorter conjugate.  Returns the
     landing element and the full list of (i, before, after) steps.
     """
-    import heapq
-
     delta = _resolve_delta(w.datum, delta)
-    path = []
-    current = w
-    while True:
-        lcur = current.length
-        elts = {current.key: current}
-        parent = {current.key: None}
-        heap = [current.key]
-        descent = None
-        while heap:
-            k = heapq.heappop(heap)
-            v = elts[k]
-            for i in range(w.datum.n_simple):
-                v2 = twisted_conjugate(v, i, delta)
-                if v2.length < lcur:
-                    descent = (v, i, v2)
-                    break
-                if v2.length == lcur and v2.key not in parent:
-                    parent[v2.key] = (k, i)
-                    elts[v2.key] = v2
-                    heapq.heappush(heap, v2.key)
-            if descent is not None:
-                break
-        if descent is None:
-            return current, tuple(path)
-        v, i, v2 = descent
-        chain = []
-        k = v.key
-        while parent[k] is not None:
-            pk, pi = parent[k]
-            chain.append((pi, elts[pk], elts[k]))
-            k = pk
-        chain.reverse()
-        path.extend(chain)
-        path.append((i, v, v2))
-        current = v2
+    w_min, steps = descend(
+        w,
+        lambda v: ((i, twisted_conjugate(v, i, delta)) for i in range(w.datum.n_simple)),
+        W0_CAP,
+        "twisted cyclic-shift search",
+    )
+    return w_min, tuple(steps)
 
 
 def supp(w):

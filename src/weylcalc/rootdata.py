@@ -96,9 +96,6 @@ class DiagramAutomorphism:
     perm: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
 
-    def apply(self, v):
-        return linalg.mat_vec(self.matrix, v)
-
     @property
     def is_identity(self):
         return all(p == i for i, p in enumerate(self.perm)) and self.matrix == linalg.identity_matrix(len(self.matrix))
@@ -364,10 +361,6 @@ class RootDatum:
     def reflect_coweight(self, i, v):
         c = linalg.vec_dot(self.simple_roots[i], v)
         return tuple(x - c * y for x, y in zip(v, self.simple_coroots[i]))
-
-    def reflect_root(self, i, beta):
-        c = linalg.vec_dot(beta, self.simple_coroots[i])
-        return tuple(x - c * y for x, y in zip(beta, self.simple_roots[i]))
 
     def is_positive_root(self, beta):
         return beta in self._pos_set

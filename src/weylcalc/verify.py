@@ -177,14 +177,22 @@ def _dominant_box(datum, pairing_cap):
     return sorted(out)
 
 
+def _census_by_mu(datum, mus):
+    """mu -> the straight classes of length <= <2 rho, mu>, from one census
+    at the largest bound: a straight class has all its straight
+    representatives at length l(C), so a smaller census is a filter."""
+    bounds = {mu: int(linalg.vec_dot(datum.two_rho, mu)) for mu in mus}
+    census = enumerate_straight_classes(datum, max(bounds.values(), default=0))
+    return {mu: [cls for cls in census if cls.length <= b] for mu, b in bounds.items()}
+
+
 def verify_grass(datum, pairing_cap=4):
     """Closed Grassmannian formula == fibration max over the double coset."""
     failures = []
     checked = 0
     mus = _dominant_box(datum, pairing_cap)
-    for mu in mus:
-        bound = linalg.vec_dot(datum.two_rho, mu)
-        for cls in enumerate_straight_classes(datum, int(bound)):
+    for mu, classes in _census_by_mu(datum, mus).items():
+        for cls in classes:
             closed = dim_X_grass(datum, mu, cls)
             derived = grass_fibration_max(datum, mu, cls)
             checked += 1
@@ -214,9 +222,8 @@ def verify_superregular(datum, pairing_min=2, pairing_cap=None):
         for mu in _dominant_box(datum, pairing_cap)
         if all(linalg.vec_dot(a, mu) >= pairing_min for a in datum.simple_roots)
     ]
-    for mu in mus:
-        bound = linalg.vec_dot(datum.two_rho, mu)
-        for cls in enumerate_straight_classes(datum, int(bound)):
+    for mu, classes in _census_by_mu(datum, mus).items():
+        for cls in classes:
             shifted = linalg.vec_add(cls.nu_bar, datum.two_rho_check)
             if not datum.dominance_leq(datum.dominant_rep(shifted), tuple(map(int, mu))):
                 continue
