@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from . import linalg
 from .errors import DatumMismatch, DecompositionFailure, InfinitePi1, InternalAssertion
@@ -38,6 +39,17 @@ class AffineWeylElt:
         self._length = None
         self._newton = None
 
+    @classmethod
+    def _from_ints(cls, datum, lam, fw):
+        """Internal constructor for a lam that is already a tuple of ints."""
+        w = cls.__new__(cls)
+        w.datum = datum
+        w.lam = lam
+        w.fw = fw
+        w._length = None
+        w._newton = None
+        return w
+
     @property
     def key(self):
         return (self.lam, self.fw.matrix)
@@ -54,29 +66,28 @@ class AffineWeylElt:
         u^-1(alpha) is positive and |<alpha, lam> - 1| when it is negative.
         """
         if self._length is None:
-            total = 0
-            mask = self.fw.neg_mask
-            for k, beta in enumerate(self.datum.pos_roots):
-                c = linalg.vec_dot(beta, self.lam)
-                total += abs(c - 1) if mask[k] else abs(c)
-            self._length = total
+            # mask entries are bools, so subtracting one shifts <alpha, lam>
+            # by 1 exactly where u^-1(alpha) is negative
+            pairings = linalg.mat_vec(self.datum.pos_roots, self.lam)
+            self._length = sum(map(abs, map(sub, pairings, self.fw.neg_mask)))
         return self._length
 
     def act(self, v):
         """Affine action on V: v -> u(v) + lam."""
-        return tuple(x + l for x, l in zip(self.fw.act(v), self.lam))
+        return linalg.vec_add(self.fw.act(v), self.lam)
 
     def __mul__(self, other):
         if not isinstance(other, AffineWeylElt):
             return NotImplemented
         if not self.datum.same_datum(other.datum):
             raise DatumMismatch("cannot compose elements of different root data")
-        lam = linalg.vec_add(self.lam, self.fw.act(other.lam))
-        return AffineWeylElt(self.datum, lam, self.fw * other.fw)
+        lam = linalg.vec_add(self.lam, linalg.mat_vec(self.fw.matrix, other.lam))
+        return AffineWeylElt._from_ints(self.datum, lam, self.fw * other.fw)
 
     def inv(self):
         uinv = self.fw.inverse()
-        return AffineWeylElt(self.datum, linalg.vec_neg(uinv.act(self.lam)), uinv)
+        lam = linalg.vec_neg(linalg.mat_vec(uinv.matrix, self.lam))
+        return AffineWeylElt._from_ints(self.datum, lam, uinv)
 
     def __eq__(self, other):
         if not isinstance(other, AffineWeylElt):

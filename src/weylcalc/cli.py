@@ -3,6 +3,7 @@
 Single JSON document on stdout per invocation; diagnostics on stderr.
 Exit codes: 0 success, 1 usage or bad input, 2 hypothesis violation,
 3 search budget exceeded, 4 internal assertion or failed verification.
+A reader that closes stdout early ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -512,6 +513,19 @@ def cmd_verify(args):
 
 
 def main(argv=None):
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`weylcalc ... | head`): nothing more
+        # can be shown, so stop quietly.  stdout now points at devnull, so the
+        # interpreter's final flush raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
+
+
+def _main(argv):
     parser = argparse.ArgumentParser(
         prog="weylcalc",
         description="Exact affine Weyl group combinatorics and cell-dimension calculator",

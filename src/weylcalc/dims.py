@@ -121,11 +121,23 @@ class GammaDescriptor:
 
 
 def _validate_class(datum, cls):
-    ell = linalg.vec_dot(datum.two_rho, cls.nu_bar)
-    if Fraction(ell) != Fraction(cls.length):
-        raise InternalAssertion(
-            f"class length {cls.length} != <2 rho, nu_bar> = {ell}"
-        )
+    """Check l(C) = <2 rho, nu_bar> and return <rho, nu_bar>.
+
+    Both facts depend on the class alone, so they are memoised per datum,
+    keyed by (kappa, nu_bar, length): class equality ignores the length,
+    and a class carrying a wrong length must still be refused.
+    """
+    memo = datum._cache.setdefault("class_facts", {})
+    key = (cls.kappa, cls.nu_bar, cls.length)
+    rho_nu = memo.get(key)
+    if rho_nu is None:
+        ell = linalg.vec_dot(datum.two_rho, cls.nu_bar)
+        if Fraction(ell) != Fraction(cls.length):
+            raise InternalAssertion(
+                f"class length {cls.length} != <2 rho, nu_bar> = {ell}"
+            )
+        rho_nu = memo[key] = linalg.vec_dot(datum.rho, cls.nu_bar)
+    return rho_nu
 
 
 def _eta(w):
@@ -144,13 +156,10 @@ def virtual_dimension(w, cls):
     is computed alongside and must agree.  A non-integral half is surfaced
     as an error carrying the exact rational, never rounded.
     """
-    _validate_class(w.datum, cls)
+    rho_nu = _validate_class(w.datum, cls)
     eta = _eta(w).eta
     num = w.length + eta.length - cls.defect - cls.length
-    d_b = (
-        Fraction(w.length + eta.length - cls.defect, 2)
-        - linalg.vec_dot(w.datum.rho, cls.nu_bar)
-    )
+    d_b = Fraction(w.length + eta.length - cls.defect, 2) - rho_nu
     if d_b != Fraction(num, 2):
         raise InternalAssertion("the two virtual-dimension forms disagree")
     if num % 2 != 0:
@@ -497,19 +506,29 @@ def load_cache(datum, directory):
 def grass_fibration_max(datum, mu, cls, budget=None):
     """Independent route to the Grassmannian dimension: the maximum of the
     flag dimensions over the double coset W0 t^mu W0, minus the dimension of
-    the finite flag fiber."""
+    the finite flag fiber.  The class-by-class maximum of the profiles of
+    the coset is taken once per mu and answers every class."""
     mu = tuple(int(x) for x in mu)
     if not datum.is_dominant(mu):
         raise NotDominant(f"{mu} is not dominant")
-    w0 = enumerate_w0(datum)
-    tmu = translation(datum, mu)
-    coset = {}
-    for a in w0:
-        left = from_finite(a) * tmu
-        for b in w0:
-            w = left * from_finite(b)
-            coset[w.key] = w
-    best = EMPTY
-    for key in sorted(coset):
-        best = dim_max(best, dim_X_flag(coset[key], cls, budget))
-    return best.plus(-longest_element(datum).length)
+    _validate_class(datum, cls)
+    memo = datum._cache.setdefault("grass_max", {})
+    best = memo.get(mu)
+    if best is None:
+        w0 = enumerate_w0(datum)
+        tmu = translation(datum, mu)
+        coset = {}
+        for a in w0:
+            left = from_finite(a) * tmu
+            for b in w0:
+                w = left * from_finite(b)
+                coset[w.key] = w
+        best = {}
+        for key in sorted(coset):
+            for cid, d in dim_profile(coset[key], budget).items():
+                if best.get(cid, -1) < d:
+                    best[cid] = d
+        memo[mu] = best
+    cid = _dim_cache(datum).class_ids.get(cls.pair_key)
+    dim = None if cid is None else best.get(cid)
+    return EMPTY if dim is None else DimValue(dim - longest_element(datum).length)

@@ -5,9 +5,16 @@ is the canonical hash key (reduced words are not unique).  A canonical
 reduced word is recovered greedily by smallest left descent, which makes
 every reported word deterministic.  Elements of one datum are interned so
 per-element caches (word, inverse, inversion pattern) are shared.
+
+Each interned element also carries a small integer index and a product
+row: a * b reads a's row at b's index, and only on a miss multiplies the
+matrices and interns the result.  Rows fill lazily, so a fresh datum pays
+for the products it uses and no more.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 from . import linalg
 from .errors import DatumMismatch, ExplorationBudgetExceeded, GroupTooLarge
@@ -16,13 +23,23 @@ from .search import closure, descend, left_moves, right_moves
 
 W0_CAP = 10_000_000
 
+# Element indices are unique across every datum of the process, so a row
+# entry can never be read for the wrong element.
+_next_index = count().__next__
+
 
 class FiniteWeylElt:
-    __slots__ = ("datum", "matrix", "_word", "_length", "_inverse", "_neg_mask", "_order")
+    __slots__ = (
+        "datum", "matrix", "idx", "is_identity", "_row",
+        "_word", "_length", "_inverse", "_neg_mask", "_order",
+    )
 
     def __init__(self, datum, matrix):
         self.datum = datum
         self.matrix = matrix
+        self.idx = _next_index()
+        self.is_identity = matrix == linalg.identity_matrix(len(matrix))
+        self._row = {}  # other.idx -> self * other
         self._word = None
         self._length = None
         self._inverse = None
@@ -34,17 +51,10 @@ class FiniteWeylElt:
         return self.matrix
 
     @property
-    def is_identity(self):
-        return self.matrix == linalg.identity_matrix(self.datum.rank)
-
-    @property
     def length(self):
         """Number of positive roots sent to negative roots."""
         if self._length is None:
-            d = self.datum
-            self._length = sum(
-                1 for beta in d.pos_roots if linalg.row_mat(beta, self.matrix) in d._neg_set
-            )
+            self._length = sum(self.neg_mask)
         return self._length
 
     @property
@@ -70,26 +80,26 @@ class FiniteWeylElt:
         return self._neg_mask
 
     def inverse(self):
+        """The last power of this element before the identity."""
         if self._inverse is None:
-            inv = linalg.invert_unimodular(self.matrix)
-            if inv is None:
-                raise AssertionError("Weyl group matrix is not unimodular")
-            self._inverse = _intern(self.datum, inv)
-            self._inverse._inverse = self
+            self._power_cycle()
         return self._inverse
 
     def order(self):
         if self._order is None:
-            ident = linalg.identity_matrix(self.datum.rank)
-            m = self.matrix
-            k = 1
-            while m != ident:
-                m = linalg.mat_mul(m, self.matrix)
-                k += 1
-                if k > W0_CAP:
-                    raise AssertionError("element order exceeds group cap")
-            self._order = k
+            self._power_cycle()
         return self._order
+
+    def _power_cycle(self):
+        prev, power, k = self, self, 1
+        while not power.is_identity:
+            prev, power = power, power * self
+            k += 1
+            if k > W0_CAP:
+                raise AssertionError("element order exceeds group cap")
+        self._order = prev._order = k
+        self._inverse = prev
+        prev._inverse = self
 
     def act(self, v):
         """Action on a coweight vector."""
@@ -104,7 +114,11 @@ class FiniteWeylElt:
             return NotImplemented
         if not self.datum.same_datum(other.datum):
             raise DatumMismatch("cannot compose elements of different root data")
-        return _intern(self.datum, linalg.mat_mul(self.matrix, other.matrix))
+        prod = self._row.get(other.idx)
+        if prod is None:
+            prod = _intern(self.datum, linalg.mat_mul(self.matrix, other.matrix))
+            self._row[other.idx] = prod
+        return prod
 
     def __eq__(self, other):
         if not isinstance(other, FiniteWeylElt):

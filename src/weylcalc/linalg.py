@@ -7,10 +7,11 @@ Matrices are tuples of row tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, neg
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a, b):
@@ -18,7 +19,7 @@ def vec_sub(a, b):
 
 
 def vec_neg(a):
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vec_scale(c, a):
@@ -26,7 +27,7 @@ def vec_scale(c, a):
 
 
 def vec_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def identity_matrix(n):
@@ -34,21 +35,17 @@ def identity_matrix(n):
 
 
 def mat_vec(m, v):
-    return tuple(vec_dot(row, v) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def row_mat(v, m):
     """v as a row vector times m."""
-    n = len(m[0])
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(n))
+    return tuple([sum(map(mul, v, col)) for col in zip(*m)])
 
 
 def mat_mul(a, b):
-    n = len(b[0])
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(n))
-        for arow in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, arow, col)) for col in cols]) for arow in a)
 
 
 def _rref(rows):

@@ -31,7 +31,18 @@ def cayley_ball(datum, radius, cap=BALL_CAP, include_omega=True):
 
     With include_omega, each class of length-zero elements contributes its
     translate of the ball, at the same distance as the untranslated element.
+    Balls are memoised per datum and (radius, cap, include_omega); callers
+    must treat the returned Ball as read-only.
     """
+    memo = datum._cache.setdefault("oracle_ball", {})
+    key = (radius, cap, include_omega)
+    ball = memo.get(key)
+    if ball is None:
+        ball = memo[key] = _build_ball(datum, radius, cap, include_omega)
+    return ball
+
+
+def _build_ball(datum, radius, cap, include_omega):
     refl = simple_reflections(datum)
     ident = aw_identity(datum)
     dist = {ident.key: 0}

@@ -4,10 +4,14 @@ line, never a traceback, and nothing is truncated into a valid input."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylcalc
 from weylcalc.cli import main
 
 W = '{"lambda":[0],"word":[1]}'
@@ -85,3 +89,21 @@ def test_fuzzed_cli_input_never_raises(group, data):
         code, _, err = _run(argv)
         assert code in (0, 1, 2, 3), (argv, err)
         assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_quietly():
+    """`weylcalc describe --group SL4 | head -1`: the reader goes away
+    before the document is written, and the run ends without a traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylcalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylcalc.cli", "describe", "--group", "SL4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # closed long before the child can write anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

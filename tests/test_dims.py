@@ -307,3 +307,26 @@ def test_cache_ignores_other_datum(tmp_path, sl2, pgl2):
     dim_X_flag(from_parts(sl2, (0,), [0]), basic)
     save_cache(sl2, str(tmp_path))
     assert load_cache(pgl2, str(tmp_path)) == 0
+
+
+def test_class_with_a_wrong_length_is_refused_after_its_facts_are_memoised(sl3):
+    """Class facts are memoised by (kappa, nu_bar, length); class equality
+    ignores the length, so a twin carrying a wrong length must still raise."""
+    import dataclasses
+
+    from weylcalc.errors import InternalAssertion
+
+    w = from_parts(sl3, (1, 0), [0])
+    cls = straight_class_of(w)
+    virtual_dimension(w, cls)
+    dim_X_flag(w, cls)
+    twin = dataclasses.replace(cls, length=cls.length + 2)
+    assert twin == cls
+    for query in (
+        lambda: virtual_dimension(w, twin),
+        lambda: dim_X_flag(w, twin),
+        lambda: dim_X_grass(sl3, (1, 1), twin),
+        lambda: grass_fibration_max(sl3, (1, 1), twin),
+    ):
+        with pytest.raises(InternalAssertion, match="class length"):
+            query()
