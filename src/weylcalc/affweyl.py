@@ -24,6 +24,7 @@ from .finiteweyl import (
     fw_reflection,
     fw_simple,
 )
+from .memo import memoised
 from .search import descend, left_moves
 
 
@@ -132,6 +133,7 @@ def aw_inv(a):
     return a.inv()
 
 
+@memoised("simple_reflections")
 def simple_reflections(datum):
     """The labeled generating set of the affine Weyl group.
 
@@ -140,9 +142,6 @@ def simple_reflections(datum):
     s_0 for an irreducible system).  Every generator is checked to have
     length one, which pins the alcove orientation.
     """
-    cached = datum._cache.get("simple_reflections")
-    if cached is not None:
-        return cached
     gens = []
     for c, (theta, thetavee) in enumerate(datum.highest_roots):
         s = AffineWeylElt(datum, thetavee, fw_reflection(datum, theta, thetavee))
@@ -155,9 +154,7 @@ def simple_reflections(datum):
             raise InternalAssertion(
                 f"orientation self-check failed: generator {label} has length {s.length}"
             )
-    result = tuple(gens)
-    datum._cache["simple_reflections"] = result
-    return result
+    return tuple(gens)
 
 
 def newton_point(w):
@@ -235,6 +232,7 @@ def eta_decomposition(w):
     return EtaDecomposition(x=x, mu=mu, y=y, eta=y * x)
 
 
+@memoised("omega")
 def omega_elements(datum):
     """One length-zero element per class of X / Z<coroots>.
 
@@ -242,9 +240,6 @@ def omega_elements(datum):
     t^lam u length zero; it is found by an exact linear solve against the
     simple roots and kept when integral.  Refuses infinite quotients.
     """
-    cached = datum._cache.get("omega")
-    if cached is not None:
-        return cached
     order = datum.pi1_order()
     if order is None:
         raise InfinitePi1(
@@ -273,9 +268,7 @@ def omega_elements(datum):
     kappas = {kappa_w(w) for w in found}
     if len(kappas) != order:
         raise InternalAssertion("length-zero elements do not biject with the lattice quotient")
-    result = tuple(found)
-    datum._cache["omega"] = result
-    return result
+    return tuple(found)
 
 
 # -- affine roots ---------------------------------------------------------

@@ -32,6 +32,7 @@ from .affweyl import (
 )
 from .errors import DecompositionNotFound, InternalAssertion, NotMinimal, UnknownClass
 from .finiteweyl import fw_identity, fw_reflection
+from .memo import memo, memoised
 from .search import closure, descend, left_moves, right_moves
 
 
@@ -130,6 +131,7 @@ def shift_moves(datum):
     return lambda v: ((label, s * v * s) for label, s in refl)
 
 
+@memoised("reduce_min", key=lambda w, budget=None: w.key)
 def reduce_to_min(w, budget=None):
     """Minimal-length element of the conjugacy class of w.
 
@@ -138,14 +140,8 @@ def reduce_to_min(w, budget=None):
     at the first strictly shorter conjugate found.  The returned path records
     every step taken.
     """
-    memo = w.datum._cache.setdefault("reduce_min", {})
-    hit = memo.get(w.key)
-    if hit is not None:
-        return hit
     w_min, steps = descend(w, shift_moves(w.datum), budget, "cyclic-shift search")
-    result = MinimizationResult(w_min, tuple(ConjugationStep(*step) for step in steps))
-    memo[w.key] = result
-    return result
+    return MinimizationResult(w_min, tuple(ConjugationStep(*step) for step in steps))
 
 
 def approx_closure(w, budget=None):
@@ -158,11 +154,9 @@ def approx_closure(w, budget=None):
     return [elts[k] for k in sorted(elts)]
 
 
+@memoised("spherical_subsets")
 def _spherical_subsets(datum):
     """Spherical subsets of the generator labels, smallest first."""
-    cached = datum._cache.get("spherical_subsets")
-    if cached is not None:
-        return cached
     labels = [label for label, _ in simple_reflections(datum)]
     subsets = []
     for mask in range(1 << len(labels)):
@@ -170,9 +164,7 @@ def _spherical_subsets(datum):
         if is_spherical(datum, k):
             subsets.append(k)
     subsets.sort(key=lambda k: (len(k), k))
-    result = tuple(subsets)
-    datum._cache["spherical_subsets"] = result
-    return result
+    return tuple(subsets)
 
 
 def enumerate_parabolic(datum, labels, cap=100_000):
@@ -191,16 +183,7 @@ def is_spherical(datum, labels):
     are adjacent iff they fail to commute.
     """
     labels = frozenset(labels)
-    graph = datum._cache.get("affine_diagram")
-    if graph is None:
-        refl = simple_reflections(datum)
-        graph = {}
-        for la, sa in refl:
-            graph[la] = set()
-            for lb, sb in refl:
-                if la != lb and (sa * sb).key != (sb * sa).key:
-                    graph[la].add(lb)
-        datum._cache["affine_diagram"] = graph
+    graph = _affine_diagram(datum)
     all_labels = set(graph)
     if not labels <= all_labels:
         raise InternalAssertion(f"unknown generator labels: {sorted(labels - all_labels)}")
@@ -222,6 +205,16 @@ def is_spherical(datum, labels):
     return True
 
 
+@memoised("affine_diagram")
+def _affine_diagram(datum):
+    """Generator label -> labels of the generators it fails to commute with."""
+    refl = simple_reflections(datum)
+    return {
+        la: {lb for lb, sb in refl if la != lb and (sa * sb).key != (sb * sa).key}
+        for la, sa in refl
+    }
+
+
 def ux_decompose(w_min, budget=None, check_minimal=True):
     """Split a minimal-length element through a spherical subset.
 
@@ -237,8 +230,8 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
                 f"element of length {w_min.length} reduces to length {reduced.w_min.length}"
             )
     datum = w_min.datum
-    memo = datum._cache.setdefault("ux", {})
-    hit = memo.get(w_min.key)
+    table = memo(datum, "ux")
+    hit = table.get(w_min.key)
     if hit is not None:
         return hit
     refl = dict(simple_reflections(datum))
@@ -263,10 +256,11 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
             images = [next((l for l, g in gens if g == c), None) for c in conjugates]
             if None in images or sorted(images) != sorted(k_labels):
                 continue
-            result = UxDecomposition(u=u, x=x, K=tuple(k_labels), witness=w2)
-            memo[w_min.key] = result
+            result = table.put(
+                w_min.key, UxDecomposition(u=u, x=x, K=tuple(k_labels), witness=w2)
+            )
             for elt in shift_class:
-                memo.setdefault(elt.key, result)
+                table.put(elt.key, result)
             return result
     raise DecompositionNotFound(
         f"no spherical decomposition found for {w_min!r}; this contradicts the "
@@ -276,8 +270,8 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
 
 def straight_class_of(w, budget=None):
     """The straight conjugacy class whose closure contains w's class."""
-    memo = w.datum._cache.setdefault("straight_class", {})
-    hit = memo.get(w.key)
+    table = memo(w.datum, "straight_class")
+    hit = table.get(w.key)
     if hit is not None:
         return hit
     reduced = reduce_to_min(w, budget)
@@ -285,37 +279,28 @@ def straight_class_of(w, budget=None):
     cls = _class_of_straight(dec.x)
     if cls.kappa != kappa_w(w):
         raise InternalAssertion("kappa of the straight part differs from kappa of w")
-    memo[w.key] = cls
-    memo.setdefault(reduced.w_min.key, cls)
-    return cls
+    table.put(reduced.w_min.key, cls)
+    return table.put(w.key, cls)
 
 
+@memoised("length_ball", key=lambda datum, max_len, budget=None: max_len)
 def length_ball(datum, max_len, budget=None):
     """All elements of length <= max_len, sorted by (length, key).
 
     BFS closure under right multiplication by the generators, seeded with
     the length-zero elements, accepting only elements inside the ball.
     """
-    cached = datum._cache.setdefault("length_ball", {})
-    hit = cached.get(max_len)
-    if hit is not None:
-        return hit
     elts = closure(
         omega_elements(datum), right_moves(simple_reflections(datum)), budget, "length ball",
         keep=lambda v: v.length <= max_len,
     )
-    result = tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
-    cached[max_len] = result
-    return result
+    return tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
 
 
+@memoised("straight_classes", key=lambda datum, max_len, budget=None: max_len)
 def enumerate_straight_classes(datum, max_len, budget=None):
     """All straight conjugacy classes with a representative of length
     <= max_len, sorted by (length, nu_bar, kappa)."""
-    cached = datum._cache.setdefault("straight_classes", {})
-    hit = cached.get(max_len)
-    if hit is not None:
-        return hit
     groups = {}
     for w in length_ball(datum, max_len, budget):
         if not is_straight(w):
@@ -327,11 +312,7 @@ def enumerate_straight_classes(datum, max_len, budget=None):
                 raise InternalAssertion("defect is not constant on a straight class")
         else:
             groups[key] = _class_of_straight(w)
-    result = tuple(
-        sorted(groups.values(), key=lambda c: (c.length, c.nu_bar, c.kappa))
-    )
-    cached[max_len] = result
-    return result
+    return tuple(sorted(groups.values(), key=lambda c: (c.length, c.nu_bar, c.kappa)))
 
 
 def resolve_class(datum, kappa, nu_bar):
@@ -349,6 +330,17 @@ def resolve_class(datum, kappa, nu_bar):
     )
 
 
+@memoised("levi_groups", key=lambda datum, nu: nu)
+def _levi_group(datum, nu):
+    """The reflection subgroup of W0 of the roots vanishing on nu, by key."""
+    gens = [
+        (k, fw_reflection(datum, beta, betavee))
+        for k, (beta, betavee) in enumerate(zip(datum.pos_roots, datum.pos_coroots))
+        if linalg.vec_dot(beta, nu) == 0
+    ]
+    return closure([fw_identity(datum)], right_moves(gens), None, "Levi subgroup")
+
+
 def p_alcove_test(w, nu):
     """Alcove sign test against the parabolic determined by nu.
 
@@ -360,17 +352,7 @@ def p_alcove_test(w, nu):
     """
     datum = w.datum
     nu = tuple(Fraction(x) for x in nu)
-
-    levi = datum._cache.setdefault("levi_groups", {})
-    group = levi.get(nu)
-    if group is None:
-        gens = [
-            (k, fw_reflection(datum, beta, betavee))
-            for k, (beta, betavee) in enumerate(zip(datum.pos_roots, datum.pos_coroots))
-            if linalg.vec_dot(beta, nu) == 0
-        ]
-        group = levi[nu] = closure([fw_identity(datum)], right_moves(gens), None, "Levi subgroup")
-    if w.fw.key not in group:
+    if w.fw.key not in _levi_group(datum, nu):
         return False
 
     n_roots = [

@@ -25,6 +25,7 @@ from .affweyl import (
 )
 from .classes import (
     enumerate_straight_classes,
+    length_ball,
     p_alcove_test,
     reduce_to_min,
     resolve_class,
@@ -404,37 +405,40 @@ def cmd_dim(args):
     raise UsageError(f"unknown dim kind {args.kind!r}")
 
 
-def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None, cache_dir=None):
+def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None):
     """Tabulate (w, class) -> (nonempty, dim, virtual dim) over the length
     ball.  Deterministic row order; output carries no timing so repeated
     runs are byte-identical."""
-    from .classes import length_ball
-
-    loaded = 0
-    if cache_dir:
-        loaded = dims.load_cache(datum, cache_dir)
+    cache = dims._dim_cache(datum)
+    columns = []  # per class: the class, its profile id, kappa and nu as printed
+    for cls in classes:
+        dims._validate_class(datum, cls)
+        columns.append(
+            (cls, cache.class_id(cls.pair_key), list(cls.kappa),
+             [format_fraction(x) for x in cls.nu_bar])
+        )
     rows = []
     for w in length_ball(datum, max_length, budget):
-        for cls in classes:
-            value = dims.dim_X_flag(w, cls, budget)
+        profile = dims.dim_profile(w, budget)
+        lam, word = list(w.lam), [i + 1 for i in w.fw.word]
+        for cls, cid, kappa, nu in columns:
+            dim = profile.get(cid)
             try:
                 vd = virtual_dimension(w, cls)
             except NonIntegralHalf:
                 vd = None
             rows.append(
                 {
-                    "lambda": list(w.lam),
-                    "word": [i + 1 for i in w.fw.word],
+                    "lambda": lam,
+                    "word": word,
                     "length": w.length,
-                    "kappa": list(cls.kappa),
-                    "nu": [format_fraction(x) for x in cls.nu_bar],
-                    "nonempty": not value.is_empty,
-                    "dim": value.dim,
+                    "kappa": kappa,
+                    "nu": nu,
+                    "nonempty": dim is not None,
+                    "dim": dim,
                     "virtual_dim": vd,
                 }
             )
-    if cache_dir:
-        dims.save_cache(datum, cache_dir)
     if fmt == "json":
         text = json.dumps(
             {"group": datum.name, "max_length": max_length, "rows": rows},
@@ -466,7 +470,6 @@ def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None, ca
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return loaded
 
 
 def cmd_table(args):
@@ -475,15 +478,12 @@ def cmd_table(args):
         classes = [_parse_class(datum, doc) for doc in _json(args.classes, "--classes", list)]
     else:
         classes = list(enumerate_straight_classes(datum, args.class_length, args.budget))
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    emit_table(
+    _with_cache(
         datum,
-        args.max_length,
-        classes,
-        fmt=args.format,
-        out=args.out,
-        budget=args.budget,
-        cache_dir=cache_dir,
+        args,
+        lambda: emit_table(
+            datum, args.max_length, classes, fmt=args.format, out=args.out, budget=args.budget
+        ),
     )
     return 0
 

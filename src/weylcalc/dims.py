@@ -32,6 +32,7 @@ from .errors import (
     NotDominant,
 )
 from .finiteweyl import enumerate_w0, longest_element, supp
+from .memo import Memo, memo, memoised
 from .search import explore_level
 
 
@@ -120,6 +121,7 @@ class GammaDescriptor:
         }
 
 
+@memoised("class_facts", key=lambda datum, cls: (cls.kappa, cls.nu_bar, cls.length))
 def _validate_class(datum, cls):
     """Check l(C) = <2 rho, nu_bar> and return <rho, nu_bar>.
 
@@ -127,26 +129,16 @@ def _validate_class(datum, cls):
     keyed by (kappa, nu_bar, length): class equality ignores the length,
     and a class carrying a wrong length must still be refused.
     """
-    memo = datum._cache.setdefault("class_facts", {})
-    key = (cls.kappa, cls.nu_bar, cls.length)
-    rho_nu = memo.get(key)
-    if rho_nu is None:
-        ell = linalg.vec_dot(datum.two_rho, cls.nu_bar)
-        if Fraction(ell) != Fraction(cls.length):
-            raise InternalAssertion(
-                f"class length {cls.length} != <2 rho, nu_bar> = {ell}"
-            )
-        rho_nu = memo[key] = linalg.vec_dot(datum.rho, cls.nu_bar)
-    return rho_nu
+    ell = linalg.vec_dot(datum.two_rho, cls.nu_bar)
+    if Fraction(ell) != Fraction(cls.length):
+        raise InternalAssertion(f"class length {cls.length} != <2 rho, nu_bar> = {ell}")
+    return linalg.vec_dot(datum.rho, cls.nu_bar)
 
 
+@memoised("eta", key=lambda w: w.key)
 def _eta(w):
     """eta_decomposition(w), memoised per element on the datum."""
-    memo = w.datum._cache.setdefault("eta", {})
-    dec = memo.get(w.key)
-    if dec is None:
-        dec = memo[w.key] = eta_decomposition(w)
-    return dec
+    return eta_decomposition(w)
 
 
 def virtual_dimension(w, cls):
@@ -167,9 +159,8 @@ def virtual_dimension(w, cls):
     return num // 2
 
 
-class DimCache:
-    """Get-or-compute table of dimension profiles keyed by element, with
-    hit/miss counters.
+class DimCache(Memo):
+    """The memo of dimension profiles keyed by element.
 
     A profile maps each straight class the cell meets to its dimension; a
     class that is absent is Empty.  Classes enter profiles as small integer
@@ -178,22 +169,9 @@ class DimCache:
     """
 
     def __init__(self):
-        self.table = {}
+        super().__init__()
         self.class_ids = {}  # class pair key (kappa, nu_bar) -> id
         self.class_keys = []  # id -> class pair key
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        val = self.table.get(key)
-        if val is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return val
-
-    def put(self, key, value):
-        self.table.setdefault(key, value)
 
     def class_id(self, ckey):
         cid = self.class_ids.get(ckey)
@@ -204,11 +182,7 @@ class DimCache:
 
 
 def _dim_cache(datum):
-    cache = datum._cache.get("dim_x_flag")
-    if cache is None:
-        cache = DimCache()
-        datum._cache["dim_x_flag"] = cache
-    return cache
+    return memo(datum, "dim_x_flag", DimCache)
 
 
 def _shift_witnesses(w, budget=None):
@@ -503,6 +477,25 @@ def load_cache(datum, directory):
     return len(table)
 
 
+@memoised("grass_max", key=lambda datum, mu, budget=None: mu)
+def _coset_max(datum, mu, budget=None):
+    """Class-by-class max of the profiles over the double coset W0 t^mu W0."""
+    w0 = enumerate_w0(datum)
+    tmu = translation(datum, mu)
+    coset = {}
+    for a in w0:
+        left = from_finite(a) * tmu
+        for b in w0:
+            w = left * from_finite(b)
+            coset[w.key] = w
+    best = {}
+    for key in sorted(coset):
+        for cid, d in dim_profile(coset[key], budget).items():
+            if best.get(cid, -1) < d:
+                best[cid] = d
+    return best
+
+
 def grass_fibration_max(datum, mu, cls, budget=None):
     """Independent route to the Grassmannian dimension: the maximum of the
     flag dimensions over the double coset W0 t^mu W0, minus the dimension of
@@ -512,23 +505,7 @@ def grass_fibration_max(datum, mu, cls, budget=None):
     if not datum.is_dominant(mu):
         raise NotDominant(f"{mu} is not dominant")
     _validate_class(datum, cls)
-    memo = datum._cache.setdefault("grass_max", {})
-    best = memo.get(mu)
-    if best is None:
-        w0 = enumerate_w0(datum)
-        tmu = translation(datum, mu)
-        coset = {}
-        for a in w0:
-            left = from_finite(a) * tmu
-            for b in w0:
-                w = left * from_finite(b)
-                coset[w.key] = w
-        best = {}
-        for key in sorted(coset):
-            for cid, d in dim_profile(coset[key], budget).items():
-                if best.get(cid, -1) < d:
-                    best[cid] = d
-        memo[mu] = best
+    best = _coset_max(datum, mu, budget)
     cid = _dim_cache(datum).class_ids.get(cls.pair_key)
     dim = None if cid is None else best.get(cid)
     return EMPTY if dim is None else DimValue(dim - longest_element(datum).length)

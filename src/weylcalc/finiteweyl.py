@@ -18,6 +18,7 @@ from itertools import count
 
 from . import linalg
 from .errors import DatumMismatch, ExplorationBudgetExceeded, GroupTooLarge
+from .memo import memoised
 from .rootdata import DiagramAutomorphism
 from .search import closure, descend, left_moves, right_moves
 
@@ -133,13 +134,9 @@ class FiniteWeylElt:
         return f"<{word}>"
 
 
+@memoised("fw_intern", key=lambda datum, matrix: matrix)
 def _intern(datum, matrix):
-    table = datum._cache.setdefault("fw_intern", {})
-    elt = table.get(matrix)
-    if elt is None:
-        elt = FiniteWeylElt(datum, matrix)
-        table[matrix] = elt
-    return elt
+    return FiniteWeylElt(datum, matrix)
 
 
 def fw_identity(datum):
@@ -165,23 +162,19 @@ def fw_inverse(a):
     return a.inverse()
 
 
+@memoised("w0")
 def enumerate_w0(datum, cap=W0_CAP):
     """All elements of W0 by closure under right multiplication.
 
     Cached on the datum; the returned list is sorted by (length, key) so the
     identity comes first and the longest element last.
     """
-    cached = datum._cache.get("w0")
-    if cached is not None:
-        return cached
     gens = [(i, fw_simple(datum, i)) for i in range(datum.n_simple)]
     try:
         elts = closure([fw_identity(datum)], right_moves(gens), cap, "W0 enumeration")
     except ExplorationBudgetExceeded as exc:
         raise GroupTooLarge(f"|W0| exceeds cap {cap}") from exc
-    result = tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
-    datum._cache["w0"] = result
-    return result
+    return tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
 
 
 def longest_element(datum):

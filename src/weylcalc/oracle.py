@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .affweyl import aw_identity, omega_elements, simple_reflections
 from .errors import ExplorationBudgetExceeded, Inconclusive
+from .memo import memoised
 
 BALL_CAP = 1_000_000
 
@@ -21,28 +22,25 @@ class Ball:
     radius: int
     elements: dict
     distances: dict
+    inverses: dict
 
     def distance(self, w):
         return self.distances.get(w.key)
 
 
+@memoised(
+    "oracle_ball",
+    key=lambda datum, radius, cap=BALL_CAP, include_omega=True: (radius, cap, include_omega),
+)
 def cayley_ball(datum, radius, cap=BALL_CAP, include_omega=True):
     """BFS ball over left multiplication by the simple reflections.
 
     With include_omega, each class of length-zero elements contributes its
     translate of the ball, at the same distance as the untranslated element.
-    Balls are memoised per datum and (radius, cap, include_omega); callers
-    must treat the returned Ball as read-only.
+    Balls are memoised per datum and (radius, cap, include_omega), with the
+    inverse of every element; callers must treat the returned Ball as
+    read-only.
     """
-    memo = datum._cache.setdefault("oracle_ball", {})
-    key = (radius, cap, include_omega)
-    ball = memo.get(key)
-    if ball is None:
-        ball = memo[key] = _build_ball(datum, radius, cap, include_omega)
-    return ball
-
-
-def _build_ball(datum, radius, cap, include_omega):
     refl = simple_reflections(datum)
     ident = aw_identity(datum)
     dist = {ident.key: 0}
@@ -71,7 +69,8 @@ def _build_ball(datum, radius, cap, include_omega):
                     elems[tw.key] = tw
                     if len(dist) > cap:
                         raise ExplorationBudgetExceeded(f"Cayley ball exceeded {cap} nodes")
-    return Ball(radius=radius, elements=elems, distances=dist)
+    inverses = {key: g.inv() for key, g in elems.items()}
+    return Ball(radius=radius, elements=elems, distances=dist, inverses=inverses)
 
 
 def brute_min_length(w, radius, cap=BALL_CAP):
@@ -84,7 +83,7 @@ def brute_min_length(w, radius, cap=BALL_CAP):
     best = None
     best_inner = None
     for key, g in ball.elements.items():
-        val = (g * w * g.inv()).length
+        val = (g * w * ball.inverses[key]).length
         if best is None or val < best:
             best = val
         if ball.distances[key] < radius and (best_inner is None or val < best_inner):

@@ -355,9 +355,6 @@ class RootDatum:
 
     # -- operations -------------------------------------------------------
 
-    def pairing(self, root, coweight):
-        return linalg.vec_dot(root, coweight)
-
     def reflect_coweight(self, i, v):
         c = linalg.vec_dot(self.simple_roots[i], v)
         return tuple(x - c * y for x, y in zip(v, self.simple_coroots[i]))
