@@ -2,11 +2,14 @@
 
 An element t^lam * u acts on V = X (x) Q by v -> u(v) + lam.  The base
 alcove is the fundamental one in the dominant chamber, {v : 0 < <alpha, v> <
-1 for all positive roots alpha}; an explicit interior rational point of it
-(datum.alcove_point) is the single source of truth for affine-root
-positivity, and the orientation is confirmed by the self-check that every
-simple reflection, including the affine ones t^{theta^vee} s_theta, has
-length one.
+1 for all positive roots alpha}, so an affine root (beta, k) is positive on
+it iff k >= [beta < 0].  AffineRoot reads the same sign at an explicit
+interior rational point (datum.alcove_point), and the orientation is
+confirmed by the self-check that every simple reflection, including the
+affine ones t^{theta^vee} s_theta, has length one.
+
+Newton data are kept in integers: n nu_w = sum_{i<n} u^i(lam) for n the
+order of u is integral, and Fractions are built only when nu is returned.
 """
 
 from __future__ import annotations
@@ -157,46 +160,48 @@ def simple_reflections(datum):
     return tuple(gens)
 
 
-def newton_point(w):
-    """(nu_w, dominant representative), with nu_w the averaged translation
-    part (1/n) sum_i u^i(lam) for n the order of the finite part."""
+def _newton_data(w):
+    """(n, n nu_w, n nu_bar) in integers, n the order of the finite part:
+    n nu_w = sum_{i<n} u^i(lam) is integral, and W0 acts linearly, so its
+    dominant representative is n times that of nu_w."""
     if w._newton is None:
         n = w.fw.order()
-        acc = [Fraction(0)] * w.datum.rank
-        v = w.lam
-        for _ in range(n):
-            for j in range(w.datum.rank):
-                acc[j] += v[j]
+        total = v = w.lam
+        for _ in range(n - 1):
             v = w.fw.act(v)
-        nu = tuple(x / n for x in acc)
-        w._newton = (nu, w.datum.dominant_rep(nu))
+            total = linalg.vec_add(total, v)
+        w._newton = (n, total, w.datum.dominant_rep(total))
     return w._newton
 
 
+def newton_point(w):
+    """(nu_w, dominant representative) as Fractions, with nu_w the averaged
+    translation part (1/n) sum_i u^i(lam) for n the order of the finite part."""
+    n, total, dominant = _newton_data(w)
+    return tuple(Fraction(x, n) for x in total), tuple(Fraction(x, n) for x in dominant)
+
+
 def is_straight(w):
-    """w is straight iff its length equals <2 rho, dominant Newton point>."""
-    _, nu_bar = newton_point(w)
-    return Fraction(w.length) == linalg.vec_dot(w.datum.two_rho, nu_bar)
+    """w is straight iff l(w) = <2 rho, nu_bar>, tested as n l(w) = <2 rho, n nu_bar>."""
+    n, _, dominant = _newton_data(w)
+    return n * w.length == linalg.vec_dot(w.datum.two_rho, dominant)
 
 
 def defect_of(w):
     """Rank drop of the fixed space of the nu-twisted affine action.
 
-    Solves u(v) + lam = v + nu_w exactly over Q; the defect is
-    dim V - dim(solution space).  The system is always consistent.
+    The fixed points solve (M_u - I) v = nu_w - lam, so the defect is the
+    rank of M_u - I.  The system is always consistent, which is checked in
+    integers on n times it: the right-hand side n nu_w - n lam adds no rank.
     """
-    nu, _ = newton_point(w)
-    r = w.datum.rank
+    n, total, _ = _newton_data(w)
     m = w.fw.matrix
-    a = tuple(
-        tuple(Fraction(m[i][j] - (1 if i == j else 0)) for j in range(r)) for i in range(r)
-    )
-    b = tuple(nu[i] - w.lam[i] for i in range(r))
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    pivots = linalg._rref(aug)
-    if r in pivots:
+    a = [linalg.vec_sub(row, e) for row, e in zip(m, linalg.identity_matrix(len(m)))]
+    rank = linalg.rank_rational(a)
+    rhs = linalg.vec_sub(total, linalg.vec_scale(n, w.lam))
+    if linalg.rank_rational([row + (b,) for row, b in zip(a, rhs)]) != rank:
         raise InternalAssertion("twisted fixed-point system is inconsistent")
-    return len(pivots)
+    return rank
 
 
 def kappa_w(w):
@@ -218,7 +223,7 @@ def eta_decomposition(w):
     """Unique decomposition w = x t^mu y with mu dominant and t^mu y of
     minimal length in its W0-coset; eta(w) = y x."""
     datum = w.datum
-    gens = [(i, from_finite(fw_simple(datum, i))) for i in range(datum.n_simple)]
+    gens = [(label, s) for label, s in simple_reflections(datum) if label > 0]
     m, _ = descend(w, left_moves(gens), None, "coset-minimal strip")
     mu, y = m.lam, m.fw
     if not datum.is_dominant(mu):

@@ -27,8 +27,6 @@ from .affweyl import (
     is_straight,
     omega_elements,
     simple_reflections,
-    transport_affine_root,
-    AffineRoot,
 )
 from .errors import DecompositionNotFound, InternalAssertion, NotMinimal, UnknownClass
 from .finiteweyl import fw_identity, fw_reflection
@@ -113,16 +111,10 @@ class UxDecomposition:
 
 def _class_of_straight(x):
     """StraightClass populated from a straight representative."""
-    _, nu_bar = newton_point(x)
-    length = linalg.vec_dot(x.datum.two_rho, nu_bar)
-    if Fraction(length).denominator != 1:
-        raise InternalAssertion("<2 rho, nu_bar> is not an integer")
-    length = int(length)
-    if length != x.length:
+    if not is_straight(x):
         raise InternalAssertion("representative is not straight")
-    return StraightClass(
-        kappa=kappa_w(x), nu_bar=nu_bar, length=length, defect=defect_of(x)
-    )
+    _, nu_bar = newton_point(x)
+    return StraightClass(kappa=kappa_w(x), nu_bar=nu_bar, length=x.length, defect=defect_of(x))
 
 
 def shift_moves(datum):
@@ -345,30 +337,25 @@ def p_alcove_test(w, nu):
     """Alcove sign test against the parabolic determined by nu.
 
     True iff (i) the finite part of w lies in the reflection subgroup
-    generated by the roots vanishing on nu, and (ii) for every root alpha
-    positive on nu, positivity of (alpha, k) o w^-1 implies positivity of
-    (alpha, k) over the finite window of levels k where the signs can
-    differ.
+    generated by the roots vanishing on nu, and (ii) for every root beta
+    positive on nu and every level k, positivity of (beta, k) o w^-1
+    implies positivity of (beta, k).
+
+    On the base alcove (beta, k) is positive iff k >= [beta < 0].  For
+    w^-1 = t^lam' u', (beta, k) o w^-1 = (beta o M_u', k + <beta, lam'>), so
+    some level breaks (ii) iff [beta o M_u' < 0] - <beta, lam'> < [beta < 0].
     """
     datum = w.datum
     nu = tuple(Fraction(x) for x in nu)
     if w.fw.key not in _levi_group(datum, nu):
         return False
-
-    n_roots = [
-        beta
-        for beta in list(datum.pos_roots) + [linalg.vec_neg(b) for b in datum.pos_roots]
-        if linalg.vec_dot(beta, nu) > 0
-    ]
-    if not n_roots:
-        return True
-    # window covers every level where the two signs can disagree, for the
-    # original root and for its transported image alike
-    window = 1 + max(abs(linalg.vec_dot(beta, w.lam)) for beta in datum.pos_roots)
     winv = w.inv()
-    for beta in n_roots:
-        for k in range(-window, window + 1):
-            ar = AffineRoot(beta, k)
-            if transport_affine_root(winv, ar).is_positive(datum) and not ar.is_positive(datum):
-                return False
+    for alpha in datum.pos_roots:
+        pairing = linalg.vec_dot(alpha, nu)
+        if pairing == 0:
+            continue
+        beta = alpha if pairing > 0 else linalg.vec_neg(alpha)
+        moved_negative = datum.is_negative_root(winv.fw.inv_act_root(beta))
+        if moved_negative - linalg.vec_dot(beta, winv.lam) < (pairing < 0):
+            return False
     return True

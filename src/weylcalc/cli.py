@@ -609,6 +609,12 @@ def _main(argv):
     except WeylcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # a closed stdout is main's to handle
+    except OSError as exc:
+        # an unusable --cache-dir, --out or config path
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -73,10 +73,25 @@ def _rref(rows):
 
 
 def rank_rational(m):
-    rows = [[Fraction(x) for x in row] for row in m]
-    if not rows:
-        return 0
-    return len(_rref(rows))
+    """Rank over Q, by fraction-free elimination.
+
+    A row update cross-multiplies by the pivot instead of dividing by it,
+    so an integer matrix stays integral throughout.
+    """
+    rows = [list(row) for row in m]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f != 0:
+                rows[i] = [p[c] * x - f * y for x, y in zip(rows[i], p)]
+        rank += 1
+    return rank
 
 
 def solve_rational(a, b):

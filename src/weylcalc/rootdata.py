@@ -119,6 +119,11 @@ class RootDatum:
         self.simple_coroots = tuple(tuple(int(x) for x in v) for v in simple_coroots)
         self.n_simple = len(self.simple_roots)
         self._validate_basic()
+        # rank x n, column j the simple coroot alpha_j^vee
+        self.coroot_matrix = tuple(zip(*self.simple_coroots))
+        self._simple_reflection_matrices = tuple(
+            self.reflection_matrix(a, av) for a, av in zip(self.simple_roots, self.simple_coroots)
+        )
         self.cartan = tuple(
             tuple(linalg.vec_dot(self.simple_roots[i], self.simple_coroots[j]) for j in range(self.n_simple))
             for i in range(self.n_simple)
@@ -153,10 +158,7 @@ class RootDatum:
         # a defensive backstop
         if linalg.rank_rational(self.simple_roots) != self.n_simple:
             raise MalformedConfig("simple roots are linearly dependent")
-        coroot_cols = tuple(
-            tuple(self.simple_coroots[j][i] for j in range(self.n_simple)) for i in range(self.rank)
-        )
-        if linalg.rank_rational(coroot_cols) != self.n_simple:
+        if linalg.rank_rational(self.coroot_matrix) != self.n_simple:
             raise MalformedConfig("simple coroots are linearly dependent")
 
     def _validate_cartan(self):
@@ -315,18 +317,10 @@ class RootDatum:
         return (self.pos_roots[best], self.pos_coroots[best])
 
     def _derive_rho(self):
-        acc = [Fraction(0)] * self.rank
-        for beta in self.pos_roots:
-            for j in range(self.rank):
-                acc[j] += beta[j]
-        self.two_rho = tuple(int(x) for x in acc)
-        self.rho = tuple(x / 2 for x in acc)
-        accv = [Fraction(0)] * self.rank
-        for betavee in self.pos_coroots:
-            for j in range(self.rank):
-                accv[j] += betavee[j]
-        self.two_rho_check = tuple(int(x) for x in accv)
-        self.rho_check = tuple(x / 2 for x in accv)
+        self.two_rho = tuple(map(sum, zip(*self.pos_roots)))
+        self.rho = tuple(Fraction(x, 2) for x in self.two_rho)
+        self.two_rho_check = tuple(map(sum, zip(*self.pos_coroots)))
+        self.rho_check = tuple(Fraction(x, 2) for x in self.two_rho_check)
         # standard identities; failure indicates a derivation bug
         for i in range(self.n_simple):
             if linalg.vec_dot(self.simple_roots[i], self.rho_check) != 1:
@@ -335,11 +329,7 @@ class RootDatum:
                 raise MalformedConfig("<rho, alpha_i^vee> != 1; inconsistent root data")
 
     def _derive_kappa(self):
-        coroot_matrix = tuple(
-            tuple(self.simple_coroots[j][i] for j in range(self.n_simple))
-            for i in range(self.rank)
-        )
-        u, d, _ = linalg.smith_normal_form(coroot_matrix)
+        u, d, _ = linalg.smith_normal_form(self.coroot_matrix)
         self._kappa_u = u
         diag = [d[k][k] for k in range(min(self.rank, self.n_simple))]
         if any(x == 0 for x in diag):
@@ -366,13 +356,7 @@ class RootDatum:
         return beta in self._neg_set
 
     def simple_reflection_matrix(self, i):
-        return tuple(
-            tuple(
-                (1 if j == k else 0) - self.simple_coroots[i][j] * self.simple_roots[i][k]
-                for k in range(self.rank)
-            )
-            for j in range(self.rank)
-        )
+        return self._simple_reflection_matrices[i]
 
     def reflection_matrix(self, beta, betavee):
         return tuple(
@@ -381,8 +365,9 @@ class RootDatum:
         )
 
     def dominant_rep(self, nu):
-        """The unique dominant representative of the W0-orbit of nu."""
-        v = tuple(Fraction(x) for x in nu)
+        """The unique dominant representative of the W0-orbit of nu, in the
+        number type of nu's entries (ints stay ints, Fractions stay Fractions)."""
+        v = tuple(nu)
         while True:
             i = next(
                 (i for i in range(self.n_simple) if linalg.vec_dot(self.simple_roots[i], v) < 0),
@@ -405,11 +390,7 @@ class RootDatum:
         if not self.is_dominant(v2):
             raise NotDominant(f"second coweight {v2} is not dominant")
         diff = linalg.vec_sub(v2, v1)
-        coroot_matrix = tuple(
-            tuple(self.simple_coroots[j][i] for j in range(self.n_simple))
-            for i in range(self.rank)
-        )
-        coeffs = linalg.solve_rational(coroot_matrix, diff)
+        coeffs = linalg.solve_rational(self.coroot_matrix, diff)
         if coeffs is None:
             return False
         return all(c >= 0 for c in coeffs)
@@ -444,11 +425,7 @@ class RootDatum:
 
     def in_coroot_lattice(self, lam):
         """Membership of lam in the integer span of the simple coroots."""
-        coroot_matrix = tuple(
-            tuple(self.simple_coroots[j][i] for j in range(self.n_simple))
-            for i in range(self.rank)
-        )
-        coeffs = linalg.solve_rational(coroot_matrix, lam)
+        coeffs = linalg.solve_rational(self.coroot_matrix, lam)
         return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
     def pi1_order(self):

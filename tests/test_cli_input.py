@@ -49,6 +49,23 @@ def test_bad_input_is_one_usage_line(argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "where",
+    [("--cache-dir", "{file}/sub"), ("--out", "{missing}/x.csv")],
+    ids=["cache-dir-under-a-file", "out-in-a-missing-dir"],
+)
+def test_unusable_path_is_one_error_line(tmp_path, where):
+    """An OSError from a path the user gave exits 1 with one stderr line."""
+    regular = tmp_path / "file"
+    regular.write_text("")
+    flag, template = where
+    path = template.format(file=regular, missing=tmp_path / "missing")
+    code, _, err = _run(("table", "--group", "SL2", "--max-length", "1", flag, path))
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert path in err
+
+
 # JSON values of every kind a user may type where an integer or a rational
 # is expected, including "p/q" strings with a zero denominator.
 _SCALARS = st.one_of(
