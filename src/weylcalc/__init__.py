@@ -56,6 +56,7 @@ from .affweyl import (
     aw_identity,
     aw_inv,
     aw_mul,
+    class_key,
     defect_of,
     eta_decomposition,
     from_finite,

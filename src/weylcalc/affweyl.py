@@ -23,6 +23,7 @@ from .errors import DatumMismatch, DecompositionFailure, InfinitePi1, InternalAs
 from .finiteweyl import (
     FiniteWeylElt,
     enumerate_w0,
+    fw_from_word,
     fw_identity,
     fw_reflection,
     fw_simple,
@@ -122,10 +123,7 @@ def from_finite(u):
 
 def from_parts(datum, lam, word):
     """Element with the given translation part and finite word (0-based)."""
-    u = fw_identity(datum)
-    for i in word:
-        u = u * fw_simple(datum, i)
-    return AffineWeylElt(datum, lam, u)
+    return AffineWeylElt(datum, lam, fw_from_word(datum, word))
 
 
 def aw_mul(a, b):
@@ -207,6 +205,11 @@ def defect_of(w):
 def kappa_w(w):
     """Image of w in X / Z<coroots>; constant on cosets of the affine subgroup."""
     return w.datum.kappa_class(w.lam)
+
+
+def class_key(w):
+    """(kappa(w), nu_bar_w): the StraightClass.pair_key of the class [w] in B(G)."""
+    return kappa_w(w), newton_point(w)[1]
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,8 @@ from . import linalg
 from .affweyl import (
     AffineWeylElt,
     aw_identity,
+    class_key,
     defect_of,
-    kappa_w,
-    newton_point,
     is_straight,
     omega_elements,
     simple_reflections,
@@ -113,8 +112,7 @@ def _class_of_straight(x):
     """StraightClass populated from a straight representative."""
     if not is_straight(x):
         raise InternalAssertion("representative is not straight")
-    _, nu_bar = newton_point(x)
-    return StraightClass(kappa=kappa_w(x), nu_bar=nu_bar, length=x.length, defect=defect_of(x))
+    return StraightClass(*class_key(x), length=x.length, defect=defect_of(x))
 
 
 def shift_moves(datum):
@@ -269,8 +267,8 @@ def straight_class_of(w, budget=None):
     reduced = reduce_to_min(w, budget)
     dec = ux_decompose(reduced.w_min, budget, check_minimal=False)
     cls = _class_of_straight(dec.x)
-    if cls.kappa != kappa_w(w):
-        raise InternalAssertion("kappa of the straight part differs from kappa of w")
+    if cls.pair_key != class_key(w):
+        raise InternalAssertion("(kappa, nu_bar) of the straight part differs from that of w")
     table.put(reduced.w_min.key, cls)
     return table.put(w.key, cls)
 
@@ -297,8 +295,7 @@ def enumerate_straight_classes(datum, max_len, budget=None):
     for w in length_ball(datum, max_len, budget):
         if not is_straight(w):
             continue
-        _, nu_bar = newton_point(w)
-        key = (kappa_w(w), nu_bar)
+        key = class_key(w)
         if key in groups:
             if defect_of(w) != groups[key].defect:
                 raise InternalAssertion("defect is not constant on a straight class")

@@ -16,6 +16,7 @@ import time
 
 from . import dims, verify
 from .affweyl import (
+    class_key,
     from_finite,
     from_parts,
     newton_point,
@@ -162,15 +163,13 @@ def _emit(doc):
 
 
 def _element_info(w):
-    from .affweyl import kappa_w
-
-    nu, nu_bar = newton_point(w)
+    kappa, nu_bar = class_key(w)
     return {
         "element": w.to_json(),
         "length": w.length,
-        "nu": [format_fraction(x) for x in nu],
+        "nu": [format_fraction(x) for x in newton_point(w)[0]],
         "nu_dominant": [format_fraction(x) for x in nu_bar],
-        "kappa": list(kappa_w(w)),
+        "kappa": list(kappa),
     }
 
 
@@ -303,6 +302,7 @@ def _with_cache(datum, args, fn):
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     loaded = 0
     if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
         loaded = dims.load_cache(datum, cache_dir)
     result = fn()
     cache = dims._dim_cache(datum)

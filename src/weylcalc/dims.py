@@ -1,12 +1,12 @@
 """Dimension and nonemptiness evaluators.
 
 dim_profile runs the reduction recursion once per element for every
-straight class at once: a minimal-length element w = u x meets only the
-class of x, in dimension l(u); otherwise a level-preserving shift exposes a
-length-reducing step and each class's dimension is 1 + max over the two
-shorter elements.  dim_X_flag reads one class off the profile.  Everything
-else is a closed formula layered on top, and the affine Lusztig evaluators
-add the fiber dimension carried by a GammaDescriptor.
+straight class at once: a minimal-length element w meets only its own class
+(kappa(w), nu_bar_w), in dimension l(w) - <2 rho, nu_bar_w>; otherwise a
+level-preserving shift exposes a length-reducing step and each class's
+dimension is 1 + max over the two shorter elements.  dim_X_flag reads one
+class off the profile.  Everything else is a closed formula layered on top,
+and the affine Lusztig evaluators add a GammaDescriptor's fiber dimension.
 
 The empty value is absorbing under +1 and max and is kept distinct from 0
 everywhere, including serialization.
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .affweyl import eta_decomposition, from_finite, simple_reflections, translation
-from .classes import StraightClass, _class_of_straight, shift_moves, ux_decompose
+from .affweyl import class_key, eta_decomposition, from_finite, simple_reflections, translation
+from .classes import StraightClass, shift_moves
 from .errors import (
     HypothesisViolated,
     InternalAssertion,
@@ -211,9 +211,10 @@ def dim_profile(w, budget=None):
     a profile {class id: dim} (ids from DimCache.class_id).
 
     The reduction tree depends on w alone; only its leaves depend on the
-    class.  A minimal-length leaf w = u x contributes l(u) to the class of
-    x; an inner node with witness (v, s) is 1 + the class-by-class max over
-    s v and s v s.  The tree is walked on an explicit stack, so no
+    class.  A minimal-length leaf x meets only its own class class_key(x),
+    in dimension l(x) - <2 rho, nu_bar_x>, and is Empty for every other
+    class; an inner node with witness (v, s) is 1 + the class-by-class max
+    over s v and s v s.  The tree is walked on an explicit stack, so no
     recursion limit caps the length of w.  The result is independent of
     the witness, and this is asserted by comparing the whole profiles
     along a second witness when one exists.
@@ -249,9 +250,14 @@ def dim_profile(w, budget=None):
                 )
             profile = values[0]
         else:
-            # the whole shift class admits no descent, so v is of minimal length
-            dec = ux_decompose(v, budget, check_minimal=False)
-            profile = {cache.class_id(_class_of_straight(dec.x).pair_key): dec.u.length}
+            # the whole shift class admits no descent, so v is of minimal length:
+            # X_v(b) is nonempty only for b = [v], and there its dimension is
+            # l(v) - <2 rho, nu_bar_v> (He, Ann. of Math. 179 (2014), Thm 4.8)
+            ckey = class_key(v)
+            dim = v.length - linalg.vec_dot(v.datum.two_rho, ckey[1])
+            if dim < 0 or dim.denominator != 1:
+                raise InternalAssertion(f"minimal-length leaf has dimension {dim}")
+            profile = {cache.class_id(ckey): int(dim)}
         for key in elts:
             cache.put(key, profile)
         stack.pop()

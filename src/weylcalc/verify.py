@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .affweyl import from_finite, is_straight, newton_point, translation
+from .affweyl import class_key, from_finite, is_straight, newton_point, translation
 from .classes import (
     approx_closure,
     enumerate_straight_classes,
@@ -109,8 +109,7 @@ def verify_str_cyc(datum, max_len=6):
     by_class = {}
     for w in length_ball(datum, max_len):
         if is_straight(w):
-            _, nu_bar = newton_point(w)
-            by_class.setdefault((datum.kappa_class(w.lam), nu_bar), []).append(w)
+            by_class.setdefault(class_key(w), []).append(w)
     failures = []
     checked = 0
     for key in sorted(by_class, key=str):

@@ -292,3 +292,21 @@ def test_straight_class_invariants_across_members(pgl2):
         defects = {defect_of(w) for w in members}
         lengths = {w.length for w in members}
         assert len(defects) == 1 and len(lengths) == 1
+
+
+def test_straight_class_of_checks_the_whole_key(monkeypatch):
+    """A straight part whose class has w's kappa but another nu_bar is refused."""
+    from weylcalc import InternalAssertion, StraightClass, build_root_datum
+    from weylcalc import classes
+
+    real = classes._class_of_straight
+
+    def shifted_nu(x):
+        cls = real(x)
+        nu_bar = tuple(c + 1 for c in cls.nu_bar)
+        return StraightClass(kappa=cls.kappa, nu_bar=nu_bar, length=cls.length, defect=cls.defect)
+
+    monkeypatch.setattr(classes, "_class_of_straight", shifted_nu)
+    datum = build_root_datum("SL3")  # fresh memos: nothing is read back
+    with pytest.raises(InternalAssertion):
+        straight_class_of(translation(datum, (1, 0)))

@@ -66,6 +66,18 @@ def test_unusable_path_is_one_error_line(tmp_path, where):
     assert path in err
 
 
+def test_unusable_cache_dir_writes_no_table(tmp_path):
+    """The cache directory is made before the table is written, so a run
+    that fails on it leaves stdout empty."""
+    regular = tmp_path / "file"
+    regular.write_text("")
+    path = str(regular / "sub")
+    code, out, err = _run(("table", "--group", "SL2", "--max-length", "1", "--cache-dir", path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and path in err
+
+
 # JSON values of every kind a user may type where an integer or a rational
 # is expected, including "p/q" strings with a zero denominator.
 _SCALARS = st.one_of(
