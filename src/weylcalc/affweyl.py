@@ -8,6 +8,19 @@ interior rational point (datum.alcove_point), and the orientation is
 confirmed by the self-check that every simple reflection, including the
 affine ones t^{theta^vee} s_theta, has length one.
 
+Generator moves never multiply.  A generator s = t^mu sigma has the simple
+affine root a_s = (alpha_i, 0) for a finite s_i and (-theta, 1) for the
+affine node of a component, and l(s w) > l(w) iff a_s o w is positive,
+l(w s) > l(w) iff a_s o w^-1 is positive (Humphreys, Reflection Groups and
+Coxeter Groups, 5.4).  For w = t^lam u these are (alpha o M_u, <alpha, lam>
++ k) and (r, k - <r, lam>) with r = alpha o M_u^-1, read by the closed rule
+above.  The move row of u (move_row) holds, per generator, sigma u and u
+sigma, the roots alpha o M_u and r with their signs, and u(mu), so a left,
+right or shift move costs O(rank) and sets the moved element's length to
+l(w) +- 1 (or l(w) + {-2, 0, 2} for s w s).  Elements built by a product,
+and every element of the oracle's Cayley ball, compute their length from
+the Iwahori-Matsumoto formula instead.
+
 Newton data are kept in integers: n nu_w = sum_{i<n} u^i(lam) for n the
 order of u is integral, and Fractions are built only when nu is returned.
 """
@@ -29,7 +42,7 @@ from .finiteweyl import (
     fw_simple,
 )
 from .memo import memoised
-from .search import descend, left_moves
+from .search import descend
 
 
 class AffineWeylElt:
@@ -45,13 +58,14 @@ class AffineWeylElt:
         self._newton = None
 
     @classmethod
-    def _from_ints(cls, datum, lam, fw):
-        """Internal constructor for a lam that is already a tuple of ints."""
+    def _from_ints(cls, datum, lam, fw, length=None):
+        """Internal constructor for a lam that is already a tuple of ints,
+        with the length when a move already knows it."""
         w = cls.__new__(cls)
         w.datum = datum
         w.lam = lam
         w.fw = fw
-        w._length = None
+        w._length = length
         w._newton = None
         return w
 
@@ -69,6 +83,7 @@ class AffineWeylElt:
 
         l(t^lam u) = sum over positive roots alpha of |<alpha, lam>| when
         u^-1(alpha) is positive and |<alpha, lam> - 1| when it is negative.
+        An element built by a generator move already carries its length.
         """
         if self._length is None:
             # mask entries are bools, so subtracting one shifts <alpha, lam>
@@ -158,6 +173,163 @@ def simple_reflections(datum):
     return tuple(gens)
 
 
+class GeneratorMove:
+    """What a move of t^lam u by one generator s = t^mu sigma needs of u.
+
+    a_s = (alpha, k) is the simple affine root of s and coroot the coroot of
+    alpha, so s(v) = v - a_s(v) coroot.  left = sigma u and right = u sigma
+    are the finite parts of s t^lam u and t^lam u s; left_positive tells
+    whether alpha o M_u is a positive root, root = alpha o M_u^-1 and
+    root_positive its sign, and right_lam = u(mu) is what a right move adds
+    to lam (None for a finite s, where mu = 0).
+    """
+
+    __slots__ = (
+        "label", "alpha", "k", "coroot", "left", "left_positive",
+        "right", "root", "root_positive", "right_lam",
+    )
+
+    def __init__(self, label, s, u):
+        datum = u.datum
+        if label > 0:
+            alpha, k, coroot = datum.simple_roots[label - 1], 0, datum.simple_coroots[label - 1]
+        else:
+            theta, thetavee = datum.highest_roots[-label]
+            alpha, k, coroot = linalg.vec_neg(theta), 1, linalg.vec_neg(thetavee)
+        self.label, self.alpha, self.k, self.coroot = label, alpha, k, coroot
+        self.left = s.fw * u
+        self.left_positive = datum.is_positive_root(linalg.row_mat(alpha, u.matrix))
+        self.right = u * s.fw
+        self.root = linalg.row_mat(alpha, u.inverse().matrix)
+        self.root_positive = datum.is_positive_root(self.root)
+        self.right_lam = u.act(s.lam) if k else None
+
+
+def move_row(u):
+    """The move row of the finite part u: one GeneratorMove per generator,
+    in the label order of simple_reflections, built on first use and kept
+    on u itself."""
+    row = u._moves
+    if row is None:
+        row = u._moves = tuple(
+            GeneratorMove(label, s, u) for label, s in simple_reflections(u.datum)
+        )
+    return row
+
+
+def _position(datum, label):
+    """Index of the generator labelled label in simple_reflections: labels
+    run -(components - 1), ..., 0, 1, ..., n in order."""
+    return label + len(datum.highest_roots) - 1
+
+
+# The sign of an affine function (beta, c) on the base alcove is that of c,
+# and that of beta when c = 0; each move reads one such sign.
+
+
+def _left_up(m, lam):
+    """(c, l(s w) > l(w)) for w = t^lam u and m = move_row(u)[s], with
+    c = <alpha, lam> + k the constant of a_s o w."""
+    c = linalg.vec_dot(m.alpha, lam) + m.k
+    return c, c > 0 or (c == 0 and m.left_positive)
+
+
+def _right_up(m, lam):
+    """l(w s) > l(w) for w = t^lam u and m = move_row(u)[s]."""
+    c = m.k - linalg.vec_dot(m.root, lam)
+    return c > 0 or (c == 0 and m.root_positive)
+
+
+def _left_lam(m, lam, c):
+    """Translation part of s t^lam u: s(lam) = lam - c coroot."""
+    return lam if c == 0 else tuple([x - c * y for x, y in zip(lam, m.coroot)])
+
+
+def _right_lam(m, lam):
+    """Translation part of t^lam u s: lam + u(mu)."""
+    return lam if m.right_lam is None else linalg.vec_add(lam, m.right_lam)
+
+
+def _shift(w, j):
+    """(length change, lam, m) of s w s for the generator at position j:
+    s w s = t^lam' u' with lam' = _right_lam(m, lam) and u' = m.right."""
+    m = move_row(w.fw)[j]
+    c, up = _left_up(m, w.lam)
+    lam = _left_lam(m, w.lam, c)
+    m2 = move_row(m.left)[j]
+    return (1 if up else -1) + (1 if _right_up(m2, lam) else -1), lam, m2
+
+
+def left_move(w, label):
+    """s w for the generator s labelled label, of length l(w) +- 1."""
+    m = move_row(w.fw)[_position(w.datum, label)]
+    c, up = _left_up(m, w.lam)
+    return AffineWeylElt._from_ints(
+        w.datum, _left_lam(m, w.lam, c), m.left, w.length + (1 if up else -1)
+    )
+
+
+def right_move(w, label):
+    """w s for the generator s labelled label, of length l(w) +- 1."""
+    m = move_row(w.fw)[_position(w.datum, label)]
+    up = _right_up(m, w.lam)
+    return AffineWeylElt._from_ints(
+        w.datum, _right_lam(m, w.lam), m.right, w.length + (1 if up else -1)
+    )
+
+
+def shift_move(w, label):
+    """s w s for the generator s labelled label: a left move, then a right one."""
+    step, lam, m = _shift(w, _position(w.datum, label))
+    return AffineWeylElt._from_ints(w.datum, _right_lam(m, lam), m.right, w.length + step)
+
+
+def low_shifts(w):
+    """(label, s w s) for every generator s with l(s w s) <= l(w), in label
+    order; a shift that raises the length is told by its signs and never
+    built."""
+    lw = w.length
+    for j, m in enumerate(move_row(w.fw)):
+        step, lam, m2 = _shift(w, j)
+        if step <= 0:
+            yield m.label, AffineWeylElt._from_ints(w.datum, _right_lam(m2, lam), m2.right, lw + step)
+
+
+def left_descents(datum, labels):
+    """Search moves w -> s w over the labelled generators, in the given
+    order, yielding only those that shorten w."""
+    positions = [_position(datum, label) for label in labels]
+
+    def moves(w):
+        row, lam = move_row(w.fw), w.lam
+        for j in positions:
+            m = row[j]
+            c, up = _left_up(m, lam)
+            if not up:
+                yield m.label, AffineWeylElt._from_ints(
+                    datum, _left_lam(m, lam, c), m.left, w.length - 1
+                )
+
+    return moves
+
+
+def right_ascents(max_len):
+    """Search moves w -> w s, in label order, yielding only those that
+    lengthen w and stay within length max_len."""
+
+    def moves(w):
+        lw = w.length
+        if lw >= max_len:
+            return
+        for m in move_row(w.fw):
+            if _right_up(m, w.lam):
+                yield m.label, AffineWeylElt._from_ints(
+                    w.datum, _right_lam(m, w.lam), m.right, lw + 1
+                )
+
+    return moves
+
+
 def _newton_data(w):
     """(n, n nu_w, n nu_bar) in integers, n the order of the finite part:
     n nu_w = sum_{i<n} u^i(lam) is integral, and W0 acts linearly, so its
@@ -226,8 +398,8 @@ def eta_decomposition(w):
     """Unique decomposition w = x t^mu y with mu dominant and t^mu y of
     minimal length in its W0-coset; eta(w) = y x."""
     datum = w.datum
-    gens = [(label, s) for label, s in simple_reflections(datum) if label > 0]
-    m, _ = descend(w, left_moves(gens), None, "coset-minimal strip")
+    finite = range(1, datum.n_simple + 1)
+    m, _ = descend(w, left_descents(datum, finite), None, "coset-minimal strip")
     mu, y = m.lam, m.fw
     if not datum.is_dominant(mu):
         raise DecompositionFailure(f"coset-minimal translation part {mu} is not dominant")

@@ -24,13 +24,17 @@ from .affweyl import (
     class_key,
     defect_of,
     is_straight,
+    left_descents,
+    low_shifts,
     omega_elements,
+    right_ascents,
+    right_move,
     simple_reflections,
 )
 from .errors import DecompositionNotFound, InternalAssertion, NotMinimal, UnknownClass
 from .finiteweyl import fw_identity, fw_reflection
 from .memo import memo, memoised
-from .search import closure, descend, left_moves, right_moves
+from .search import closure, descend, right_moves
 
 
 @dataclass(frozen=True)
@@ -116,9 +120,10 @@ def _class_of_straight(x):
 
 
 def shift_moves(datum):
-    """Cyclic shifts v -> s v s by the simple reflections, in label order."""
-    refl = simple_reflections(datum)
-    return lambda v: ((label, s * v * s) for label, s in refl)
+    """Cyclic shifts v -> s v s by the simple reflections, in label order,
+    that do not raise the length: the only ones a search by length level
+    uses.  The others are told apart by two root signs and never built."""
+    return low_shifts
 
 
 @memoised("reduce_min", key=lambda w, budget=None: w.key)
@@ -231,11 +236,11 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
             gens = [(l, refl[l]) for l in k_labels]
             # left multiplication changes length by one, so every level of
             # this walk is a single element and it strips K-descents greedily
-            x, steps = descend(w2, left_moves(gens), budget, "K-descent strip")
+            x, steps = descend(w2, left_descents(datum, k_labels), budget, "K-descent strip")
             if not is_straight(x):
                 continue
             # x must be minimal on both sides of W_K
-            if any((x * s).length < x.length for _, s in gens):
+            if any(right_move(x, l).length < x.length for l in k_labels):
                 continue
             xinv = x.inv()
             u = w2 * xinv
@@ -277,13 +282,12 @@ def straight_class_of(w, budget=None):
 def length_ball(datum, max_len, budget=None):
     """All elements of length <= max_len, sorted by (length, key).
 
-    BFS closure under right multiplication by the generators, seeded with
-    the length-zero elements, accepting only elements inside the ball.
+    BFS closure under right moves by the generators, seeded with the
+    length-zero elements; only the moves that lengthen an element and stay
+    inside the ball are built, since every element of the ball is reached
+    from a length-zero one by such moves along a reduced word.
     """
-    elts = closure(
-        omega_elements(datum), right_moves(simple_reflections(datum)), budget, "length ball",
-        keep=lambda v: v.length <= max_len,
-    )
+    elts = closure(omega_elements(datum), right_ascents(max_len), budget, "length ball")
     return tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
 
 

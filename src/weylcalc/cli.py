@@ -308,7 +308,12 @@ def _with_cache(datum, args, fn):
     cache = dims._dim_cache(datum)
     stats = {"loaded": loaded, "hits": cache.hits, "misses": cache.misses}
     if cache_dir:
-        dims.save_cache(datum, cache_dir)
+        # the answer is already out, and a memo never changes it, so a
+        # failed save only warns, as a failed load does
+        try:
+            dims.save_cache(datum, cache_dir)
+        except OSError as exc:
+            print(f"weylcalc: could not save cache to {cache_dir}: {exc}", file=sys.stderr)
     return result, stats
 
 

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .affweyl import class_key, eta_decomposition, from_finite, simple_reflections, translation
+from .affweyl import (
+    class_key,
+    eta_decomposition,
+    from_finite,
+    left_move,
+    simple_reflections,
+    translation,
+)
 from .classes import StraightClass, shift_moves
 from .errors import (
     HypothesisViolated,
@@ -185,15 +192,18 @@ def _dim_cache(datum):
     return memo(datum, "dim_x_flag", DimCache)
 
 
-def _shift_witnesses(w, budget=None):
+def _shift_descents(w, budget=None):
     """Explore the length-preserving shift class of w, smallest key first,
-    until two witnesses (v, s) with l(s v s) < l(w) are found.  Returns the
-    explored elements by key and the witnesses; no witness means w is of
-    minimal length and the whole shift class was explored."""
+    until two descents (v, label, s v s) with l(s v s) < l(w) are found.
+    Returns the explored elements by key and the descents; none means w is
+    of minimal length and the whole shift class was explored."""
+    return explore_level(w, shift_moves(w.datum), budget, "shift-class exploration", want=2)
+
+
+def _shift_witnesses(w, budget=None):
+    """The explored elements and the witnesses (v, s) of _shift_descents."""
     refl = dict(simple_reflections(w.datum))
-    elts, descents = explore_level(
-        w, shift_moves(w.datum), budget, "shift-class exploration", want=2
-    )
+    elts, descents = _shift_descents(w, budget)
     return elts, [(v, refl[label]) for v, label, _ in descents]
 
 
@@ -232,8 +242,9 @@ def dim_profile(w, budget=None):
             stack.pop()
             continue
         if frame[1] is None:
-            elts, witnesses = _shift_witnesses(v, budget)
-            children = [(s * u, s * u * s) for u, s in witnesses]
+            elts, descents = _shift_descents(v, budget)
+            # s u s is the descent the search built; s u is one left move
+            children = [(left_move(u, label), sus) for u, label, sus in descents]
             frame[1] = (elts, children)
             missing = [
                 c for pair in children for c in pair if cache.get(c.key) is None

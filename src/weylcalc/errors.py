@@ -30,7 +30,18 @@ class GroupTooLarge(WeylcalcError):
 
 
 class ExplorationBudgetExceeded(WeylcalcError):
-    """A closure/BFS search exceeded its node budget; never a silent truncation."""
+    """A closure/BFS search exceeded its node budget; never a silent truncation.
+
+    A search of the kernel in weylcalc.search sets `what` (the search's
+    name), `held` (the elements it held) and `budget`; other raisers leave
+    them None.
+    """
+
+    def __init__(self, message, what=None, held=None, budget=None):
+        super().__init__(message)
+        self.what = what
+        self.held = held
+        self.budget = budget
 
 
 class InfinitePi1(WeylcalcError):

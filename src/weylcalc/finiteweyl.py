@@ -9,7 +9,9 @@ per-element caches (word, inverse, inversion pattern) are shared.
 Each interned element also carries a small integer index and a product
 row: a * b reads a's row at b's index, and only on a miss multiplies the
 matrices and interns the result.  Rows fill lazily, so a fresh datum pays
-for the products it uses and no more.
+for the products it uses and no more.  Next to the product row sits the
+move row (`_moves`), filled on first use by weylcalc.affweyl.move_row: what
+a move of t^lam u by each affine generator needs to know of u.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ _next_index = count().__next__
 
 class FiniteWeylElt:
     __slots__ = (
-        "datum", "matrix", "idx", "is_identity", "_row",
+        "datum", "matrix", "idx", "is_identity", "_row", "_moves",
         "_word", "_length", "_inverse", "_neg_mask", "_order",
     )
 
@@ -41,6 +43,7 @@ class FiniteWeylElt:
         self.idx = _next_index()
         self.is_identity = matrix == linalg.identity_matrix(len(matrix))
         self._row = {}  # other.idx -> self * other
+        self._moves = None  # GeneratorMove per affine generator, in label order
         self._word = None
         self._length = None
         self._inverse = None

@@ -28,7 +28,9 @@ def right_moves(gens):
 
 def _check(held, budget, what):
     if held > budget:
-        raise ExplorationBudgetExceeded(f"{what} exceeded its budget of {budget} elements")
+        raise ExplorationBudgetExceeded(
+            f"{what} exceeded its budget of {budget} elements", what=what, held=held, budget=budget
+        )
 
 
 def closure(seeds, moves, budget, what, keep=None):

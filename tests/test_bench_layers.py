@@ -44,6 +44,9 @@ def test_tracer_finds_every_layer_and_restores_the_originals(capsys):
         datum = weylcalc.rootdata.build_root_datum("SL2")
         weylcalc.cli.main(["describe", "--group", "SL2"])
         weylcalc.classes.length_ball(datum, 2)
+        # the ball is built by generator moves, which make no product; the
+        # oracle's Cayley ball still multiplies
+        weylcalc.oracle.cayley_ball(datum, 2)
     finally:
         t.uninstall()
     after = _snapshot(tracer)

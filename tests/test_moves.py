@@ -1,0 +1,100 @@
+"""Generator moves against products: every left, right and shift move
+gives the element and the length that a product and the Iwahori-Matsumoto
+formula give, and the oracle never uses a move."""
+
+import ast
+import os
+
+import pytest
+
+import weylcalc
+from weylcalc import AffineWeylElt, build_root_datum, cayley_ball, length_ball
+from weylcalc.affweyl import (
+    left_move,
+    omega_elements,
+    right_move,
+    shift_move,
+    simple_reflections,
+)
+from weylcalc.classes import shift_moves
+from weylcalc.rootdata import PRESETS
+from weylcalc.search import closure, right_moves
+
+BALL_BOUND = {1: 10, 2: 8, 3: 6}
+
+# every name through which a length could be read off a root sign
+MOVE_HELPERS = {
+    "GeneratorMove", "move_row", "left_move", "right_move", "shift_move", "low_shifts",
+    "left_descents", "right_ascents", "shift_moves", "length_ball", "_moves",
+}
+
+
+def _formula_length(w):
+    """The length of w's element from the formula, on a fresh product-free copy."""
+    fresh = AffineWeylElt(w.datum, w.lam, w.fw)
+    assert fresh._length is None
+    return fresh.length
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_moves_match_products(name):
+    datum = build_root_datum(name)
+    gens = simple_reflections(datum)
+    shifts = shift_moves(datum)
+    ball = length_ball(datum, BALL_BOUND[datum.rank])
+    pairs = 0
+    for v in ball:
+        assert v._length == _formula_length(v), v
+        low = {label: svs for label, svs in shifts(v)}
+        for label, s in gens:
+            for move, product in (
+                (left_move(v, label), s * v),
+                (right_move(v, label), v * s),
+                (shift_move(v, label), s * v * s),
+            ):
+                assert move.key == product.key, (v, label)
+                assert product._length is None
+                assert move._length == product.length == _formula_length(move), (v, label)
+            svs = s * v * s
+            assert (label in low) == (svs.length <= v.length), (v, label)
+            if label in low:
+                assert low[label].key == svs.key and low[label]._length == svs.length
+            pairs += 1
+    assert pairs == len(ball) * len(gens)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_length_ball_matches_the_product_closure(name):
+    datum = build_root_datum(name)
+    bound = BALL_BOUND[datum.rank]
+    by_products = closure(
+        omega_elements(datum), right_moves(simple_reflections(datum)), None, "product ball",
+        keep=lambda v: v.length <= bound,
+    )
+    assert [w.key for w in length_ball(datum, bound)] == sorted(
+        by_products, key=lambda k: (by_products[k].length, k)
+    )
+
+
+def test_oracle_names_no_move_helper():
+    path = os.path.join(os.path.dirname(weylcalc.__file__), "oracle.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & MOVE_HELPERS
+
+
+def test_oracle_ball_lengths_come_from_the_formula():
+    """The oracle suite compares the formula, not a sign-tested length, with
+    the Cayley distance: no ball element knows its length before it is read."""
+    ball = cayley_ball(build_root_datum("SL3"), 3)
+    assert all(w._length is None for w in ball.elements.values())
+    for key, w in ball.elements.items():
+        assert w.length == ball.distances[key] and w._length == w.length
