@@ -32,7 +32,6 @@ from .affweyl import (
     simple_reflections,
 )
 from .errors import DecompositionNotFound, InternalAssertion, NotMinimal, UnknownClass
-from .finiteweyl import fw_identity, fw_reflection
 from .memo import memo, memoised
 from .search import closure, descend, right_moves
 
@@ -323,22 +322,13 @@ def resolve_class(datum, kappa, nu_bar):
     )
 
 
-@memoised("levi_groups", key=lambda datum, nu: nu)
-def _levi_group(datum, nu):
-    """The reflection subgroup of W0 of the roots vanishing on nu, by key."""
-    gens = [
-        (k, fw_reflection(datum, beta, betavee))
-        for k, (beta, betavee) in enumerate(zip(datum.pos_roots, datum.pos_coroots))
-        if linalg.vec_dot(beta, nu) == 0
-    ]
-    return closure([fw_identity(datum)], right_moves(gens), None, "Levi subgroup")
-
-
 def p_alcove_test(w, nu):
     """Alcove sign test against the parabolic determined by nu.
 
-    True iff (i) the finite part of w lies in the reflection subgroup
-    generated by the roots vanishing on nu, and (ii) for every root beta
+    True iff (i) the finite part of w fixes nu, that is, lies in the
+    reflection subgroup generated by the roots vanishing on nu (the
+    stabilizer of nu in W0 is generated by the reflections fixing it:
+    Humphreys, Reflection Groups and Coxeter Groups, 1.12), and (ii) for every root beta
     positive on nu and every level k, positivity of (beta, k) o w^-1
     implies positivity of (beta, k).
 
@@ -348,7 +338,7 @@ def p_alcove_test(w, nu):
     """
     datum = w.datum
     nu = tuple(Fraction(x) for x in nu)
-    if w.fw.key not in _levi_group(datum, nu):
+    if w.fw.act(nu) != nu:
         return False
     winv = w.inv()
     for alpha in datum.pos_roots:

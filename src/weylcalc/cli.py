@@ -157,6 +157,14 @@ def _gamma(datum, cls, args):
     return gd
 
 
+def _virtual_dim(w, cls):
+    """The virtual dimension of (w, cls), or None when it is not an integer."""
+    try:
+        return virtual_dimension(w, cls)
+    except NonIntegralHalf:
+        return None
+
+
 def _emit(doc):
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -333,15 +341,11 @@ def cmd_dim(args):
             value, stats = _with_cache(datum, args, lambda: dims.dim_Y_flag(w, gd, args.budget))
         result = reduce_to_min(w, args.budget)
         dec = ux_decompose(result.w_min, args.budget, check_minimal=False)
-        try:
-            vd = virtual_dimension(w, cls)
-        except NonIntegralHalf:
-            vd = None
         doc = value.to_json()
         doc.update(
             {
                 "query": {"kind": args.kind, "group": datum.name, "w": _element_info(w), "class": cls.to_json()},
-                "virtual_dim": vd,
+                "virtual_dim": _virtual_dim(w, cls),
                 "witnesses": {
                     "w_min": result.w_min.to_json(),
                     "path_length": len(result.path),
@@ -383,10 +387,6 @@ def cmd_dim(args):
             datum, args, lambda: dims.dim_Y_superregular(x, mu, y, gd, args.budget)
         )
         w = from_finite(x) * translation(datum, mu) * from_finite(y)
-        try:
-            vd = virtual_dimension(w, cls)
-        except NonIntegralHalf:
-            vd = None
         doc = value.to_json()
         doc.update(
             {
@@ -399,7 +399,7 @@ def cmd_dim(args):
                     "class": cls.to_json(),
                 },
                 "w": w.to_json(),
-                "virtual_dim": vd,
+                "virtual_dim": _virtual_dim(w, cls),
                 "cache": stats,
                 "timing_ms": round(1000 * (time.perf_counter() - started), 3),
             }
@@ -414,12 +414,10 @@ def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None):
     """Tabulate (w, class) -> (nonempty, dim, virtual dim) over the length
     ball.  Deterministic row order; output carries no timing so repeated
     runs are byte-identical."""
-    cache = dims._dim_cache(datum)
     columns = []  # per class: the class, its profile id, kappa and nu as printed
     for cls in classes:
-        dims._validate_class(datum, cls)
         columns.append(
-            (cls, cache.class_id(cls.pair_key), list(cls.kappa),
+            (cls, dims._validate_class(datum, cls)[0], list(cls.kappa),
              [format_fraction(x) for x in cls.nu_bar])
         )
     rows = []
@@ -428,10 +426,6 @@ def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None):
         lam, word = list(w.lam), [i + 1 for i in w.fw.word]
         for cls, cid, kappa, nu in columns:
             dim = profile.get(cid)
-            try:
-                vd = virtual_dimension(w, cls)
-            except NonIntegralHalf:
-                vd = None
             rows.append(
                 {
                     "lambda": lam,
@@ -441,7 +435,7 @@ def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None):
                     "nu": nu,
                     "nonempty": dim is not None,
                     "dim": dim,
-                    "virtual_dim": vd,
+                    "virtual_dim": _virtual_dim(w, cls),
                 }
             )
     if fmt == "json":

@@ -8,6 +8,10 @@ dimension is 1 + max over the two shorter elements.  dim_X_flag reads one
 class off the profile.  Everything else is a closed formula layered on top,
 and the affine Lusztig evaluators add a GammaDescriptor's fiber dimension.
 
+Each class fact is decided once per datum: _validate_class gives a class's
+length check, profile id and <rho, nu_bar>, and superregular_applies the
+superregular hypotheses for (mu, nu_bar).
+
 The empty value is absorbing under +1 and max and is kept distinct from 0
 everywhere, including serialization.
 """
@@ -128,18 +132,25 @@ class GammaDescriptor:
         }
 
 
-@memoised("class_facts", key=lambda datum, cls: (cls.kappa, cls.nu_bar, cls.length))
 def _validate_class(datum, cls):
-    """Check l(C) = <2 rho, nu_bar> and return <rho, nu_bar>.
+    """Check l(C) = <2 rho, nu_bar> and return the class's profile id
+    (DimCache.class_id) with <rho, nu_bar>.
 
-    Both facts depend on the class alone, so they are memoised per datum,
-    keyed by (kappa, nu_bar, length): class equality ignores the length,
-    and a class carrying a wrong length must still be refused.
+    These facts depend on the class alone, so they are memoised per datum
+    in the class_facts table, keyed by (kappa, nu_bar, length): class
+    equality ignores the length, and a class carrying a wrong length must
+    still be refused.  A class that no profile meets reads as Empty.
     """
-    ell = linalg.vec_dot(datum.two_rho, cls.nu_bar)
-    if Fraction(ell) != Fraction(cls.length):
-        raise InternalAssertion(f"class length {cls.length} != <2 rho, nu_bar> = {ell}")
-    return linalg.vec_dot(datum.rho, cls.nu_bar)
+    cache = _dim_cache(datum)  # first: a new profile table clears the facts
+    facts, key = memo(datum, "class_facts"), (cls.kappa, cls.nu_bar, cls.length)
+    value = facts.get(key)
+    if value is None:
+        ell = linalg.vec_dot(datum.two_rho, cls.nu_bar)
+        if Fraction(ell) != Fraction(cls.length):
+            raise InternalAssertion(f"class length {cls.length} != <2 rho, nu_bar> = {ell}")
+        rho_nu = linalg.vec_dot(datum.rho, cls.nu_bar)
+        value = facts.put(key, (cache.class_id(cls.pair_key), rho_nu))
+    return value
 
 
 @memoised("eta", key=lambda w: w.key)
@@ -155,7 +166,7 @@ def virtual_dimension(w, cls):
     is computed alongside and must agree.  A non-integral half is surfaced
     as an error carrying the exact rational, never rounded.
     """
-    rho_nu = _validate_class(w.datum, cls)
+    _, rho_nu = _validate_class(w.datum, cls)
     eta = _eta(w).eta
     num = w.length + eta.length - cls.defect - cls.length
     d_b = Fraction(w.length + eta.length - cls.defect, 2) - rho_nu
@@ -189,7 +200,13 @@ class DimCache(Memo):
 
 
 def _dim_cache(datum):
-    return memo(datum, "dim_x_flag", DimCache)
+    def fresh():
+        # these tables hold class ids of the profile table, so they start with it
+        for name in ("class_facts", "grass_max"):
+            memo(datum, name).table.clear()
+        return DimCache()
+
+    return memo(datum, "dim_x_flag", fresh)
 
 
 def _shift_descents(w, budget=None):
@@ -278,10 +295,8 @@ def dim_profile(w, budget=None):
 def dim_X_flag(w, cls, budget=None):
     """Dimension of the flag cell intersection for (w, straight class):
     the class's entry of dim_profile(w), Empty when absent."""
-    _validate_class(w.datum, cls)
-    profile = dim_profile(w, budget)
-    cid = _dim_cache(w.datum).class_ids.get(cls.pair_key)
-    dim = None if cid is None else profile.get(cid)
+    cid, _ = _validate_class(w.datum, cls)
+    dim = dim_profile(w, budget).get(cid)
     return EMPTY if dim is None else DimValue(dim)
 
 
@@ -338,27 +353,35 @@ def dim_Y_grass(datum, mu, gd):
     return dim_X_grass(datum, mu, gd.straight_class).plus(d)
 
 
-def dim_Y_superregular(x, mu, y, gd, budget=None, cross_check=True):
-    """Closed formula for w = x t^mu y with mu superregular.
-
-    Requires <alpha_i, mu> >= 2 for every simple root and nu + 2 rho^vee
-    dominated by mu.  Then the cell is nonempty iff kappa matches and
-    supp(y x) is the full finite diagram, in which case the dimension is the
-    virtual dimension plus the fiber dimension.  When enabled, the result is
-    cross-checked against the reduction recursion.
-    """
-    datum = x.datum
-    cls = gd.straight_class
-    _validate_class(datum, cls)
-    mu = tuple(int(v) for v in mu)
+@memoised("superregular", key=lambda datum, mu, nu_bar: (mu, nu_bar))
+def superregular_applies(datum, mu, nu_bar):
+    """Whether the superregular formula applies to mu and a class with Newton
+    point nu_bar: raises HypothesisViolated unless mu is dominant with
+    <alpha_i, mu> >= 2 for every simple root, and otherwise returns whether
+    nu_bar + 2 rho^vee is dominated by mu.  mu is a tuple of ints."""
     if not datum.is_dominant(mu):
         raise HypothesisViolated(f"{mu} is not dominant")
     for i in range(datum.n_simple):
         c = linalg.vec_dot(datum.simple_roots[i], mu)
         if c < 2:
             raise HypothesisViolated(f"<alpha_{i}, mu> = {c} < 2; use the flag recursion")
-    shifted = linalg.vec_add(cls.nu_bar, datum.two_rho_check)
-    if not datum.dominance_leq(shifted, mu):
+    return datum.dominance_leq(linalg.vec_add(nu_bar, datum.two_rho_check), mu)
+
+
+def dim_Y_superregular(x, mu, y, gd, budget=None):
+    """Closed formula for w = x t^mu y with mu superregular.
+
+    Requires the hypotheses of superregular_applies.  Then the cell is
+    nonempty iff kappa matches and supp(y x) is the full finite diagram, in
+    which case the dimension is the virtual dimension plus the fiber
+    dimension.  The result is always compared with the reduction recursion
+    (dim_Y_flag), and a disagreement raises InternalAssertion.
+    """
+    datum = x.datum
+    cls = gd.straight_class
+    _validate_class(datum, cls)
+    mu = tuple(int(v) for v in mu)
+    if not superregular_applies(datum, mu, cls.nu_bar):
         raise HypothesisViolated("nu + 2 rho^vee is not dominated by mu")
     w = from_finite(x) * translation(datum, mu) * from_finite(y)
     eta = _eta(w)
@@ -373,12 +396,11 @@ def dim_Y_superregular(x, mu, y, gd, budget=None, cross_check=True):
         result = EMPTY
     else:
         result = finite(virtual_dimension(w, cls) + d)
-    if cross_check:
-        expected = dim_Y_flag(w, gd, budget)
-        if expected != result:
-            raise InternalAssertion(
-                f"superregular formula {result} disagrees with the recursion {expected}"
-            )
+    expected = dim_Y_flag(w, gd, budget)
+    if expected != result:
+        raise InternalAssertion(
+            f"superregular formula {result} disagrees with the recursion {expected}"
+        )
     return result
 
 
@@ -521,8 +543,6 @@ def grass_fibration_max(datum, mu, cls, budget=None):
     mu = tuple(int(x) for x in mu)
     if not datum.is_dominant(mu):
         raise NotDominant(f"{mu} is not dominant")
-    _validate_class(datum, cls)
-    best = _coset_max(datum, mu, budget)
-    cid = _dim_cache(datum).class_ids.get(cls.pair_key)
-    dim = None if cid is None else best.get(cid)
+    cid, _ = _validate_class(datum, cls)
+    dim = _coset_max(datum, mu, budget).get(cid)
     return EMPTY if dim is None else DimValue(dim - longest_element(datum).length)

@@ -28,18 +28,14 @@ class Ball:
         return self.distances.get(w.key)
 
 
-@memoised(
-    "oracle_ball",
-    key=lambda datum, radius, cap=BALL_CAP, include_omega=True: (radius, cap, include_omega),
-)
-def cayley_ball(datum, radius, cap=BALL_CAP, include_omega=True):
+@memoised("oracle_ball", key=lambda datum, radius, cap=BALL_CAP: (radius, cap))
+def cayley_ball(datum, radius, cap=BALL_CAP):
     """BFS ball over left multiplication by the simple reflections.
 
-    With include_omega, each class of length-zero elements contributes its
-    translate of the ball, at the same distance as the untranslated element.
-    Balls are memoised per datum and (radius, cap, include_omega), with the
-    inverse of every element; callers must treat the returned Ball as
-    read-only.
+    Each class of length-zero elements contributes its translate of the
+    ball, at the same distance as the untranslated element.  Balls are
+    memoised per datum and (radius, cap), with the inverse of every
+    element; callers must treat the returned Ball as read-only.
     """
     refl = simple_reflections(datum)
     ident = aw_identity(datum)
@@ -58,17 +54,16 @@ def cayley_ball(datum, radius, cap=BALL_CAP, include_omega=True):
                     if len(dist) > cap:
                         raise ExplorationBudgetExceeded(f"Cayley ball exceeded {cap} nodes")
         frontier = nxt
-    if include_omega:
-        for tau in omega_elements(datum):
-            if tau.is_identity:
-                continue
-            for key, w in list(elems.items()):
-                tw = tau * w
-                if tw.key not in dist:
-                    dist[tw.key] = dist[key]
-                    elems[tw.key] = tw
-                    if len(dist) > cap:
-                        raise ExplorationBudgetExceeded(f"Cayley ball exceeded {cap} nodes")
+    for tau in omega_elements(datum):
+        if tau.is_identity:
+            continue
+        for key, w in list(elems.items()):
+            tw = tau * w
+            if tw.key not in dist:
+                dist[tw.key] = dist[key]
+                elems[tw.key] = tw
+                if len(dist) > cap:
+                    raise ExplorationBudgetExceeded(f"Cayley ball exceeded {cap} nodes")
     inverses = {key: g.inv() for key, g in elems.items()}
     return Ball(radius=radius, elements=elems, distances=dist, inverses=inverses)
 

@@ -11,6 +11,7 @@ from weylcalc import (
     NotDominant,
     aw_identity,
     aw_mul,
+    build_root_datum,
     dim_X_flag,
     dim_X_grass,
     dim_Y_flag,
@@ -148,6 +149,27 @@ def test_dim_x_flag_choice_independence_fresh_cache(sl3):
     assert warm == cold
 
 
+def test_a_fresh_profile_table_restarts_the_class_ids_held_elsewhere():
+    # class_facts and grass_max hold ids of the profile table; after the
+    # table is dropped, classes met in another order must still read right
+    warm, cold = build_root_datum("SL3"), build_root_datum("SL3")
+    classes = enumerate_straight_classes(warm, 4)
+
+    def answers(datum, order):
+        return {
+            (w.key, c.pair_key): (dim_X_flag(w, c), grass_fibration_max(datum, (1, 1), c))
+            for c in order
+            for w in length_ball(datum, 4)
+        }
+
+    want = answers(warm, classes)
+    for c in classes[::-1]:
+        dim_X_grass(cold, (1, 1), c)  # ids in reverse order, before any profile
+    grass_fibration_max(cold, (1, 1), classes[0])  # a coset max under those ids
+    cold._cache.pop("dim_x_flag")
+    assert answers(cold, classes) == want
+
+
 def test_dim_upper_bound_sample(sl3):
     basic = _basic(sl3)
     for w in length_ball(sl3, 6):
@@ -280,6 +302,40 @@ def test_dim_y_superregular_hypothesis_violations(sl2):
     with pytest.raises(HypothesisViolated):
         # nu + 2 rho_vee = 4 alpha_vee is not <= 2 alpha_vee
         dim_Y_superregular(fw_identity(sl2), (2,), fw_simple(sl2, 0), gd2)
+
+
+def test_superregular_suite_records_a_disagreement_with_the_recursion(monkeypatch):
+    from weylcalc import dims
+    from weylcalc.verify import verify_superregular
+
+    def shifted(w, gd, budget=None):
+        value = dims.dim_X_flag(w, gd.straight_class, budget)
+        return finite(0) if value.is_empty else EMPTY
+
+    monkeypatch.setattr(dims, "dim_Y_flag", shifted)
+    report = verify_superregular(build_root_datum("SL2"), pairing_cap=4)
+    assert not report["passed"]
+    failure = report["failures"][0]
+    assert set(failure) == {"x", "mu", "y", "class", "error"}
+    assert "disagrees with the recursion" in failure["error"]
+
+
+def test_superregular_suite_decides_the_hypothesis_once_per_mu_and_class(monkeypatch):
+    from weylcalc.verify import _census_by_mu, _dominant_box, verify_superregular
+
+    datum = build_root_datum("SL3")
+    calls = []
+    leq = datum.dominance_leq
+
+    def counted(nu1, nu2):
+        calls.append((nu1, nu2))
+        return leq(nu1, nu2)
+
+    monkeypatch.setattr(datum, "dominance_leq", counted)
+    report = verify_superregular(datum, pairing_cap=2)
+    assert report["passed"] and report["checked"] > 0
+    pairs = sum(map(len, _census_by_mu(datum, _dominant_box(datum, 2)).values()))
+    assert 0 < len(calls) <= pairs < report["checked"]
 
 
 # -- persistence ---------------------------------------------------------------------

@@ -22,8 +22,9 @@ from weylcalc import (
     reduce_to_min,
     transport_affine_root,
 )
-from weylcalc.classes import _levi_group
+from weylcalc.finiteweyl import fw_identity, fw_reflection
 from weylcalc.rootdata import PRESETS
+from weylcalc.search import closure, right_moves
 
 BALL_BOUND = {1: 10, 2: 7, 3: 5}
 
@@ -126,12 +127,24 @@ def test_dominant_rep_keeps_the_number_type(sl3):
 # -- the alcove sign test ---------------------------------------------------
 
 
+def _ref_levi_group(datum, nu):
+    """The keys of the reflection subgroup of W0 generated by the roots
+    vanishing on nu, by closure."""
+    gens = [
+        (k, fw_reflection(datum, beta, betavee))
+        for k, (beta, betavee) in enumerate(zip(datum.pos_roots, datum.pos_coroots))
+        if _dot(beta, nu) == 0
+    ]
+    return closure([fw_identity(datum)], right_moves(gens), None, "Levi subgroup")
+
+
 def _ref_p_alcove(w, nu):
-    """The level loop: every (beta, k) over a window of levels wide enough
-    for both signs, tested at the alcove sample point."""
+    """The Levi subgroup by closure, then the level loop: every (beta, k)
+    over a window of levels wide enough for both signs, tested at the
+    alcove sample point."""
     datum = w.datum
     nu = tuple(Fraction(x) for x in nu)
-    if w.fw.key not in _levi_group(datum, nu):
+    if w.fw.key not in _ref_levi_group(datum, nu):
         return False
     n_roots = [
         beta
