@@ -170,43 +170,21 @@ def enumerate_parabolic(datum, labels, cap=100_000):
 
 
 def is_spherical(datum, labels):
-    """True iff the labels omit a node from every component of the affine
-    diagram, i.e. the subgroup they generate is finite.
+    """True iff the subgroup the labels generate is finite.
 
-    The diagram is derived from the generators themselves: two generators
-    are adjacent iff they fail to commute.
+    The affine diagram of a component c of the finite diagram is that
+    component plus its affine node -c, and it is connected, so the labels
+    generate a finite group iff no component has both -c and all of its
+    finite labels among them.
     """
     labels = frozenset(labels)
-    graph = _affine_diagram(datum)
-    all_labels = set(graph)
-    if not labels <= all_labels:
-        raise InternalAssertion(f"unknown generator labels: {sorted(labels - all_labels)}")
-    seen = set()
-    for start in sorted(all_labels):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in graph[a]:
-                if b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        seen |= comp
-        if comp <= labels:
-            return False
-    return True
-
-
-@memoised("affine_diagram")
-def _affine_diagram(datum):
-    """Generator label -> labels of the generators it fails to commute with."""
-    refl = simple_reflections(datum)
-    return {
-        la: {lb for lb, sb in refl if la != lb and (sa * sb).key != (sb * sa).key}
-        for la, sa in refl
-    }
+    known = {-c for c in range(len(datum.components))} | set(range(1, datum.n_simple + 1))
+    if not labels <= known:
+        raise InternalAssertion(f"unknown generator labels: {sorted(labels - known)}")
+    return not any(
+        -c in labels and all(i + 1 in labels for i in comp)
+        for c, comp in enumerate(datum.components)
+    )
 
 
 def ux_decompose(w_min, budget=None, check_minimal=True):
@@ -264,17 +242,12 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
 
 def straight_class_of(w, budget=None):
     """The straight conjugacy class whose closure contains w's class."""
-    table = memo(w.datum, "straight_class")
-    hit = table.get(w.key)
-    if hit is not None:
-        return hit
     reduced = reduce_to_min(w, budget)
     dec = ux_decompose(reduced.w_min, budget, check_minimal=False)
     cls = _class_of_straight(dec.x)
     if cls.pair_key != class_key(w):
         raise InternalAssertion("(kappa, nu_bar) of the straight part differs from that of w")
-    table.put(reduced.w_min.key, cls)
-    return table.put(w.key, cls)
+    return cls
 
 
 @memoised("length_ball", key=lambda datum, max_len, budget=None: max_len)

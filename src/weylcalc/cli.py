@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Single JSON document on stdout per invocation; diagnostics on stderr.
-Exit codes: 0 success, 1 usage or bad input, 2 hypothesis violation,
-3 search budget exceeded, 4 internal assertion or failed verification.
-A reader that closes stdout early ends the run quietly with exit 0.
+Every command has one shape: parse its inputs, build one JSON document,
+emit it on stdout through `_emit` (`table` writes its rows through
+`emit_table`).  Each input kind is checked by one parser, and each
+subcommand takes only the flags it reads.  Diagnostics go to stderr, one
+line, with the prefix and exit code of the first `_EXITS` row the error
+matches: 0 success, 1 usage or bad input, 2 hypothesis violation, 3 search
+budget exceeded, 4 internal assertion or failed verification.  A reader
+that closes stdout early ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -63,6 +67,18 @@ class UsageError(WeylcalcError):
     pass
 
 
+# (exception types, stderr prefix, exit code); the first row that matches wins.
+_EXITS = (
+    (UsageError, "usage error", 1),
+    (HypothesisViolated, "hypothesis violated", 2),
+    ((ExplorationBudgetExceeded, GroupTooLarge), "budget exceeded", 3),
+    ((InternalAssertion, DecompositionNotFound, NonIntegralDimension), "internal assertion failed", 4),
+    (Inconclusive, "inconclusive", 3),
+    (WeylcalcError, "error", 1),
+    (OSError, "error", 1),  # an unusable --cache-dir, --out or config path
+)
+
+
 def _load_datum(spec):
     if spec is None:
         raise UsageError("--group is required")
@@ -73,17 +89,27 @@ def _load_datum(spec):
     return build_root_datum(spec)  # raises MalformedConfig with the preset list
 
 
-def _parse_word(text):
-    """1-based comma-separated finite generator indices; '' is the identity."""
-    if text is None or text.strip() == "":
+def _word(datum, letters):
+    """0-based indices of 1-based finite simple letters, each range-checked."""
+    if any(i < 1 or i > datum.n_simple for i in letters):
+        raise UsageError("word letters are 1-based finite simple indices")
+    return [i - 1 for i in letters]
+
+
+def _parse_word(datum, text):
+    """1-based comma-separated finite simple indices; '' is the identity."""
+    if text.strip() == "":
         return []
     try:
-        word = [int(tok) - 1 for tok in text.split(",")]
+        letters = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad word {text!r}: {exc}") from exc
-    if any(i < 0 for i in word):
-        raise UsageError("word letters are 1-based simple indices")
-    return word
+    return _word(datum, letters)
+
+
+def _letters(u):
+    """The 1-based canonical word of a finite element."""
+    return [i + 1 for i in u.word]
 
 
 def _ints(values, what):
@@ -114,15 +140,15 @@ def _json(text, what, shape):
     return doc
 
 
-def _parse_element(datum, text):
+def _parse_element(datum, text, needed="this action"):
+    if text is None:
+        raise UsageError(f"--w is required for {needed}")
     doc = _json(text, "element", dict)
     lam = _ints(doc.get("lambda"), "lambda")
-    word = [i - 1 for i in _ints(doc.get("word", []), "word")]
+    letters = _ints(doc.get("word", []), "word")
     if len(lam) != datum.rank:
         raise UsageError(f"lambda must have {datum.rank} coordinates")
-    if any(i < 0 or i >= datum.n_simple for i in word):
-        raise UsageError("word letters are 1-based finite simple indices")
-    return from_parts(datum, lam, word)
+    return from_parts(datum, lam, _word(datum, letters))
 
 
 def _parse_vector(datum, text, integral=False):
@@ -165,9 +191,13 @@ def _virtual_dim(w, cls):
         return None
 
 
-def _emit(doc):
+def _emit(doc, started=None):
+    """Write the command's one document; `timing_ms` when `started` is given."""
+    if started is not None:
+        doc["timing_ms"] = round(1000 * (time.perf_counter() - started), 3)
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+    return 0
 
 
 def _element_info(w):
@@ -202,108 +232,60 @@ def cmd_describe(args):
         doc["omega"] = [w.to_json() for w in omega_elements(datum)]
     except InfinitePi1:
         doc["omega"] = None
-    _emit(doc)
-    return 0
+    return _emit(doc)
 
 
 def cmd_finite(args):
     datum = _load_datum(args.group)
+    doc = {"group": datum.name}
     if args.action == "enumerate":
         elems = enumerate_w0(datum)
-        _emit(
-            {
-                "group": datum.name,
-                "order": len(elems),
-                "max_length": elems[-1].length,
-                "elements": [[i + 1 for i in w.word] for w in elems],
-            }
+        doc.update(
+            order=len(elems), max_length=elems[-1].length, elements=[_letters(w) for w in elems]
         )
-        return 0
-    w = fw_from_word(datum, _parse_word(args.word))
+        return _emit(doc)
+    w = fw_from_word(datum, _parse_word(datum, args.word))
+    doc["w"] = _letters(w)
     if args.action == "reduce":
         w_min, path = delta_reduce_to_min(w)
-        _emit(
-            {
-                "group": datum.name,
-                "w": [i + 1 for i in w.word],
-                "w_min": [i + 1 for i in w_min.word],
-                "min_length": w_min.length,
-                "path": [
-                    {"s": i + 1, "before": [j + 1 for j in b.word], "after": [j + 1 for j in a.word]}
-                    for i, b, a in path
-                ],
-            }
+        doc.update(
+            w_min=_letters(w_min),
+            min_length=w_min.length,
+            path=[{"s": i + 1, "before": _letters(b), "after": _letters(a)} for i, b, a in path],
         )
-        return 0
-    if args.action == "supp":
-        _emit(
-            {
-                "group": datum.name,
-                "w": [i + 1 for i in w.word],
-                "supp": sorted(i + 1 for i in set(w.word)),
-                "supp_delta": sorted(i + 1 for i in supp_delta(w)),
-                "elliptic": is_elliptic_delta(w),
-            }
+    else:
+        doc.update(
+            supp=sorted(i + 1 for i in set(w.word)),
+            supp_delta=sorted(i + 1 for i in supp_delta(w)),
+            elliptic=is_elliptic_delta(w),
         )
-        return 0
-    raise UsageError(f"unknown finite action {args.action!r}")
+    return _emit(doc)
 
 
 def cmd_classes(args):
     datum = _load_datum(args.group)
     started = time.perf_counter()
+    doc = {"group": datum.name}
     if args.action == "straight-classes":
         classes = enumerate_straight_classes(datum, args.max_length, args.budget)
-        _emit(
-            {
-                "group": datum.name,
-                "max_length": args.max_length,
-                "classes": [c.to_json() for c in classes],
-                "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-            }
-        )
-        return 0
-    if args.w is None:
-        raise UsageError("--w is required for this action")
+        doc.update(max_length=args.max_length, classes=[c.to_json() for c in classes])
+        return _emit(doc, started)
     w = _parse_element(datum, args.w)
-    if args.action == "min":
-        result = reduce_to_min(w, args.budget)
-        _emit(
-            {
-                "group": datum.name,
-                "w": _element_info(w),
-                "result": result.to_json(),
-                "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-            }
-        )
-        return 0
-    if args.action == "ux":
-        result = reduce_to_min(w, args.budget)
-        dec = ux_decompose(result.w_min, args.budget, check_minimal=False)
-        _emit(
-            {
-                "group": datum.name,
-                "w": _element_info(w),
-                "w_min": result.w_min.to_json(),
-                "ux": dec.to_json(),
-                "straight_class": straight_class_of(w, args.budget).to_json(),
-                "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-            }
-        )
-        return 0
     if args.action == "p-alcove":
         nu = _parse_vector(datum, args.nu) if args.nu else newton_point(w)[0]
-        _emit(
-            {
-                "group": datum.name,
-                "w": w.to_json(),
-                "nu": [format_fraction(x) for x in nu],
-                "p_alcove": p_alcove_test(w, nu),
-                "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-            }
+        doc.update(w=w.to_json(), nu=[format_fraction(x) for x in nu], p_alcove=p_alcove_test(w, nu))
+        return _emit(doc, started)
+    result = reduce_to_min(w, args.budget)
+    doc["w"] = _element_info(w)
+    if args.action == "min":
+        doc["result"] = result.to_json()
+    else:
+        doc.update(
+            w_min=result.w_min.to_json(),
+            ux=ux_decompose(result.w_min, args.budget, check_minimal=False).to_json(),
+            straight_class=straight_class_of(w, args.budget).to_json(),
         )
-        return 0
-    raise UsageError(f"unknown classes action {args.action!r}")
+    return _emit(doc, started)
 
 
 def _with_cache(datum, args, fn):
@@ -329,85 +311,46 @@ def cmd_dim(args):
     datum = _load_datum(args.group)
     cls = _parse_class(datum, _json(args.cls, "class", dict))
     started = time.perf_counter()
-
+    query = {"kind": args.kind, "group": datum.name, "class": cls.to_json()}
+    extra = {}
     if args.kind in ("x-flag", "y-flag"):
-        if args.w is None:
-            raise UsageError("--w is required for flag queries")
-        w = _parse_element(datum, args.w)
+        w = _parse_element(datum, args.w, "flag queries")
+        query["w"] = _element_info(w)
         if args.kind == "x-flag":
-            value, stats = _with_cache(datum, args, lambda: dims.dim_X_flag(w, cls, args.budget))
+            value, extra["cache"] = _with_cache(datum, args, lambda: dims.dim_X_flag(w, cls, args.budget))
         else:
             gd = _gamma(datum, cls, args)
-            value, stats = _with_cache(datum, args, lambda: dims.dim_Y_flag(w, gd, args.budget))
+            value, extra["cache"] = _with_cache(datum, args, lambda: dims.dim_Y_flag(w, gd, args.budget))
         result = reduce_to_min(w, args.budget)
-        dec = ux_decompose(result.w_min, args.budget, check_minimal=False)
-        doc = value.to_json()
-        doc.update(
-            {
-                "query": {"kind": args.kind, "group": datum.name, "w": _element_info(w), "class": cls.to_json()},
-                "virtual_dim": _virtual_dim(w, cls),
-                "witnesses": {
-                    "w_min": result.w_min.to_json(),
-                    "path_length": len(result.path),
-                    "ux": dec.to_json(),
-                },
-                "cache": stats,
-                "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-            }
-        )
-        _emit(doc)
-        return 0
-
-    if args.kind in ("x-gr", "y-gr"):
+        extra["virtual_dim"] = _virtual_dim(w, cls)
+        extra["witnesses"] = {
+            "w_min": result.w_min.to_json(),
+            "path_length": len(result.path),
+            "ux": ux_decompose(result.w_min, args.budget, check_minimal=False).to_json(),
+        }
+    else:
         if args.mu is None:
-            raise UsageError("--mu is required for Grassmannian queries")
+            needed = "y-super" if args.kind == "y-super" else "Grassmannian queries"
+            raise UsageError(f"--mu is required for {needed}")
         mu = _parse_vector(datum, args.mu, integral=True)
+        query["mu"] = list(mu)
         if args.kind == "x-gr":
             value = dims.dim_X_grass(datum, mu, cls)
-        else:
+        elif args.kind == "y-gr":
             value = dims.dim_Y_grass(datum, mu, _gamma(datum, cls, args))
-        doc = value.to_json()
-        doc.update(
-            {
-                "query": {"kind": args.kind, "group": datum.name, "mu": list(mu), "class": cls.to_json()},
-                "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-            }
-        )
-        _emit(doc)
-        return 0
-
-    if args.kind == "y-super":
-        if args.mu is None:
-            raise UsageError("--mu is required for y-super")
-        mu = _parse_vector(datum, args.mu, integral=True)
-        x = fw_from_word(datum, _parse_word(args.x_word))
-        y = fw_from_word(datum, _parse_word(args.y_word))
-        gd = _gamma(datum, cls, args)
-        value, stats = _with_cache(
-            datum, args, lambda: dims.dim_Y_superregular(x, mu, y, gd, args.budget)
-        )
-        w = from_finite(x) * translation(datum, mu) * from_finite(y)
-        doc = value.to_json()
-        doc.update(
-            {
-                "query": {
-                    "kind": "y-super",
-                    "group": datum.name,
-                    "x": [i + 1 for i in x.word],
-                    "mu": list(mu),
-                    "y": [i + 1 for i in y.word],
-                    "class": cls.to_json(),
-                },
-                "w": w.to_json(),
-                "virtual_dim": _virtual_dim(w, cls),
-                "cache": stats,
-                "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-            }
-        )
-        _emit(doc)
-        return 0
-
-    raise UsageError(f"unknown dim kind {args.kind!r}")
+        else:
+            x = fw_from_word(datum, _parse_word(datum, args.x_word))
+            y = fw_from_word(datum, _parse_word(datum, args.y_word))
+            query.update(x=_letters(x), y=_letters(y))
+            gd = _gamma(datum, cls, args)
+            value, extra["cache"] = _with_cache(
+                datum, args, lambda: dims.dim_Y_superregular(x, mu, y, gd, args.budget)
+            )
+            w = from_finite(x) * translation(datum, mu) * from_finite(y)
+            extra.update(w=w.to_json(), virtual_dim=_virtual_dim(w, cls))
+    doc = value.to_json()
+    doc.update(extra, query=query)
+    return _emit(doc, started)
 
 
 def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None):
@@ -423,7 +366,7 @@ def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None):
     rows = []
     for w in length_ball(datum, max_length, budget):
         profile = dims.dim_profile(w, budget)
-        lam, word = list(w.lam), [i + 1 for i in w.fw.word]
+        lam, word = list(w.lam), _letters(w.fw)
         for cls, cid, kappa, nu in columns:
             dim = profile.get(cid)
             rows.append(
@@ -499,13 +442,12 @@ def cmd_verify(args):
         )
     reports = []
     for name in names:
-        fn = verify.SUITES[name]
         kwargs = {}
         if name == "oracle" and args.radius is not None:
             kwargs["radius"] = args.radius
         if name in ("min", "p-alcove", "dim-bound", "master") and args.max_length is not None:
             kwargs["max_len"] = args.max_length
-        reports.append(fn(datum, **kwargs))
+        reports.append(verify.SUITES[name](datum, **kwargs))
     passed = all(r["passed"] for r in reports)
     _emit({"group": datum.name, "passed": passed, "suites": reports})
     return 0 if passed else 4
@@ -524,37 +466,36 @@ def main(argv=None):
     return code
 
 
-def _main(argv):
+def _parser():
     parser = argparse.ArgumentParser(
         prog="weylcalc",
         description="Exact affine Weyl group combinatorics and cell-dimension calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, fn, summary, budget=False, cache_dir=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--group", help="preset name or path to a JSON root-datum config")
-        p.add_argument("--budget", type=int, default=None, help="node budget for closures")
-        p.add_argument("--cache-dir", default=None, help=f"memo cache dir (or ${CACHE_ENV})")
+        if budget:
+            p.add_argument("--budget", type=int, default=None, help="node budget for closures")
+        if cache_dir:
+            p.add_argument("--cache-dir", default=None, help=f"memo cache dir (or ${CACHE_ENV})")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("describe", help="summary of a group preset or config")
-    add_common(p)
-    p.set_defaults(fn=cmd_describe)
+    command("describe", cmd_describe, "summary of a group preset or config")
 
-    p = sub.add_parser("finite", help="finite Weyl group operations")
+    p = command("finite", cmd_finite, "finite Weyl group operations")
     p.add_argument("action", choices=["enumerate", "reduce", "supp"])
     p.add_argument("--word", default="", help="1-based comma-separated simple indices")
-    add_common(p)
-    p.set_defaults(fn=cmd_finite)
 
-    p = sub.add_parser("classes", help="conjugacy-class operations")
+    p = command("classes", cmd_classes, "conjugacy-class operations", budget=True)
     p.add_argument("action", choices=["min", "straight-classes", "ux", "p-alcove"])
     p.add_argument("--w", help='element as {"lambda": [...], "word": [...]}')
     p.add_argument("--nu", help="rational coweight, comma-separated")
     p.add_argument("--max-length", type=int, default=2)
-    add_common(p)
-    p.set_defaults(fn=cmd_classes)
 
-    p = sub.add_parser("dim", help="dimension/nonemptiness queries")
+    p = command("dim", cmd_dim, "dimension/nonemptiness queries", budget=True, cache_dir=True)
     p.add_argument("kind", choices=["x-flag", "x-gr", "y-flag", "y-gr", "y-super"])
     p.add_argument("--w", help='element as {"lambda": [...], "word": [...]}')
     p.add_argument("--mu", help="dominant coweight, comma-separated integers")
@@ -564,56 +505,34 @@ def _main(argv):
     p.add_argument("--springer-dim", type=int, default=None)
     p.add_argument("--d", type=int, default=None, help="discriminant valuation")
     p.add_argument("--c", type=int, default=None, help="rank drop")
-    add_common(p)
-    p.set_defaults(fn=cmd_dim)
 
-    p = sub.add_parser("table", help="tabulate dimensions over a length ball")
+    p = command("table", cmd_table, "tabulate dimensions over a length ball", budget=True, cache_dir=True)
     p.add_argument("--max-length", type=int, required=True)
     p.add_argument("--class-length", type=int, default=2, help="census length bound for classes")
     p.add_argument("--classes", help="explicit JSON list of class descriptors")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", help="output path (default stdout)")
-    add_common(p)
-    p.set_defaults(fn=cmd_table)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = command("verify", cmd_verify, "run verification suites")
     p.add_argument("--suite", default="all")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--max-length", type=int, default=None)
-    add_common(p)
-    p.set_defaults(fn=cmd_verify)
+    return parser
 
+
+def _main(argv):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except HypothesisViolated as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return 2
-    except (ExplorationBudgetExceeded, GroupTooLarge) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (InternalAssertion, DecompositionNotFound, NonIntegralDimension) as exc:
-        print(f"internal assertion failed: {exc}", file=sys.stderr)
-        return 4
-    except Inconclusive as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
-    except WeylcalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         raise  # a closed stdout is main's to handle
-    except OSError as exc:
-        # an unusable --cache-dir, --out or config path
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (WeylcalcError, OSError) as exc:
+        prefix, code = next((p, c) for types, p, c in _EXITS if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from . import linalg
 from .errors import DatumMismatch, ExplorationBudgetExceeded, GroupTooLarge
 from .memo import memoised
 from .rootdata import DiagramAutomorphism
-from .search import closure, descend, left_moves, right_moves
+from .search import closure, descend, right_moves
 
 W0_CAP = 10_000_000
 
@@ -63,11 +63,21 @@ class FiniteWeylElt:
 
     @property
     def word(self):
-        """Canonical reduced word: repeatedly strip the smallest left descent."""
+        """Canonical reduced word: repeatedly strip the smallest left descent,
+        s_i u being shorter than u iff alpha_i o M_u is a negative root."""
         if self._word is None:
-            gens = [(i, fw_simple(self.datum, i)) for i in range(self.datum.n_simple)]
-            _, steps = descend(self, left_moves(gens), W0_CAP, "canonical word")
-            self._word = tuple(i for i, _, _ in steps)
+            d, u, word = self.datum, self, []
+            while True:
+                i = next(
+                    (i for i, alpha in enumerate(d.simple_roots)
+                     if d.is_negative_root(u.inv_act_root(alpha))),
+                    None,
+                )
+                if i is None:
+                    break
+                word.append(i)
+                u = fw_simple(d, i) * u
+            self._word = tuple(word)
             if len(self._word) != self.length:
                 raise AssertionError("canonical word length disagrees with inversion count")
         return self._word

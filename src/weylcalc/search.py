@@ -16,11 +16,6 @@ from .errors import ExplorationBudgetExceeded
 DEFAULT_BUDGET = 1_000_000
 
 
-def left_moves(gens):
-    """v -> s v for the labeled generators (label, s), in order."""
-    return lambda v: ((label, s * v) for label, s in gens)
-
-
 def right_moves(gens):
     """v -> v s for the labeled generators (label, s), in order."""
     return lambda v: ((label, v * s) for label, s in gens)

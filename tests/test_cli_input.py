@@ -31,6 +31,14 @@ BAD_INPUTS = [
     ("classes", "min", "--group", "SL2", "--w", '[1]'),
     ("classes", "min", "--group", "SL2", "--w", "[" * 100_000),
     ("classes", "p-alcove", "--group", "SL2", "--w", W, "--nu", "1/0"),
+    ("classes", "min", "--group", "SL2", "--w", '{"lambda":[0],"word":[2]}'),
+    # a letter above the rank is refused like one below 1
+    ("finite", "reduce", "--group", "SL3", "--word", "9"),
+    ("finite", "supp", "--group", "SL3", "--word", "3"),
+    ("dim", "y-super", "--group", "SL3", "--mu", "2,2", "--x-word", "9",
+     "--class", '{"kappa":[0,0],"nu":[0,0]}', "--springer-dim", "0"),
+    ("dim", "y-super", "--group", "SL3", "--mu", "2,2", "--y-word", "3",
+     "--class", '{"kappa":[0,0],"nu":[0,0]}', "--springer-dim", "0"),
 ]
 
 
@@ -78,6 +86,27 @@ def test_unusable_cache_dir_writes_no_table(tmp_path):
     assert err.count("\n") == 1 and path in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*command, "--group", "SL2", flag, value)
+        for command in (("describe",), ("finite", "enumerate"), ("verify", "--suite", "census"))
+        for flag, value in (("--budget", "10"), ("--cache-dir", "cache"))
+    ]
+    + [("classes", "straight-classes", "--group", "SL2", "--cache-dir", "cache")],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flag_a_command_does_not_read_is_refused(argv, tmp_path, monkeypatch):
+    """A command takes only the flags it acts on; any other is an unknown
+    argument, exit 1 with nothing on stdout."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not (tmp_path / "cache").exists()
+
+
 # JSON values of every kind a user may type where an integer or a rational
 # is expected, including "p/q" strings with a zero denominator.
 _SCALARS = st.one_of(
@@ -102,18 +131,21 @@ def _vectors(rank, entries):
 def test_fuzzed_cli_input_never_raises(group, data):
     name, rank = group
     small = st.integers(-3, 3)
+    letters = st.integers(-1, rank + 2)  # in range and just outside it
     w = json.dumps(
         {
             "lambda": data.draw(_vectors(rank, small)),
-            "word": data.draw(st.one_of(st.lists(st.integers(1, rank), max_size=3), _vectors(2, small))),
+            "word": data.draw(st.one_of(st.lists(letters, max_size=3), _vectors(2, small))),
         }
     )
+    word = ",".join(str(i) for i in data.draw(st.lists(letters, max_size=3)))
     cls = json.dumps(
         {"kappa": data.draw(_vectors(rank, small)), "nu": data.draw(_vectors(rank, _SCALARS))}
     )
     for argv in (
         ("classes", "min", "--group", name, "--w", w),
         ("dim", "x-flag", "--group", name, "--w", w, "--class", cls),
+        ("finite", "reduce", "--group", name, "--word", word),
     ):
         code, _, err = _run(argv)
         assert code in (0, 1, 2, 3), (argv, err)

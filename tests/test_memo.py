@@ -15,7 +15,7 @@ from weylcalc.memo import Memo, memo, memoised
 
 TABLES = {
     "fw_intern", "w0", "simple_reflections", "omega", "reduce_min", "spherical_subsets",
-    "affine_diagram", "ux", "straight_class", "length_ball", "straight_classes",
+    "ux", "length_ball", "straight_classes",
     "superregular", "class_facts", "eta", "grass_max", "dim_x_flag", "oracle_ball",
 }
 
