@@ -32,9 +32,9 @@ class GroupTooLarge(WeylcalcError):
 class ExplorationBudgetExceeded(WeylcalcError):
     """A closure/BFS search exceeded its node budget; never a silent truncation.
 
-    A search of the kernel in weylcalc.search sets `what` (the search's
-    name), `held` (the elements it held) and `budget`; other raisers leave
-    them None.
+    Every raiser (a search of the kernel in weylcalc.search, and the
+    oracle's Cayley ball) sets `what` (the search's name), `held` (the
+    elements it held) and `budget`.
     """
 
     def __init__(self, message, what=None, held=None, budget=None):

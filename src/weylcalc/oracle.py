@@ -4,12 +4,19 @@ The ball construction never consults the closed length formula: distances
 are BFS levels in the Cayley graph over the simple reflections, extended to
 length-zero translates by d(tau * w) := d(w).  This is the anti-regression
 backbone for the length formula, straightness, and minimal lengths.
+
+Conjugates are measured without affine products or moves: for g = t^mu v,
+w = t^lam u and x = v u v^-1, g w g^-1 = t^(mu + v(lam) - x(mu)) x, so its
+Iwahori-Matsumoto length is the sum over positive roots alpha of
+|<alpha, mu - x(mu)> + <alpha, v(lam)> - [x^-1 alpha < 0]|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
+from . import linalg
 from .affweyl import aw_identity, omega_elements, simple_reflections
 from .errors import ExplorationBudgetExceeded, Inconclusive
 from .memo import memoised
@@ -19,10 +26,18 @@ BALL_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class Ball:
+    """The ball's elements and distances, and its fibres by finite part.
+
+    A fibre is (v, mus, n_inner, shifts) for the elements t^mu v: mus lists
+    their translation parts, the n_inner of distance below the radius
+    first, and shifts maps x.idx to the vectors (<alpha, mu - x(mu)>)_alpha
+    of mus, filled on first use by brute_min_length.
+    """
+
     radius: int
     elements: dict
     distances: dict
-    inverses: dict
+    fibres: tuple
 
     def distance(self, w):
         return self.distances.get(w.key)
@@ -34,8 +49,8 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
 
     Each class of length-zero elements contributes its translate of the
     ball, at the same distance as the untranslated element.  Balls are
-    memoised per datum and (radius, cap), with the inverse of every
-    element; callers must treat the returned Ball as read-only.
+    memoised per datum and (radius, cap), with their fibres; callers must
+    treat the returned Ball as read-only.
     """
     refl = simple_reflections(datum)
     ident = aw_identity(datum)
@@ -52,7 +67,10 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
                     elems[v2.key] = v2
                     nxt.append(v2)
                     if len(dist) > cap:
-                        raise ExplorationBudgetExceeded(f"Cayley ball exceeded {cap} nodes")
+                        raise ExplorationBudgetExceeded(
+                            f"Cayley ball exceeded {cap} nodes",
+                            what="Cayley ball", held=len(dist), budget=cap,
+                        )
         frontier = nxt
     for tau in omega_elements(datum):
         if tau.is_identity:
@@ -63,27 +81,40 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
                 dist[tw.key] = dist[key]
                 elems[tw.key] = tw
                 if len(dist) > cap:
-                    raise ExplorationBudgetExceeded(f"Cayley ball exceeded {cap} nodes")
-    inverses = {key: g.inv() for key, g in elems.items()}
-    return Ball(radius=radius, elements=elems, distances=dist, inverses=inverses)
+                    raise ExplorationBudgetExceeded(
+                        f"Cayley ball exceeded {cap} nodes",
+                        what="Cayley ball", held=len(dist), budget=cap,
+                    )
+    shells = {}  # v -> (inner mus, boundary mus)
+    for key, g in elems.items():
+        shells.setdefault(g.fw, ([], []))[dist[key] == radius].append(g.lam)
+    fibres = tuple((v, inner + boundary, len(inner), {}) for v, (inner, boundary) in shells.items())
+    return Ball(radius=radius, elements=elems, distances=dist, fibres=fibres)
 
 
 def brute_min_length(w, radius, cap=BALL_CAP):
     """Minimum length over conjugates g w g^-1 for g in the radius ball.
 
-    Raises Inconclusive when the boundary shell still improves the minimum,
-    so an answer is never wrong, only possibly refused.
+    Per fibre v: x = v u v^-1 by two finite products, the vector
+    (<alpha, v(lam)> - [x^-1 alpha < 0])_alpha once, then one sum of
+    absolute values per mu (module docstring).  Raises Inconclusive when the
+    boundary shell still improves the minimum, so an answer is never wrong,
+    only possibly refused.
     """
     ball = cayley_ball(w.datum, radius, cap)
-    best = None
-    best_inner = None
-    for key, g in ball.elements.items():
-        val = (g * w * ball.inverses[key]).length
-        if best is None or val < best:
-            best = val
-        if ball.distances[key] < radius and (best_inner is None or val < best_inner):
-            best_inner = val
-    if best_inner is None or best < best_inner:
+    pos, u = w.datum.pos_roots, w.fw
+    lows, inner = [], []
+    for v, mus, n_inner, shifts in ball.fibres:
+        x = v * u * v.inverse()
+        d = shifts.get(x.idx)
+        if d is None:
+            d = shifts[x.idx] = [linalg.mat_vec(pos, linalg.vec_sub(mu, x.act(mu))) for mu in mus]
+        c = tuple(map(sub, linalg.mat_vec(pos, v.act(w.lam)), x.neg_mask))
+        vals = [sum(map(abs, map(add, dm, c))) for dm in d]
+        lows.append(min(vals))
+        inner += vals[:n_inner]
+    best = min(lows)
+    if not inner or best < min(inner):
         raise Inconclusive(
             f"minimum {best} still improves at the boundary of radius {radius}"
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from weylcalc import build_root_datum, from_parts, reduce_to_min
+from weylcalc import build_root_datum, cayley_ball, from_parts, reduce_to_min
 from weylcalc.errors import ExplorationBudgetExceeded
 
 
@@ -14,3 +14,19 @@ def test_overrun_carries_its_numbers():
     exc = info.value
     assert (exc.what, exc.held, exc.budget) == ("cyclic-shift search", 4, 3)
     assert str(exc) == "cyclic-shift search exceeded its budget of 3 elements"
+
+
+@pytest.mark.parametrize(
+    "name, radius, cap, held",
+    [
+        ("SL3", 2, 3, 4),  # the identity and SL3's three generators at radius 1
+        ("PGL2", 0, 1, 2),  # the identity and its length-zero translate
+    ],
+    ids=["bfs-level", "length-zero-translate"],
+)
+def test_cayley_ball_overrun_carries_its_numbers(name, radius, cap, held):
+    with pytest.raises(ExplorationBudgetExceeded) as info:
+        cayley_ball(build_root_datum(name), radius, cap=cap)
+    exc = info.value
+    assert (exc.what, exc.held, exc.budget) == ("Cayley ball", held, cap)
+    assert str(exc) == f"Cayley ball exceeded {cap} nodes"

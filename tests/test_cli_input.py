@@ -7,12 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylcalc
-from weylcalc.cli import main
+from weylcalc.cli import CACHE_ENV, main
 
 W = '{"lambda":[0],"word":[1]}'
 BAD_INPUTS = [
@@ -150,6 +151,41 @@ def test_fuzzed_cli_input_never_raises(group, data):
         code, _, err = _run(argv)
         assert code in (0, 1, 2, 3), (argv, err)
         assert "Traceback" not in err
+
+
+# Where a path flag can point: a missing directory, a path under a regular
+# file, nothing at all, and a plain child of a temporary directory.
+_PATH_KINDS = ("missing", "under-a-file", "empty", "child")
+
+
+def _path(root, kind, leaf):
+    return {
+        "missing": str(root / "missing" / "deeper" / leaf),
+        "under-a-file": str(root / "file" / leaf),
+        "empty": "",
+        "child": str(root / leaf),
+    }[kind]
+
+
+@settings(max_examples=20, deadline=None)
+@given(cache=st.sampled_from(_PATH_KINDS), out=st.sampled_from(_PATH_KINDS + (None,)))
+def test_fuzzed_path_flags_never_raise(tmp_path_factory, cache, out):
+    """--cache-dir and --out of every kind end in an exit code, never a
+    traceback."""
+    root = tmp_path_factory.mktemp("paths")
+    (root / "file").write_text("")
+    cache_dir = _path(root, cache, "cache")
+    table = ("table", "--group", "SL2", "--max-length", "1", "--cache-dir", cache_dir)
+    if out is not None:
+        table += ("--out", _path(root, out, "table.csv"))
+    dim = ("dim", "x-flag", "--group", "SL2", "--w", W,
+           "--class", '{"kappa":[0],"nu":[0]}', "--cache-dir", cache_dir)
+    with mock.patch.dict(os.environ):
+        os.environ.pop(CACHE_ENV, None)
+        for argv in (table, dim):
+            code, _, err = _run(argv)
+            assert code in (0, 1, 2, 3), (argv, err)
+            assert "Traceback" not in err
 
 
 def test_closed_stdout_exits_quietly():

@@ -91,6 +91,25 @@ def test_oracle_names_no_move_helper():
     assert not names & MOVE_HELPERS
 
 
+def test_oracle_imports_no_checked_layer():
+    """The oracle checks the class, search and dimension layers, so it
+    imports none of them."""
+    path = os.path.join(os.path.dirname(weylcalc.__file__), "oracle.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                modules.add(node.module.rsplit(".", 1)[-1])
+            if node.module in (None, "weylcalc"):
+                modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert "affweyl" in modules  # the scan sees the imports
+    assert not modules & {"classes", "search", "dims"}
+
+
 def test_oracle_ball_lengths_come_from_the_formula():
     """The oracle suite compares the formula, not a sign-tested length, with
     the Cayley distance: no ball element knows its length before it is read."""

@@ -3,12 +3,18 @@ import pytest
 from weylcalc import (
     Inconclusive,
     aw_identity,
+    build_root_datum,
     from_parts,
+    length_ball,
     omega_elements,
     simple_reflections,
     translation,
 )
 from weylcalc.oracle import brute_min_length, brute_straight_check, cayley_ball
+from weylcalc.rootdata import PRESETS
+
+# the length bound of the elements w checked against the reference, by rank
+W_BOUND = {1: 8, 2: 8, 3: 6}
 
 
 def test_ball_radius_zero(pgl2):
@@ -72,3 +78,37 @@ def test_brute_straight_examples(sl2, pgl2):
     assert not brute_straight_check(from_parts(sl2, (0,), [0]), 2)
     for tau in omega_elements(pgl2):
         assert brute_straight_check(tau, 6)
+
+
+def _reference_min(w, radius):
+    """The minimum by affine products: min over the ball of l(g w g^-1),
+    None where the boundary shell still improves on the inner shell."""
+    ball = cayley_ball(w.datum, radius)
+    best = best_inner = None
+    for key, g in ball.elements.items():
+        val = (g * w * g.inv()).length
+        if best is None or val < best:
+            best = val
+        if ball.distances[key] < radius and (best_inner is None or val < best_inner):
+            best_inner = val
+    if best_inner is None or best < best_inner:
+        return None
+    return best
+
+
+@pytest.mark.parametrize("radius", [6, 3])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_brute_min_matches_products(name, radius):
+    """The per-fibre kernel gives the product reference's value, and refuses
+    exactly where the reference's inner-shell rule refuses."""
+    datum = build_root_datum(name)
+    want = []
+    for w in length_ball(datum, W_BOUND[datum.rank]):
+        try:
+            got = brute_min_length(w, radius)
+        except Inconclusive:
+            got = None
+        want.append(_reference_min(w, radius))
+        assert got == want[-1], (w, radius)
+    if radius == 3 and datum.rank < 3:
+        assert None in want  # the refusal rule is exercised

@@ -1,8 +1,11 @@
-"""`weylcalc verify --suite all` reports, frozen by SHA-256 of stdout.
+"""`weylcalc verify` reports, frozen by SHA-256 of stdout.
 
-The digests were taken from the CLI at commit 423077d.  A change that keeps
-every answer keeps these bytes; PGL3, SL4 and A3-twisted (over a second
-each) are left to manual comparison."""
+The `--suite all` digests were taken from the CLI at commit 423077d.  A
+change that keeps every answer keeps these bytes.  PGL3, SL4 and A3-twisted
+take several seconds for `--suite all`, so only their `--suite min` reports
+are frozen here (taken from the CLI at commit de61a09, before the oracle's
+minimum was computed per fibre); their other suites are left to manual
+comparison."""
 
 import contextlib
 import hashlib
@@ -20,6 +23,12 @@ FROZEN = {
     "A2-twisted": "d089723f7c3ca29d2f271bd3b2a75a193bc8d4367a16f0df20fcb2474dcc299d",
 }
 
+FROZEN_MIN = {
+    "PGL3": "e3f4871cfa088edb2ce87581b285bb0a255b9dc08896b2be140d46984b4513ef",
+    "SL4": "fc7781245964e82c677992e9ec57f5d48e0000a34ce90c24d9b575c49da74807",
+    "A3-twisted": "1271bc5ede0fb1881dd83a852f93ad6edd214a266d27f682c4a12b8f4b8dd850",
+}
+
 
 @pytest.mark.parametrize("group", sorted(FROZEN))
 def test_verify_all_report_is_frozen(group):
@@ -28,3 +37,12 @@ def test_verify_all_report_is_frozen(group):
         code = main(["verify", "--suite", "all", "--group", group])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FROZEN[group]
+
+
+@pytest.mark.parametrize("group", sorted(FROZEN_MIN))
+def test_verify_min_report_is_frozen(group):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--suite", "min", "--group", group])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FROZEN_MIN[group]
