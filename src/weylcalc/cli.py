@@ -37,7 +37,7 @@ from .classes import (
     straight_class_of,
     ux_decompose,
 )
-from .dims import GammaDescriptor, virtual_dimension
+from .dims import GammaDescriptor
 from .errors import (
     ExplorationBudgetExceeded,
     GroupTooLarge,
@@ -186,7 +186,7 @@ def _gamma(datum, cls, args):
 def _virtual_dim(w, cls):
     """The virtual dimension of (w, cls), or None when it is not an integer."""
     try:
-        return virtual_dimension(w, cls)
+        return dims.virtual_dimension(w, cls)
     except NonIntegralHalf:
         return None
 
@@ -353,60 +353,60 @@ def cmd_dim(args):
     return _emit(doc, started)
 
 
+def _nested(value):
+    """A value as json.dumps(indent=2) prints it three levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n      ")
+
+
+def _csv_row(lam, word, length, kappa, nu, dim, vd):
+    dim = "false;" if dim is None else f"true;{dim}"
+    return f"{lam};{word};{length};{kappa};{nu};{dim};{'' if vd is None else vd}"
+
+
+def _json_row(lam, word, length, kappa, nu, dim, vd):
+    """A row as json.dumps(indent=2, sort_keys=True) prints it in the table."""
+    dim, nonempty = ("null", "false") if dim is None else (dim, "true")
+    return (
+        f'    {{\n      "dim": {dim},\n      "kappa": {kappa},\n      "lambda": {lam},\n'
+        f'      "length": {length},\n      "nonempty": {nonempty},\n      "nu": {nu},\n'
+        f'      "virtual_dim": {"null" if vd is None else vd},\n      "word": {word}\n    }}'
+    )
+
+
+_TABLE_FORMATS = {  # format -> (list printer, row printer)
+    "csv": (lambda values: "|".join(map(str, values)), _csv_row),
+    "json": (_nested, _json_row),
+}
+
+
 def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None):
     """Tabulate (w, class) -> (nonempty, dim, virtual dim) over the length
     ball.  Deterministic row order; output carries no timing so repeated
-    runs are byte-identical."""
-    columns = []  # per class: the class, its profile id, kappa and nu as printed
-    for cls in classes:
-        columns.append(
-            (cls, dims._validate_class(datum, cls)[0], list(cls.kappa),
-             [format_fraction(x) for x in cls.nu_bar])
-        )
+    runs are byte-identical.  Each class's part (profile id, def + l,
+    printed kappa and nu) and each element's (profile, l(w) + l(eta(w)),
+    printed lambda, word and length) is computed once; a row takes only
+    their difference, halved when even, and a string join."""
+    if fmt not in _TABLE_FORMATS:
+        raise UsageError(f"unknown table format {fmt!r}")
+    show, row = _TABLE_FORMATS[fmt]
+    columns = [
+        (dims._validate_class(datum, cls), cls.defect + cls.length, show(cls.kappa),
+         show([format_fraction(x) for x in cls.nu_bar]))
+        for cls in classes
+    ]
     rows = []
     for w in length_ball(datum, max_length, budget):
-        profile = dims.dim_profile(w, budget)
-        lam, word = list(w.lam), _letters(w.fw)
-        for cls, cid, kappa, nu in columns:
-            dim = profile.get(cid)
-            rows.append(
-                {
-                    "lambda": lam,
-                    "word": word,
-                    "length": w.length,
-                    "kappa": kappa,
-                    "nu": nu,
-                    "nonempty": dim is not None,
-                    "dim": dim,
-                    "virtual_dim": _virtual_dim(w, cls),
-                }
-            )
-    if fmt == "json":
-        text = json.dumps(
-            {"group": datum.name, "max_length": max_length, "rows": rows},
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-    elif fmt == "csv":
-        lines = ["lambda;word;length;kappa;nu;nonempty;dim;virtual_dim"]
-        for r in rows:
-            lines.append(
-                ";".join(
-                    [
-                        "|".join(str(x) for x in r["lambda"]),
-                        "|".join(str(x) for x in r["word"]),
-                        str(r["length"]),
-                        "|".join(str(x) for x in r["kappa"]),
-                        "|".join(r["nu"]),
-                        "true" if r["nonempty"] else "false",
-                        "" if r["dim"] is None else str(r["dim"]),
-                        "" if r["virtual_dim"] is None else str(r["virtual_dim"]),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        profile, part = dims.dim_profile(w, budget), dims.element_part(w)
+        lam, word, length = show(w.lam), show(_letters(w.fw)), w.length
+        for cid, cpart, kappa, nu in columns:
+            num = part - cpart
+            rows.append(row(lam, word, length, kappa, nu, profile.get(cid), None if num % 2 else num // 2))
+    if fmt == "csv":
+        text = "".join(f"{r}\n" for r in ["lambda;word;length;kappa;nu;nonempty;dim;virtual_dim", *rows])
     else:
-        raise UsageError(f"unknown table format {fmt!r}")
+        body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        text = (f'{{\n  "group": {json.dumps(datum.name)},\n'
+                f'  "max_length": {json.dumps(max_length)},\n  "rows": {body}\n}}\n')
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -420,13 +420,8 @@ def cmd_table(args):
         classes = [_parse_class(datum, doc) for doc in _json(args.classes, "--classes", list)]
     else:
         classes = list(enumerate_straight_classes(datum, args.class_length, args.budget))
-    _with_cache(
-        datum,
-        args,
-        lambda: emit_table(
-            datum, args.max_length, classes, fmt=args.format, out=args.out, budget=args.budget
-        ),
-    )
+    _with_cache(datum, args, lambda: emit_table(
+        datum, args.max_length, classes, fmt=args.format, out=args.out, budget=args.budget))
     return 0
 
 

@@ -9,8 +9,9 @@ class off the profile.  Everything else is a closed formula layered on top,
 and the affine Lusztig evaluators add a GammaDescriptor's fiber dimension.
 
 Each class fact is decided once per datum: _validate_class gives a class's
-length check, profile id and <rho, nu_bar>, and superregular_applies the
-superregular hypotheses for (mu, nu_bar).
+length and Newton-form checks and its profile id, and superregular_applies
+the superregular hypotheses for (mu, nu_bar).  The virtual dimension is the
+element part l(w) + l(eta(w)) minus the class part def(C) + l(C), halved.
 
 The empty value is absorbing under +1 and max and is kept distinct from 0
 everywhere, including serialization.
@@ -133,8 +134,8 @@ class GammaDescriptor:
 
 
 def _validate_class(datum, cls):
-    """Check l(C) = <2 rho, nu_bar> and return the class's profile id
-    (DimCache.class_id) with <rho, nu_bar>.
+    """Check l(C) = <2 rho, nu_bar> and <rho, nu_bar> = l(C)/2 (the Newton
+    form of virtual_dimension) and return the profile id DimCache.class_id.
 
     These facts depend on the class alone, so they are memoised per datum
     in the class_facts table, keyed by (kappa, nu_bar, length): class
@@ -143,14 +144,15 @@ def _validate_class(datum, cls):
     """
     cache = _dim_cache(datum)  # first: a new profile table clears the facts
     facts, key = memo(datum, "class_facts"), (cls.kappa, cls.nu_bar, cls.length)
-    value = facts.get(key)
-    if value is None:
+    cid = facts.get(key)
+    if cid is None:
         ell = linalg.vec_dot(datum.two_rho, cls.nu_bar)
         if Fraction(ell) != Fraction(cls.length):
             raise InternalAssertion(f"class length {cls.length} != <2 rho, nu_bar> = {ell}")
-        rho_nu = linalg.vec_dot(datum.rho, cls.nu_bar)
-        value = facts.put(key, (cache.class_id(cls.pair_key), rho_nu))
-    return value
+        if 2 * linalg.vec_dot(datum.rho, cls.nu_bar) != cls.length:
+            raise InternalAssertion("the two virtual-dimension forms disagree")
+        cid = facts.put(key, cache.class_id(cls.pair_key))
+    return cid
 
 
 @memoised("eta", key=lambda w: w.key)
@@ -159,20 +161,20 @@ def _eta(w):
     return eta_decomposition(w)
 
 
-def virtual_dimension(w, cls):
-    """d_w(C) = (l(w) + l(eta(w)) - def(C) - l(C)) / 2.
+def element_part(w):
+    """l(w) + l(eta(w)), the part of the virtual dimension that is w's alone."""
+    return w.length + _eta(w).eta.length
 
-    The equivalent Newton-point form (l(w) + l(eta(w)) - def)/2 - <rho, nu>
-    is computed alongside and must agree.  A non-integral half is surfaced
-    as an error carrying the exact rational, never rounded.
-    """
-    _, rho_nu = _validate_class(w.datum, cls)
-    eta = _eta(w).eta
-    num = w.length + eta.length - cls.defect - cls.length
-    d_b = Fraction(w.length + eta.length - cls.defect, 2) - rho_nu
-    if d_b != Fraction(num, 2):
-        raise InternalAssertion("the two virtual-dimension forms disagree")
-    if num % 2 != 0:
+
+def virtual_dimension(w, cls):
+    """d_w(C) = (l(w) + l(eta(w)) - def(C) - l(C)) / 2 in integers: the
+    element part minus the class part, halved.  The Newton-point form
+    (l(w) + l(eta(w)) - def)/2 - <rho, nu_bar> agrees, as _validate_class
+    checks once per class.  A non-integral half is surfaced as an error
+    carrying the exact rational, never rounded."""
+    _validate_class(w.datum, cls)
+    num = element_part(w) - cls.defect - cls.length
+    if num % 2:
         raise NonIntegralHalf(Fraction(num, 2))
     return num // 2
 
@@ -295,7 +297,7 @@ def dim_profile(w, budget=None):
 def dim_X_flag(w, cls, budget=None):
     """Dimension of the flag cell intersection for (w, straight class):
     the class's entry of dim_profile(w), Empty when absent."""
-    cid, _ = _validate_class(w.datum, cls)
+    cid = _validate_class(w.datum, cls)
     dim = dim_profile(w, budget).get(cid)
     return EMPTY if dim is None else DimValue(dim)
 
@@ -442,8 +444,8 @@ def save_cache(datum, directory):
     path = _cache_path(datum, directory)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
+        with open(tmp, "w", encoding="utf-8") as fh:  # one dumps call: the C encoder
+            fh.write(json.dumps(payload, separators=(",", ":")))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -543,6 +545,6 @@ def grass_fibration_max(datum, mu, cls, budget=None):
     mu = tuple(int(x) for x in mu)
     if not datum.is_dominant(mu):
         raise NotDominant(f"{mu} is not dominant")
-    cid, _ = _validate_class(datum, cls)
+    cid = _validate_class(datum, cls)
     dim = _coset_max(datum, mu, budget).get(cid)
     return EMPTY if dim is None else DimValue(dim - longest_element(datum).length)

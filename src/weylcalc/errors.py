@@ -34,14 +34,14 @@ class ExplorationBudgetExceeded(WeylcalcError):
 
     Every raiser (a search of the kernel in weylcalc.search, and the
     oracle's Cayley ball) sets `what` (the search's name), `held` (the
-    elements it held) and `budget`.
+    elements it held) and `budget`.  A kernel search also sets `start`, the
+    element it began from (descend's original start, closure's first seed);
+    the Cayley ball leaves it None.
     """
 
-    def __init__(self, message, what=None, held=None, budget=None):
+    def __init__(self, message, what=None, held=None, budget=None, start=None):
         super().__init__(message)
-        self.what = what
-        self.held = held
-        self.budget = budget
+        self.what, self.held, self.budget, self.start = what, held, budget, start
 
 
 class InfinitePi1(WeylcalcError):

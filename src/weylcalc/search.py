@@ -3,8 +3,8 @@
 Elements need `.key` (hashable, totally ordered) and `.length`; `moves(v)`
 lazily yields `(label, v2)` in a fixed order and is consumed only as far as
 the search needs.  Budget rule: a search raises ExplorationBudgetExceeded,
-naming itself, once it holds more than `budget` elements (None means
-DEFAULT_BUDGET); `descend` counts the elements of every level it explores.
+naming itself and its start, once it holds more than `budget` elements
+(None means DEFAULT_BUDGET); `descend` counts the elements of all its levels.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ def right_moves(gens):
     return lambda v: ((label, v * s) for label, s in gens)
 
 
-def _check(held, budget, what):
+def _check(held, budget, what, start):
     if held > budget:
-        raise ExplorationBudgetExceeded(
-            f"{what} exceeded its budget of {budget} elements", what=what, held=held, budget=budget
-        )
+        raise ExplorationBudgetExceeded(f"{what} exceeded its budget of {budget} elements",
+                                        what=what, held=held, budget=budget, start=start)
 
 
 def closure(seeds, moves, budget, what, keep=None):
@@ -33,18 +32,19 @@ def closure(seeds, moves, budget, what, keep=None):
     elements `keep` accepts; {key: element} in discovery order."""
     budget = DEFAULT_BUDGET if budget is None else budget
     elts = {w.key: w for w in seeds}
-    _check(len(elts), budget, what)
     queue = list(elts.values())
+    start = queue[0] if queue else None
+    _check(len(elts), budget, what, start)
     for v in queue:
         for _, v2 in moves(v):
             if v2.key not in elts and (keep is None or keep(v2)):
                 elts[v2.key] = v2
                 queue.append(v2)
-                _check(len(elts), budget, what)
+                _check(len(elts), budget, what, start)
     return elts
 
 
-def explore_level(start, moves, budget, what, want=1, held=0):
+def explore_level(start, moves, budget, what, want=1, held=0, origin=None):
     """Explore the length level of `start`, smallest key first, until `want`
     moves to strictly shorter elements are found.
 
@@ -52,14 +52,16 @@ def explore_level(start, moves, budget, what, want=1, held=0):
     via), via being the move (parent key, label) that first reached it, None
     for `start`.  `descents` holds up to `want` triples (v, label, v2) with
     l(v2) < l(start); it is empty only if the whole level was explored.
-    `held` counts what the caller already holds against `budget`.
+    `held` counts what the caller already holds against `budget`, and
+    `origin` is the element the caller's search began from (default `start`).
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     lcur = start.length
     level = {start.key: (start, None)}
     heap = [start.key]
     descents = []
-    _check(held + 1, budget, what)
+    origin = start if origin is None else origin
+    _check(held + 1, budget, what, origin)
     while heap:
         k = heapq.heappop(heap)
         v = level[k][0]
@@ -71,7 +73,7 @@ def explore_level(start, moves, budget, what, want=1, held=0):
             elif v2.length == lcur and v2.key not in level:
                 level[v2.key] = (v2, (k, label))
                 heapq.heappush(heap, v2.key)
-                _check(held + len(level), budget, what)
+                _check(held + len(level), budget, what, origin)
     return level, descents
 
 
@@ -82,7 +84,7 @@ def descend(start, moves, budget, what):
     descent."""
     steps, held, current = [], 0, start
     while True:
-        level, descents = explore_level(current, moves, budget, what, held=held)
+        level, descents = explore_level(current, moves, budget, what, held=held, origin=start)
         if not descents:
             return current, steps
         held += len(level)

@@ -1,9 +1,20 @@
-"""A budget overrun carries the search's name, what it held and its budget."""
+"""A budget overrun carries the search's name, what it held, its budget and,
+for a search of the kernel, the element it began from."""
 
 import pytest
 
-from weylcalc import build_root_datum, cayley_ball, from_parts, reduce_to_min
+from weylcalc import (
+    build_root_datum,
+    cayley_ball,
+    from_parts,
+    length_ball,
+    omega_elements,
+    reduce_to_min,
+)
+from weylcalc.classes import shift_moves
+from weylcalc.dims import _shift_descents
 from weylcalc.errors import ExplorationBudgetExceeded
+from weylcalc.search import explore_level
 
 
 def test_overrun_carries_its_numbers():
@@ -30,3 +41,31 @@ def test_cayley_ball_overrun_carries_its_numbers(name, radius, cap, held):
     exc = info.value
     assert (exc.what, exc.held, exc.budget) == ("Cayley ball", held, cap)
     assert str(exc) == f"Cayley ball exceeded {cap} nodes"
+
+
+def test_a_kernel_overrun_carries_its_start():
+    datum = build_root_datum("PGL2")
+    w = from_parts(datum, (3,), [])
+    with pytest.raises(ExplorationBudgetExceeded) as info:
+        _shift_descents(w, budget=1)
+    assert info.value.start is w
+    # the length ball's first seed: the first length-zero element, the identity
+    with pytest.raises(ExplorationBudgetExceeded) as info:
+        length_ball(datum, 3, budget=2)
+    assert info.value.start.key == omega_elements(datum)[0].key
+    assert info.value.start.is_identity
+    with pytest.raises(ExplorationBudgetExceeded) as info:
+        cayley_ball(datum, 0, cap=1)
+    assert info.value.start is None
+
+
+def test_a_descent_overrun_carries_its_original_start():
+    # w's own level finds a descent within the budget; the next level down
+    # overruns it, and the start is still w
+    w = from_parts(build_root_datum("SL3"), (0, 0), [0, 1, 0])
+    explore_level(w, shift_moves(w.datum), 1, "cyclic-shift search")
+    with pytest.raises(ExplorationBudgetExceeded) as info:
+        reduce_to_min(w, budget=1)
+    exc = info.value
+    assert exc.held == 2 and exc.start is w
+    assert str(exc) == "cyclic-shift search exceeded its budget of 1 elements"

@@ -1,6 +1,7 @@
 """Dimension profiles: one reduction recursion per element for every class,
-the per-element eta memo, the persisted profile memo (format 2), and table
-output frozen from the per-(element, class) recursion that preceded them."""
+the per-element eta memo, the persisted profile memo (format 2), table
+output frozen from the per-(element, class) recursion and row writer that
+preceded them, and table rows built from per-element and per-class parts."""
 
 import hashlib
 import json
@@ -23,8 +24,12 @@ from weylcalc import (
 )
 from weylcalc import dims
 from weylcalc.classes import _class_of_straight, ux_decompose
-from weylcalc.cli import main
+from weylcalc.affweyl import eta_decomposition
+from weylcalc.cli import UsageError, emit_table, main
 from weylcalc.dims import _dim_cache, _shift_witnesses, dim_max, dim_profile, load_cache, save_cache
+from weylcalc.linalg import format_fraction
+from weylcalc.memo import memo
+from weylcalc.rootdata import PRESETS
 
 # SHA-256 of `weylcalc table --format csv` for (group, --max-length,
 # --class-length), generated by the per-(element, class) recursion.
@@ -34,6 +39,44 @@ FROZEN_TABLES = [
     ("Sp4", 5, 4, "3719a093c1965c6871561aace6df4806fa1af742b58abede6aeff99cc67a5e8d"),
     ("PGL3", 6, 3, "37a1871c32fc250a43753aca7e77abf0b719894047c8d157763c3b18ae72e48c"),
 ]
+
+
+# SHA-256 of `weylcalc table --format json` for the same triples, generated by
+# the per-(element, class) table writer, which printed the whole document
+# with json.dumps(indent=2, sort_keys=True).
+FROZEN_JSON_TABLES = [
+    ("PGL2", 8, 4, "259a30444d4e8d6abea58aa173f40c0621797c91c91a3f248d7a2abb3a1e43e7"),
+    ("SL3", 6, 4, "a6fce6df19150c9efedf8c6b5fc9de35ad6e7d019ae7dcc4021b7c3f96d0c21c"),
+    ("Sp4", 5, 4, "88b3afc74836299a1b1f588a28a6eccf5cb881c9255e3fa99972d79c636d3bd7"),
+    ("PGL3", 6, 3, "a7db160942d7aa508f37f7ff8ff0e7a37cadfbbc7294f6daba52bf8c3fadb312"),
+]
+
+
+def _table_digests(tmp_path, group, max_length, class_length, fmt):
+    """SHA-256 of the cold and the warm table, sharing one cache directory."""
+    digests = []
+    for phase in ("cold", "warm"):
+        out = tmp_path / f"{phase}.{fmt}"
+        code = main(
+            [
+                "table",
+                "--group", group,
+                "--max-length", str(max_length),
+                "--class-length", str(class_length),
+                "--format", fmt,
+                "--out", str(out),
+                "--cache-dir", str(tmp_path / "cache"),
+            ]
+        )
+        assert code == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    return digests
+
+
+@pytest.mark.parametrize("group,max_length,class_length,digest", FROZEN_JSON_TABLES)
+def test_json_table_output_matches_frozen_digest(tmp_path, capsys, group, max_length, class_length, digest):
+    assert _table_digests(tmp_path, group, max_length, class_length, "json") == [digest, digest]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("group,max_length,class_length,digest", FROZEN_TABLES)
@@ -137,6 +180,98 @@ def test_eta_memoised_per_element(monkeypatch):
         except NonIntegralHalf:
             pass
     assert calls == [w.key]
+
+
+def _reference_virtual_dim(w, cls):
+    """(l(w) + l(eta(w)) - def - l(C)) / 2, None when that is not an integer."""
+    num = w.length + eta_decomposition(w).eta.length - cls.defect - cls.length
+    return None if num % 2 else num // 2
+
+
+def _table_rows(text, fmt):
+    """(lambda, word, kappa, nu, virtual_dim) of every row of a printed table."""
+    if fmt == "json":
+        return [(r["lambda"], r["word"], r["kappa"], r["nu"], r["virtual_dim"])
+                for r in json.loads(text)["rows"]]
+    rows = []
+    for line in text.splitlines()[1:]:
+        lam, word, _, kappa, nu, _, _, vd = line.split(";")
+        ints = [[int(x) for x in field.split("|") if x] for field in (lam, word, kappa)]
+        rows.append((*ints, nu.split("|"), int(vd) if vd else None))
+    return rows
+
+
+def test_table_virtual_dim_column_matches_the_formula(capsys):
+    odd = 0
+    for group in PRESETS:
+        datum = build_root_datum(group)
+        classes = {
+            (tuple(c.kappa), tuple(format_fraction(x) for x in c.nu_bar)): c
+            for c in enumerate_straight_classes(datum, 4)
+        }
+        for fmt in ("json", "csv"):
+            argv = ["table", "--group", group, "--max-length", "3", "--class-length", "4"]
+            assert main([*argv, "--format", fmt]) == 0
+            rows = _table_rows(capsys.readouterr().out, fmt)
+            assert len(rows) == len(length_ball(datum, 3)) * len(classes)
+            for lam, word, kappa, nu, vd in rows:
+                w = from_parts(datum, lam, [i - 1 for i in word])
+                cls = classes[tuple(kappa), tuple(nu)]
+                assert vd == _reference_virtual_dim(w, cls), (group, fmt, w, cls)
+                odd += vd is None
+    assert odd > 0  # an odd numerator prints as an empty field or null
+
+
+def test_table_computes_each_part_once(monkeypatch, capsys):
+    datum = build_root_datum("SL3")
+    classes = enumerate_straight_classes(datum, 4)
+    ball = length_ball(datum, 4)
+    etas = []
+    original = dims.eta_decomposition
+
+    def counting(w):
+        etas.append(w.key)
+        return original(w)
+
+    def per_pair(w, cls):
+        raise AssertionError("the table called virtual_dimension")
+
+    monkeypatch.setattr(dims, "eta_decomposition", counting)
+    monkeypatch.setattr(dims, "virtual_dimension", per_pair)
+    facts = memo(datum, "class_facts")
+    emit_table(datum, 4, classes, fmt="csv")
+    assert (facts.misses, facts.hits) == (len(classes), 0)
+    assert sorted(etas) == sorted(w.key for w in ball)
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(ball) * len(classes)
+
+
+def test_a_wrong_rho_fails_the_newton_form_check(tmp_path):
+    """<rho, nu_bar> = l(C)/2 is checked with the class facts; a datum whose
+    rho is wrong (2 rho intact, so the length check passes) is refused by the
+    virtual dimension and by the table."""
+    datum = build_root_datum("SL3")
+    classes = enumerate_straight_classes(datum, 4)
+    cls = next(c for c in classes if c.length > 0)
+    w = from_parts(datum, (1, 0), [0])
+    datum.rho = tuple(x + 1 for x in datum.rho)
+    for query in (
+        lambda: virtual_dimension(w, cls),
+        lambda: emit_table(datum, 2, classes, fmt="csv", out=str(tmp_path / "t.csv")),
+    ):
+        with pytest.raises(InternalAssertion, match="the two virtual-dimension forms disagree"):
+            query()
+
+
+def test_a_bad_table_format_is_refused_before_any_work(monkeypatch):
+    datum = build_root_datum("SL3")
+    classes = enumerate_straight_classes(datum, 4)
+
+    def no_profile(w, budget=None):
+        raise AssertionError("dim_profile ran before the format was checked")
+
+    monkeypatch.setattr(dims, "dim_profile", no_profile)
+    with pytest.raises(UsageError, match="unknown table format 'xml'"):
+        emit_table(datum, 4, classes, fmt="xml")
 
 
 def test_census_memoised_per_datum(sl3):
