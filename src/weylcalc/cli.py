@@ -353,42 +353,16 @@ def cmd_dim(args):
     return _emit(doc, started)
 
 
-def _nested(value):
-    """A value as json.dumps(indent=2) prints it three levels deep."""
-    return json.dumps(value, indent=2).replace("\n", "\n      ")
-
-
-def _csv_row(lam, word, length, kappa, nu, dim, vd):
-    dim = "false;" if dim is None else f"true;{dim}"
-    return f"{lam};{word};{length};{kappa};{nu};{dim};{'' if vd is None else vd}"
-
-
-def _json_row(lam, word, length, kappa, nu, dim, vd):
-    """A row as json.dumps(indent=2, sort_keys=True) prints it in the table."""
-    dim, nonempty = ("null", "false") if dim is None else (dim, "true")
-    return (
-        f'    {{\n      "dim": {dim},\n      "kappa": {kappa},\n      "lambda": {lam},\n'
-        f'      "length": {length},\n      "nonempty": {nonempty},\n      "nu": {nu},\n'
-        f'      "virtual_dim": {"null" if vd is None else vd},\n      "word": {word}\n    }}'
-    )
-
-
-_TABLE_FORMATS = {  # format -> (list printer, row printer)
-    "csv": (lambda values: "|".join(map(str, values)), _csv_row),
-    "json": (_nested, _json_row),
-}
-
-
 def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None):
     """Tabulate (w, class) -> (nonempty, dim, virtual dim) over the length
     ball.  Deterministic row order; output carries no timing so repeated
     runs are byte-identical.  Each class's part (profile id, def + l,
     printed kappa and nu) and each element's (profile, l(w) + l(eta(w)),
     printed lambda, word and length) is computed once; a row takes only
-    their difference, halved when even, and a string join."""
-    if fmt not in _TABLE_FORMATS:
+    their difference, halved when even."""
+    if fmt not in ("csv", "json"):
         raise UsageError(f"unknown table format {fmt!r}")
-    show, row = _TABLE_FORMATS[fmt]
+    show = (lambda values: "|".join(map(str, values))) if fmt == "csv" else list
     columns = [
         (dims._validate_class(datum, cls), cls.defect + cls.length, show(cls.kappa),
          show([format_fraction(x) for x in cls.nu_bar]))
@@ -399,14 +373,19 @@ def emit_table(datum, max_length, classes, fmt="json", out=None, budget=None):
         profile, part = dims.dim_profile(w, budget), dims.element_part(w)
         lam, word, length = show(w.lam), show(_letters(w.fw)), w.length
         for cid, cpart, kappa, nu in columns:
-            num = part - cpart
-            rows.append(row(lam, word, length, kappa, nu, profile.get(cid), None if num % 2 else num // 2))
+            dim, num = profile.get(cid), part - cpart
+            vd = None if num % 2 else num // 2
+            if fmt == "csv":
+                dim = "false;" if dim is None else f"true;{dim}"
+                rows.append(f"{lam};{word};{length};{kappa};{nu};{dim};{'' if vd is None else vd}\n")
+            else:
+                rows.append({"lambda": lam, "word": word, "length": length, "kappa": kappa, "nu": nu,
+                             "nonempty": dim is not None, "dim": dim, "virtual_dim": vd})
     if fmt == "csv":
-        text = "".join(f"{r}\n" for r in ["lambda;word;length;kappa;nu;nonempty;dim;virtual_dim", *rows])
+        text = "lambda;word;length;kappa;nu;nonempty;dim;virtual_dim\n" + "".join(rows)
     else:
-        body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        text = (f'{{\n  "group": {json.dumps(datum.name)},\n'
-                f'  "max_length": {json.dumps(max_length)},\n  "rows": {body}\n}}\n')
+        doc = {"group": datum.name, "max_length": max_length, "rows": rows}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
