@@ -412,6 +412,17 @@ def eta_decomposition(w):
     return EtaDecomposition(x=x, mu=mu, y=y, eta=y * x)
 
 
+def require_finite_pi1(datum):
+    """The order of X / Z<coroots>; refuses an infinite quotient."""
+    order = datum.pi1_order()
+    if order is None:
+        raise InfinitePi1(
+            "X / Z<coroots> is infinite (central directions present); "
+            "length-zero elements cannot be enumerated"
+        )
+    return order
+
+
 @memoised("omega")
 def omega_elements(datum):
     """One length-zero element per class of X / Z<coroots>.
@@ -420,12 +431,7 @@ def omega_elements(datum):
     t^lam u length zero; it is found by an exact linear solve against the
     simple roots and kept when integral.  Refuses infinite quotients.
     """
-    order = datum.pi1_order()
-    if order is None:
-        raise InfinitePi1(
-            "X / Z<coroots> is infinite (central directions present); "
-            "length-zero elements cannot be enumerated"
-        )
+    order = require_finite_pi1(datum)
     found = []
     for u in enumerate_w0(datum):
         # l(t^lam u) = 0 forces <alpha_i, lam> = 0 or 1 according to the

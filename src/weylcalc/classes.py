@@ -6,6 +6,15 @@ shifts, the decomposition of a minimal-length element as (finite part u) x
 conjugacy classes keyed by (kappa, dominant Newton point), and the alcove
 sign test for Levi compatibility.
 
+The census of straight classes builds no length ball.  Straight classes
+are in bijection with B(G) (He, Ann. of Math. 179, 2014), and B(G) with
+the pairs (J, lam mod Z<alpha_j^vee : j in J>) whose nu = pr_J(lam) is
+dominant and positive off J (Kottwitz, Compositio Math. 109, 1997).  The
+census walks those pairs in integers, by the simple pairings of lam, and
+reads each class off the length-zero element of the Levi M_J's extended
+affine Weyl group in the coset of t^lam; resolve_class walks only the J of
+the nu_bar it is given.  length_ball still enumerates elements.
+
 All searches run on the kernel in weylcalc.search and are deterministic:
 levels are explored smallest canonical key first and generators in label
 order, so reported witnesses and paths are reproducible.  Every search is
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .affweyl import (
@@ -27,11 +37,13 @@ from .affweyl import (
     left_descents,
     low_shifts,
     omega_elements,
+    require_finite_pi1,
     right_ascents,
     right_move,
     simple_reflections,
 )
 from .errors import DecompositionNotFound, InternalAssertion, NotMinimal, UnknownClass
+from .finiteweyl import enumerate_w0
 from .memo import memo, memoised
 from .search import closure, descend, right_moves
 
@@ -62,6 +74,13 @@ class StraightClass:
     @property
     def pair_key(self):
         return (self.kappa, self.nu_bar)
+
+    @cached_property
+    def facts_key(self):
+        """(kappa, nu_bar as (numerator, denominator) pairs, length) in
+        ints, built once per class: a key that hashes no Fraction."""
+        nu = tuple((x.numerator, x.denominator) for x in self.nu_bar)
+        return self.kappa, nu, self.length
 
     def to_json(self):
         return {
@@ -263,33 +282,165 @@ def length_ball(datum, max_len, budget=None):
     return tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
 
 
+@memoised("levis")
+def _levis(datum):
+    """What the census needs of each standard Levi M_J, once per datum and
+    in integers, together with (n, d) such that R^-1 = n / d for R the
+    matrix of simple roots, so that lam = R^-1 p recovers a coweight from
+    its simple pairings p.
+
+    The Levis are indexed by the bit mask of J.  Each is (J, K, weights,
+    den, cosets) with K = S \\ J, weights the <2 rho, omega_k^vee> for k in
+    K (the coefficients of 2 rho in the simple roots), den the least d
+    making d A_JJ^-1 integral, A the Cartan matrix, and cosets one
+    (u, p_J, shift) per finite part u of a length-zero element t^lam' u of
+    M_J's extended affine Weyl group: p_J = (<alpha_j, lam'>)_j =
+    ([u^-1 alpha_j < 0])_j and shift = den A_KJ A_JJ^-1 p_J.  Then nu =
+    pr_J(lam') pairs to (den p_K - shift) / den with (alpha_k)_k.  The p_J
+    run over Z^J / A_JJ Z^J, one per residue, which is checked against the
+    Smith form of A_JJ.
+    """
+    require_finite_pi1(datum)
+    n, cartan, coeffs = datum.n_simple, datum.cartan, datum.pos_coeffs
+    supports = [frozenset(j for j, c in enumerate(coeff) if c) for coeff in coeffs]
+    simple_pos = [datum.pos_roots.index(alpha) for alpha in datum.simple_roots]
+    weights = tuple(map(sum, zip(*coeffs)))
+    # u lies in W_J iff the roots it makes negative lie in Phi_J
+    w0 = [
+        (u, frozenset().union(*(s for s, neg in zip(supports, u.neg_mask) if neg)))
+        for u in enumerate_w0(datum)
+    ]
+    levis = []
+    for mask in range(1 << n):
+        J = tuple(i for i in range(n) if mask >> i & 1)
+        K = tuple(i for i in range(n) if not mask >> i & 1)
+        j_set = frozenset(J)
+        a_jj = tuple(tuple(cartan[i][j] for j in J) for i in J)
+        a_kj = tuple(tuple(cartan[k][j] for j in J) for k in K)
+        inv, den, index = linalg.scaled_inverse(a_jj)
+        # (position, coefficients on J) of each root of Phi_J^+
+        phi_j = [(k, [coeffs[k][j] for j in J]) for k, s in enumerate(supports) if s <= j_set]
+        cosets = []
+        for u, supp in w0:
+            if not supp <= j_set:
+                continue
+            neg = u.neg_mask
+            p_j = tuple(int(neg[simple_pos[j]]) for j in J)
+            # l_J(t^lam' u) = 0 iff <beta, lam'> = [u^-1 beta < 0] on Phi_J^+
+            if all(linalg.vec_dot(c, p_j) == neg[k] for k, c in phi_j):
+                cosets.append((u, p_j, linalg.mat_vec(a_kj, linalg.mat_vec(inv, p_j))))
+        if len(cosets) != index:
+            raise InternalAssertion(f"length-zero elements of the Levi {J} miss a residue")
+        levis.append((J, K, tuple(weights[k] for k in K), den, tuple(cosets)))
+    return tuple(levis), linalg.scaled_inverse(datum.simple_roots)[:2]
+
+
+def _under(steps, room):
+    """Every nonnegative integer vector x with sum steps[i] x[i] <= room."""
+    if room < 0:
+        return
+    if not steps:
+        yield ()
+        return
+    for x in range(room // steps[0] + 1):
+        for rest in _under(steps[1:], room - steps[0] * x):
+            yield (x,) + rest
+
+
+def coweight(datum, p):
+    """The integral coweight with simple pairings p, or None.  The pairings
+    determine it only when X / Z<coroots> is finite, else InfinitePi1."""
+    rinv, den = _levis(datum)[1]
+    num = linalg.mat_vec(rinv, p)
+    if any(x % den for x in num):
+        return None
+    return tuple(x // den for x in num)
+
+
+@memoised("levi_classes", key=lambda w, budget=None: w.key)
+def _class_of_levi_rep(w, budget=None):
+    """The class of a length-zero element w of a Levi's extended affine Weyl
+    group, whose Newton point is dominant.  w is straight unless some
+    <beta, lam'>, beta in Phi^+ \\ Phi_J, is negative (one class each on G2
+    and B3 among the tested data); then its reduce_to_min, under budget, is
+    the straight representative."""
+    if not is_straight(w):
+        w = reduce_to_min(w, budget).w_min
+    return _class_of_straight(w)
+
+
 @memoised("straight_classes", key=lambda datum, max_len, budget=None: max_len)
 def enumerate_straight_classes(datum, max_len, budget=None):
     """All straight conjugacy classes with a representative of length
-    <= max_len, sorted by (length, nu_bar, kappa)."""
-    groups = {}
-    for w in length_ball(datum, max_len, budget):
-        if not is_straight(w):
-            continue
-        key = class_key(w)
-        if key in groups:
-            if defect_of(w) != groups[key].defect:
-                raise InternalAssertion("defect is not constant on a straight class")
-        else:
-            groups[key] = _class_of_straight(w)
-    return tuple(sorted(groups.values(), key=lambda c: (c.length, c.nu_bar, c.kappa)))
+    <= max_len, sorted by (length, nu_bar, kappa).
+
+    Built from Kottwitz's classification of B(G), with no length ball: one
+    class per J and lam mod Z<alpha_j^vee : j in J> whose nu = pr_J(lam) has
+    <alpha_k, nu> > 0 for k not in J and <2 rho, nu> <= max_len.  lam is
+    walked by its simple pairings p, with p_J one per residue mod A_JJ Z^J
+    and p_K bounded through the weights <2 rho, omega_k^vee>, and the class
+    is read off the length-zero element of M_J's extended affine Weyl group
+    in the coset of t^lam (_class_of_levi_rep).  budget bounds only the
+    reduce_to_min that a non-straight such element needs.
+    """
+    levis = _levis(datum)[0]
+    classes = []
+    for J, K, weights, den, cosets in levis:
+        steps = [den * c for c in weights]
+        zeros = (0,) * len(J)
+        for u, p_j, shift in cosets:
+            # the least p_k with <alpha_k, nu> > 0, and what is left of
+            # den * max_len once every <alpha_k, nu> takes it
+            lows = [s // den + 1 for s in shift]
+            room = den * max_len - sum(c * (den * lo - s) for c, lo, s in zip(weights, lows, shift))
+            for extra in _under(steps, room):
+                p_k = [lo + x for lo, x in zip(lows, extra)]
+                lam = coweight(datum, _spread(J, p_j, K, p_k))
+                if lam is None:
+                    continue
+                cls = _class_of_levi_rep(AffineWeylElt._from_ints(datum, lam, u), budget)
+                nu = [Fraction(den * x - s, den) for x, s in zip(p_k, shift)]
+                if linalg.mat_vec(datum.simple_roots, cls.nu_bar) != _spread(J, zeros, K, nu):
+                    raise InternalAssertion("the Levi representative has the wrong Newton point")
+                classes.append(cls)
+    return tuple(sorted(classes, key=lambda c: (c.length, c.nu_bar, c.kappa)))
+
+
+def _spread(J, on_j, K, on_k):
+    """The vector indexed by the simple roots with the given entries on J and K."""
+    out = [0] * (len(J) + len(K))
+    for i, x in zip(J + K, (*on_j, *on_k)):
+        out[i] = x
+    return tuple(out)
 
 
 def resolve_class(datum, kappa, nu_bar):
-    """StraightClass with the given invariants, or UnknownClass."""
+    """StraightClass with the given invariants, or UnknownClass.
+
+    Only the Levi M_J of nu_bar is searched, J being where <alpha_j, nu_bar>
+    vanishes.  lam is tried once per residue p_J of J: its pairings on K are
+    those of nu_bar plus shift / den, and it must be integral with
+    kappa(lam) = kappa.
+    """
     kappa = tuple(int(x) for x in kappa)
     nu_bar = datum.dominant_rep(nu_bar)
     length = linalg.vec_dot(datum.two_rho, nu_bar)
     if Fraction(length).denominator != 1 or length < 0:
         raise UnknownClass(f"<2 rho, nu> = {length} is not a nonnegative integer")
-    for cls in enumerate_straight_classes(datum, int(length)):
-        if cls.kappa == kappa and cls.nu_bar == nu_bar:
-            return cls
+    levis = _levis(datum)[0]
+    pairings = [Fraction(x) for x in linalg.mat_vec(datum.simple_roots, nu_bar)]
+    J, K, _, den, cosets = levis[sum(1 << i for i, x in enumerate(pairings) if x == 0)]
+    for u, p_j, shift in cosets:
+        p_k = [pairings[k] + Fraction(s, den) for k, s in zip(K, shift)]
+        if any(x.denominator != 1 for x in p_k):
+            continue
+        lam = coweight(datum, _spread(J, p_j, K, [int(x) for x in p_k]))
+        if lam is None or datum.kappa_class(lam) != kappa:
+            continue
+        cls = _class_of_levi_rep(AffineWeylElt._from_ints(datum, lam, u))
+        if cls.pair_key != (kappa, nu_bar):
+            raise InternalAssertion("the Levi representative lies in another class")
+        return cls
     raise UnknownClass(
         f"no straight class with kappa={list(kappa)}, nu={[str(x) for x in nu_bar]}"
     )

@@ -138,12 +138,13 @@ def _validate_class(datum, cls):
     form of virtual_dimension) and return the profile id DimCache.class_id.
 
     These facts depend on the class alone, so they are memoised per datum
-    in the class_facts table, keyed by (kappa, nu_bar, length): class
-    equality ignores the length, and a class carrying a wrong length must
-    still be refused.  A class that no profile meets reads as Empty.
+    in the class_facts table, keyed by the integral StraightClass.facts_key
+    (kappa, nu_bar, length): class equality ignores the length, and a class
+    carrying a wrong length must still be refused.  A class that no profile
+    meets reads as Empty.
     """
     cache = _dim_cache(datum)  # first: a new profile table clears the facts
-    facts, key = memo(datum, "class_facts"), (cls.kappa, cls.nu_bar, cls.length)
+    facts, key = memo(datum, "class_facts"), cls.facts_key
     cid = facts.get(key)
     if cid is None:
         ell = linalg.vec_dot(datum.two_rho, cls.nu_bar)

@@ -7,6 +7,7 @@ Matrices are tuples of row tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import add, mul, neg
 
 
@@ -115,31 +116,17 @@ def solve_rational(a, b):
     return tuple(x)
 
 
-def invert_rational(m):
-    """Exact inverse of a square matrix over Q, or None if singular."""
-    n = len(m)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    pivots = _rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def invert_unimodular(m):
     """Inverse of an integer matrix that must be invertible over Z.
 
     Returns an integer matrix, or None if m is singular or the inverse is
     not integral.
     """
-    inv = invert_rational(m)
-    if inv is None:
+    try:
+        inv, d, _ = scaled_inverse(m)
+    except ValueError:
         return None
-    if any(x.denominator != 1 for row in inv for x in row):
-        return None
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return inv if d == 1 else None
 
 
 def is_positive_definite(sym):
@@ -255,6 +242,20 @@ def smith_normal_form(a):
         tuple(tuple(row) for row in d),
         tuple(tuple(row) for row in v),
     )
+
+
+def scaled_inverse(m):
+    """(n, d, index) for a nonsingular square integer matrix m, in integers:
+    m^-1 = n / d with d the least such positive integer, and index =
+    |det m| = |Z^k / m Z^k|.  From the Smith form u m v = diag(d_1 | ... |
+    d_k): m^-1 = v diag(1/d_i) u, so d = d_k and n = v diag(d_k / d_i) u."""
+    u, diag, v = smith_normal_form(m)
+    factors = [diag[i][i] for i in range(len(m))]
+    if 0 in factors:
+        raise ValueError("matrix is singular")
+    d = factors[-1] if factors else 1
+    scaled = [[x * (d // f) for x in row] for row, f in zip(u, factors)]
+    return mat_mul(v, scaled), d, prod(factors)
 
 
 def parse_fraction(value):

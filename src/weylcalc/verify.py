@@ -12,6 +12,7 @@ from . import linalg
 from .affweyl import class_key, is_straight, newton_point
 from .classes import (
     approx_closure,
+    coweight,
     enumerate_straight_classes,
     length_ball,
     p_alcove_test,
@@ -165,16 +166,12 @@ def verify_dim_bound(datum, max_len=8, class_len=6):
 
 
 def _dominant_box(datum, pairing_cap):
-    """Dominant integral coweights with all simple pairings <= cap, found by
-    scanning an integer coordinate box that surely contains them."""
-    span = pairing_cap + 1
-    out = []
-    for coords in itertools.product(range(-4 * span, 4 * span + 1), repeat=datum.rank):
-        if datum.is_dominant(coords) and all(
-            linalg.vec_dot(a, coords) <= pairing_cap for a in datum.simple_roots
-        ):
-            out.append(tuple(coords))
-    return sorted(out)
+    """Dominant integral coweights with all simple pairings <= cap, sorted:
+    mu runs over the pairings 0 <= <alpha_i, mu> <= cap, which determine it
+    when X / Z<coroots> is finite, and is kept when integral."""
+    pairings = itertools.product(range(pairing_cap + 1), repeat=datum.n_simple)
+    mus = (coweight(datum, p) for p in pairings)
+    return sorted(mu for mu in mus if mu is not None)
 
 
 def _census_by_mu(datum, mus):

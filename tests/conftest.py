@@ -36,3 +36,26 @@ def a2_twisted():
 @pytest.fixture(scope="session")
 def a3_twisted():
     return build_root_datum("A3-twisted")
+
+
+# Simply connected groups beyond the presets, given by their Cartan
+# matrices A[i][j] = <alpha_i, alpha_j^vee> (Bourbaki numbering).
+CARTAN_MATRICES = {
+    "G2": [[2, -1], [-3, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "SL5": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+}
+
+
+def cartan_config(name):
+    """The config of CARTAN_MATRICES[name]: the Cartan matrix as the simple
+    roots and the identity as the coroots, so X is the coroot lattice."""
+    cartan = CARTAN_MATRICES[name]
+    n = len(cartan)
+    return {
+        "name": name,
+        "rank": n,
+        "roots": cartan,
+        "coroots": [[int(i == j) for j in range(n)] for i in range(n)],
+    }

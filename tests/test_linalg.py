@@ -1,5 +1,7 @@
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given, strategies as st
 
 from weylcalc import linalg
@@ -66,6 +68,31 @@ def test_smith_normal_form_known():
     # Z^2 / <(2,-1),(-1,2)> is Z/3
     _, d, _ = linalg.smith_normal_form(((2, -1), (-1, 2)))
     assert (d[0][0], d[1][1]) == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "m, d, index",
+    [
+        ((), 1, 1),
+        (((2, 0), (0, 2)), 2, 4),
+        (((2, -1), (-1, 2)), 3, 3),
+        (((2, -1), (-3, 2)), 1, 1),
+        (((2, -1, 0), (-1, 2, -2), (0, -1, 2)), 2, 2),
+        (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 4, 4),
+    ],
+)
+def test_scaled_inverse(m, d, index):
+    n, got_d, got_index = linalg.scaled_inverse(m)
+    assert (got_d, got_index) == (d, index)
+    k = len(m)
+    assert linalg.mat_mul(m, n) == tuple(tuple(d * (i == j) for j in range(k)) for i in range(k))
+    # d is the least denominator of m^-1 = n / d
+    assert lcm(*(Fraction(x, d).denominator for row in n for x in row)) == d
+
+
+def test_scaled_inverse_refuses_a_singular_matrix():
+    with pytest.raises(ValueError):
+        linalg.scaled_inverse(((1, 2), (2, 4)))
 
 
 def test_invert_unimodular():
