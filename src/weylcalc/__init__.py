@@ -50,7 +50,6 @@ from .finiteweyl import (
     supp_delta,
 )
 from .affweyl import (
-    AffineRoot,
     AffineWeylElt,
     EtaDecomposition,
     aw_identity,
@@ -67,7 +66,6 @@ from .affweyl import (
     omega_elements,
     simple_reflections,
     translation,
-    transport_affine_root,
 )
 from .classes import (
     MinimizationResult,

@@ -3,10 +3,9 @@
 An element t^lam * u acts on V = X (x) Q by v -> u(v) + lam.  The base
 alcove is the fundamental one in the dominant chamber, {v : 0 < <alpha, v> <
 1 for all positive roots alpha}, so an affine root (beta, k) is positive on
-it iff k >= [beta < 0].  AffineRoot reads the same sign at an explicit
-interior rational point (datum.alcove_point), and the orientation is
-confirmed by the self-check that every simple reflection, including the
-affine ones t^{theta^vee} s_theta, has length one.
+it iff k >= [beta < 0].  The orientation is confirmed by the self-check that
+every simple reflection, including the affine ones t^{theta^vee} s_theta,
+has length one.
 
 Generator moves never multiply.  A generator s = t^mu sigma has the simple
 affine root a_s = (alpha_i, 0) for a finite s_i and (-theta, 1) for the
@@ -23,6 +22,11 @@ the Iwahori-Matsumoto formula instead.
 
 Newton data are kept in integers: n nu_w = sum_{i<n} u^i(lam) for n the
 order of u is integral, and Fractions are built only when nu is returned.
+
+The length-zero elements of each standard Levi's extended affine Weyl
+group are read off W0 and the Cartan matrix in integers, one J at a time
+(_levi): J = S gives omega_elements, and every J the census of straight
+classes in weylcalc.classes.
 """
 
 from __future__ import annotations
@@ -278,12 +282,6 @@ def right_move(w, label):
     )
 
 
-def shift_move(w, label):
-    """s w s for the generator s labelled label: a left move, then a right one."""
-    step, lam, m = _shift(w, _position(w.datum, label))
-    return AffineWeylElt._from_ints(w.datum, _right_lam(m, lam), m.right, w.length + step)
-
-
 def low_shifts(w):
     """(label, s w s) for every generator s with l(s w s) <= l(w), in label
     order; a shift that raises the length is told by its signs and never
@@ -423,29 +421,75 @@ def require_finite_pi1(datum):
     return order
 
 
+@memoised("levis", key=lambda datum, mask: mask)
+def _levi(datum, mask):
+    """What the census and omega_elements need of the standard Levi M_J, J
+    the set bits of mask, in integers, built on first use of each J.
+
+    (J, K, weights, den, inv, cosets) with K = S \\ J, weights the
+    <2 rho, omega_k^vee> for k in K (the coefficients of 2 rho in the simple
+    roots), inv / den = A_JJ^-1 with den least, A the Cartan matrix, and
+    cosets one (u, p_J, shift) per finite part u of a length-zero element
+    t^lam' u of M_J's extended affine Weyl group: p_J = (<alpha_j, lam'>)_j
+    = ([u^-1 alpha_j < 0])_j and shift = den A_KJ A_JJ^-1 p_J.  Then nu =
+    pr_J(lam') pairs to (den p_K - shift) / den with (alpha_k)_k.  The p_J
+    run over Z^J / A_JJ Z^J, one per residue, which is checked against the
+    Smith form of A_JJ.
+    """
+    require_finite_pi1(datum)
+    n, cartan, coeffs = datum.n_simple, datum.cartan, datum.pos_coeffs
+    J = tuple(i for i in range(n) if mask >> i & 1)
+    K = tuple(i for i in range(n) if not mask >> i & 1)
+    in_j = [all(mask >> j & 1 for j, c in enumerate(coeff) if c) for coeff in coeffs]
+    out_j = [k for k, inside in enumerate(in_j) if not inside]
+    simple_pos = [datum.pos_roots.index(alpha) for alpha in datum.simple_roots]
+    weights = tuple(sum(coeff[k] for coeff in coeffs) for k in K)
+    a_jj = tuple(tuple(cartan[i][j] for j in J) for i in J)
+    a_kj = tuple(tuple(cartan[k][j] for j in J) for k in K)
+    inv, den, index = linalg.scaled_inverse(a_jj)
+    # (position, coefficients on J) of each root of Phi_J^+
+    phi_j = [(k, [coeff[j] for j in J]) for k, coeff in enumerate(coeffs) if in_j[k]]
+    cosets = []
+    for u in enumerate_w0(datum):
+        neg = u.neg_mask
+        # u lies in W_J iff the roots it makes negative lie in Phi_J
+        if any(neg[k] for k in out_j):
+            continue
+        p_j = tuple(int(neg[simple_pos[j]]) for j in J)
+        # l_J(t^lam' u) = 0 iff <beta, lam'> = [u^-1 beta < 0] on Phi_J^+
+        if all(linalg.vec_dot(c, p_j) == neg[k] for k, c in phi_j):
+            cosets.append((u, p_j, linalg.mat_vec(a_kj, linalg.mat_vec(inv, p_j))))
+    if len(cosets) != index:
+        raise InternalAssertion(f"length-zero elements of the Levi {J} miss a residue")
+    return J, K, weights, den, inv, tuple(cosets)
+
+
+def coweight(datum, p):
+    """The integral coweight with simple pairings p, or None.  It is C A^-1 p
+    for C the coroot matrix, with A^-1 read off the J = S Levi.  The pairings
+    determine it only when X / Z<coroots> is finite, else InfinitePi1."""
+    _, _, _, den, inv, _ = _levi(datum, (1 << datum.n_simple) - 1)
+    num = linalg.mat_vec(datum.coroot_matrix, linalg.mat_vec(inv, p))
+    if any(x % den for x in num):
+        return None
+    return tuple(x // den for x in num)
+
+
 @memoised("omega")
 def omega_elements(datum):
-    """One length-zero element per class of X / Z<coroots>.
+    """One length-zero element per class of X / Z<coroots>, sorted by key.
 
-    For each finite part u there is at most one translation part lam making
-    t^lam u length zero; it is found by an exact linear solve against the
-    simple roots and kept when integral.  Refuses infinite quotients.
+    These are the length-zero elements of the J = S Levi, which is the
+    whole group: t^lam u for each coset (u, p) of _levi whose coweight lam
+    with simple pairings p is integral.  Refuses infinite quotients.
     """
     order = require_finite_pi1(datum)
+    *_, cosets = _levi(datum, (1 << datum.n_simple) - 1)
     found = []
-    for u in enumerate_w0(datum):
-        # l(t^lam u) = 0 forces <alpha_i, lam> = 0 or 1 according to the
-        # sign pattern of u^-1 on the simple roots
-        rhs = tuple(
-            1 if u.inv_act_root(datum.simple_roots[i]) in datum._neg_set else 0
-            for i in range(datum.n_simple)
-        )
-        sol = linalg.solve_rational(datum.simple_roots, rhs)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            continue
-        cand = AffineWeylElt(datum, tuple(int(x) for x in sol), u)
-        if cand.length == 0:
-            found.append(cand)
+    for u, p, _ in cosets:
+        lam = coweight(datum, p)
+        if lam is not None:
+            found.append(AffineWeylElt._from_ints(datum, lam, u))
     found.sort(key=lambda w: w.key)
     if len(found) != order:
         raise InternalAssertion(
@@ -455,35 +499,3 @@ def omega_elements(datum):
     if len(kappas) != order:
         raise InternalAssertion("length-zero elements do not biject with the lattice quotient")
     return tuple(found)
-
-
-# -- affine roots ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineRoot:
-    """The affine function v -> <alpha, v> + k."""
-
-    alpha: tuple
-    k: int
-
-    def value_at(self, v):
-        return linalg.vec_dot(self.alpha, v) + self.k
-
-    def is_positive(self, datum):
-        """Positive iff positive on the interior of the base alcove."""
-        val = self.value_at(datum.alcove_point)
-        if val == 0:
-            raise InternalAssertion("affine root vanishes at the alcove sample point")
-        return val > 0
-
-
-def transport_affine_root(g, ar):
-    """The affine function ar o g, for g = t^lam u.
-
-    (ar o g)(v) = <alpha, u(v) + lam> + k, so the root part becomes
-    alpha o M_u and the constant picks up <alpha, lam>.  The alcove sign
-    test applies this with g = w^-1.
-    """
-    beta = linalg.row_mat(ar.alpha, g.fw.matrix)
-    return AffineRoot(beta, ar.k + linalg.vec_dot(ar.alpha, g.lam))

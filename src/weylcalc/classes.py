@@ -30,22 +30,21 @@ from functools import cached_property
 from . import linalg
 from .affweyl import (
     AffineWeylElt,
-    aw_identity,
+    _levi,
     class_key,
+    coweight,
     defect_of,
     is_straight,
     left_descents,
     low_shifts,
     omega_elements,
-    require_finite_pi1,
     right_ascents,
     right_move,
     simple_reflections,
 )
 from .errors import DecompositionNotFound, InternalAssertion, NotMinimal, UnknownClass
-from .finiteweyl import enumerate_w0
 from .memo import memo, memoised
-from .search import closure, descend, right_moves
+from .search import closure, descend
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,6 @@ def _class_of_straight(x):
     return StraightClass(*class_key(x), length=x.length, defect=defect_of(x))
 
 
-def shift_moves(datum):
-    """Cyclic shifts v -> s v s by the simple reflections, in label order,
-    that do not raise the length: the only ones a search by length level
-    uses.  The others are told apart by two root signs and never built."""
-    return low_shifts
-
-
 @memoised("reduce_min", key=lambda w, budget=None: w.key)
 def reduce_to_min(w, budget=None):
     """Minimal-length element of the conjugacy class of w.
@@ -153,7 +145,7 @@ def reduce_to_min(w, budget=None):
     at the first strictly shorter conjugate found.  The returned path records
     every step taken.
     """
-    w_min, steps = descend(w, shift_moves(w.datum), budget, "cyclic-shift search")
+    w_min, steps = descend(w, low_shifts, budget, "cyclic-shift search")
     return MinimizationResult(w_min, tuple(ConjugationStep(*step) for step in steps))
 
 
@@ -162,7 +154,7 @@ def approx_closure(w, budget=None):
     as a list sorted by canonical key."""
     lw = w.length
     elts = closure(
-        [w], shift_moves(w.datum), budget, "shift-class closure", keep=lambda v: v.length == lw
+        [w], low_shifts, budget, "shift-class closure", keep=lambda v: v.length == lw
     )
     return [elts[k] for k in sorted(elts)]
 
@@ -178,14 +170,6 @@ def _spherical_subsets(datum):
             subsets.append(k)
     subsets.sort(key=lambda k: (len(k), k))
     return tuple(subsets)
-
-
-def enumerate_parabolic(datum, labels, cap=100_000):
-    """The finite subgroup generated by the labeled generators."""
-    refl = dict(simple_reflections(datum))
-    gens = [(l, refl[l]) for l in labels]
-    elts = closure([aw_identity(datum)], right_moves(gens), cap, "parabolic subgroup closure")
-    return [elts[k] for k in sorted(elts)]
 
 
 def is_spherical(datum, labels):
@@ -282,59 +266,6 @@ def length_ball(datum, max_len, budget=None):
     return tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
 
 
-@memoised("levis")
-def _levis(datum):
-    """What the census needs of each standard Levi M_J, once per datum and
-    in integers, together with (n, d) such that R^-1 = n / d for R the
-    matrix of simple roots, so that lam = R^-1 p recovers a coweight from
-    its simple pairings p.
-
-    The Levis are indexed by the bit mask of J.  Each is (J, K, weights,
-    den, cosets) with K = S \\ J, weights the <2 rho, omega_k^vee> for k in
-    K (the coefficients of 2 rho in the simple roots), den the least d
-    making d A_JJ^-1 integral, A the Cartan matrix, and cosets one
-    (u, p_J, shift) per finite part u of a length-zero element t^lam' u of
-    M_J's extended affine Weyl group: p_J = (<alpha_j, lam'>)_j =
-    ([u^-1 alpha_j < 0])_j and shift = den A_KJ A_JJ^-1 p_J.  Then nu =
-    pr_J(lam') pairs to (den p_K - shift) / den with (alpha_k)_k.  The p_J
-    run over Z^J / A_JJ Z^J, one per residue, which is checked against the
-    Smith form of A_JJ.
-    """
-    require_finite_pi1(datum)
-    n, cartan, coeffs = datum.n_simple, datum.cartan, datum.pos_coeffs
-    supports = [frozenset(j for j, c in enumerate(coeff) if c) for coeff in coeffs]
-    simple_pos = [datum.pos_roots.index(alpha) for alpha in datum.simple_roots]
-    weights = tuple(map(sum, zip(*coeffs)))
-    # u lies in W_J iff the roots it makes negative lie in Phi_J
-    w0 = [
-        (u, frozenset().union(*(s for s, neg in zip(supports, u.neg_mask) if neg)))
-        for u in enumerate_w0(datum)
-    ]
-    levis = []
-    for mask in range(1 << n):
-        J = tuple(i for i in range(n) if mask >> i & 1)
-        K = tuple(i for i in range(n) if not mask >> i & 1)
-        j_set = frozenset(J)
-        a_jj = tuple(tuple(cartan[i][j] for j in J) for i in J)
-        a_kj = tuple(tuple(cartan[k][j] for j in J) for k in K)
-        inv, den, index = linalg.scaled_inverse(a_jj)
-        # (position, coefficients on J) of each root of Phi_J^+
-        phi_j = [(k, [coeffs[k][j] for j in J]) for k, s in enumerate(supports) if s <= j_set]
-        cosets = []
-        for u, supp in w0:
-            if not supp <= j_set:
-                continue
-            neg = u.neg_mask
-            p_j = tuple(int(neg[simple_pos[j]]) for j in J)
-            # l_J(t^lam' u) = 0 iff <beta, lam'> = [u^-1 beta < 0] on Phi_J^+
-            if all(linalg.vec_dot(c, p_j) == neg[k] for k, c in phi_j):
-                cosets.append((u, p_j, linalg.mat_vec(a_kj, linalg.mat_vec(inv, p_j))))
-        if len(cosets) != index:
-            raise InternalAssertion(f"length-zero elements of the Levi {J} miss a residue")
-        levis.append((J, K, tuple(weights[k] for k in K), den, tuple(cosets)))
-    return tuple(levis), linalg.scaled_inverse(datum.simple_roots)[:2]
-
-
 def _under(steps, room):
     """Every nonnegative integer vector x with sum steps[i] x[i] <= room."""
     if room < 0:
@@ -345,16 +276,6 @@ def _under(steps, room):
     for x in range(room // steps[0] + 1):
         for rest in _under(steps[1:], room - steps[0] * x):
             yield (x,) + rest
-
-
-def coweight(datum, p):
-    """The integral coweight with simple pairings p, or None.  The pairings
-    determine it only when X / Z<coroots> is finite, else InfinitePi1."""
-    rinv, den = _levis(datum)[1]
-    num = linalg.mat_vec(rinv, p)
-    if any(x % den for x in num):
-        return None
-    return tuple(x // den for x in num)
 
 
 @memoised("levi_classes", key=lambda w, budget=None: w.key)
@@ -383,9 +304,9 @@ def enumerate_straight_classes(datum, max_len, budget=None):
     in the coset of t^lam (_class_of_levi_rep).  budget bounds only the
     reduce_to_min that a non-straight such element needs.
     """
-    levis = _levis(datum)[0]
     classes = []
-    for J, K, weights, den, cosets in levis:
+    for mask in range(1 << datum.n_simple):
+        J, K, weights, den, _, cosets = _levi(datum, mask)
         steps = [den * c for c in weights]
         zeros = (0,) * len(J)
         for u, p_j, shift in cosets:
@@ -427,9 +348,8 @@ def resolve_class(datum, kappa, nu_bar):
     length = linalg.vec_dot(datum.two_rho, nu_bar)
     if Fraction(length).denominator != 1 or length < 0:
         raise UnknownClass(f"<2 rho, nu> = {length} is not a nonnegative integer")
-    levis = _levis(datum)[0]
     pairings = [Fraction(x) for x in linalg.mat_vec(datum.simple_roots, nu_bar)]
-    J, K, _, den, cosets = levis[sum(1 << i for i, x in enumerate(pairings) if x == 0)]
+    J, K, _, den, _, cosets = _levi(datum, sum(1 << i for i, x in enumerate(pairings) if x == 0))
     for u, p_j, shift in cosets:
         p_k = [pairings[k] + Fraction(s, den) for k, s in zip(K, shift)]
         if any(x.denominator != 1 for x in p_k):

@@ -31,10 +31,10 @@ from .affweyl import (
     eta_decomposition,
     from_finite,
     left_move,
-    simple_reflections,
+    low_shifts,
     translation,
 )
-from .classes import StraightClass, shift_moves
+from .classes import StraightClass
 from .errors import (
     HypothesisViolated,
     InternalAssertion,
@@ -82,14 +82,6 @@ def finite(n):
     if n < 0:
         raise NegativeDimension(f"finite dimension {n} < 0")
     return DimValue(int(n))
-
-
-def dim_max(a, b):
-    if a.is_empty:
-        return b
-    if b.is_empty:
-        return a
-    return DimValue(max(a.dim, b.dim))
 
 
 @dataclass(frozen=True)
@@ -217,14 +209,7 @@ def _shift_descents(w, budget=None):
     until two descents (v, label, s v s) with l(s v s) < l(w) are found.
     Returns the explored elements by key and the descents; none means w is
     of minimal length and the whole shift class was explored."""
-    return explore_level(w, shift_moves(w.datum), budget, "shift-class exploration", want=2)
-
-
-def _shift_witnesses(w, budget=None):
-    """The explored elements and the witnesses (v, s) of _shift_descents."""
-    refl = dict(simple_reflections(w.datum))
-    elts, descents = _shift_descents(w, budget)
-    return elts, [(v, refl[label]) for v, label, _ in descents]
+    return explore_level(w, low_shifts, budget, "shift-class exploration", want=2)
 
 
 def _raise_by_one(a, b):

@@ -49,30 +49,6 @@ def mat_mul(a, b):
     return tuple(tuple([sum(map(mul, arow, col)) for col in cols]) for arow in a)
 
 
-def _rref(rows):
-    """Row-reduce a list of Fraction rows in place; returns pivot columns."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def rank_rational(m):
     """Rank over Q, by fraction-free elimination.
 
@@ -93,27 +69,6 @@ def rank_rational(m):
                 rows[i] = [p[c] * x - f * y for x, y in zip(rows[i], p)]
         rank += 1
     return rank
-
-
-def solve_rational(a, b):
-    """Solve a @ x = b exactly over Q.
-
-    Returns the unique solution as a tuple of Fractions, or None if the
-    system is inconsistent.  Raises ValueError when the solution space is
-    positive-dimensional (callers here always pass independent columns).
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    pivots = _rref(aug)
-    if ncols in pivots:
-        return None
-    if len(pivots) < ncols:
-        raise ValueError("solution space is positive-dimensional")
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][ncols]
-    return tuple(x)
 
 
 def invert_unimodular(m):

@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -134,7 +135,6 @@ class RootDatum:
         self._derive_rho()
         self._derive_kappa()
         self.delta = self._validate_delta(delta)
-        self._derive_alcove_point()
         self._cache = {}
 
     # -- validation -------------------------------------------------------
@@ -329,19 +329,11 @@ class RootDatum:
                 raise MalformedConfig("<rho, alpha_i^vee> != 1; inconsistent root data")
 
     def _derive_kappa(self):
-        u, d, _ = linalg.smith_normal_form(self.coroot_matrix)
-        self._kappa_u = u
+        self._kappa_u, d, self._kappa_v = linalg.smith_normal_form(self.coroot_matrix)
         diag = [d[k][k] for k in range(min(self.rank, self.n_simple))]
         if any(x == 0 for x in diag):
             raise MalformedConfig("coroot lattice degenerate under Smith reduction")
         self._kappa_diag = tuple(diag)
-
-    def _derive_alcove_point(self):
-        m = 1 + max(linalg.vec_dot(beta, self.rho_check) for beta in self.pos_roots)
-        self.alcove_point = tuple(x / m for x in self.rho_check)
-        # a second interior point, used by tests to confirm that affine-root
-        # positivity does not depend on the sample
-        self.alcove_point2 = tuple(x / (m + 1) for x in self.rho_check)
 
     # -- operations -------------------------------------------------------
 
@@ -382,18 +374,27 @@ class RootDatum:
 
     def dominance_leq(self, nu1, nu2):
         """nu1 <= nu2 iff nu2 - nu1 is a nonnegative rational combination of
-        the simple coroots.  Both arguments must already be dominant."""
+        the simple coroots.  Both arguments must already be dominant.
+
+        Decided in integers by the Smith form u C v = D of the coroot matrix
+        C: with b = N (nu2 - nu1) for N clearing the denominators, C x = b
+        is solvable iff (u b)_k = 0 for k >= n, and then x = v D^-1 (u b)_<n
+        has the signs of v diag(d_n / d_i) (u b)_<n.
+        """
         v1 = tuple(Fraction(x) for x in nu1)
         v2 = tuple(Fraction(x) for x in nu2)
-        if not self.is_dominant(v1):
+        den = lcm(*(x.denominator for x in v1 + v2))
+        b1, b2 = ([x.numerator * (den // x.denominator) for x in v] for v in (v1, v2))
+        if not self.is_dominant(b1):
             raise NotDominant(f"first coweight {v1} is not dominant")
-        if not self.is_dominant(v2):
+        if not self.is_dominant(b2):
             raise NotDominant(f"second coweight {v2} is not dominant")
-        diff = linalg.vec_sub(v2, v1)
-        coeffs = linalg.solve_rational(self.coroot_matrix, diff)
-        if coeffs is None:
+        b = [y - x for x, y in zip(b1, b2)]
+        ub, diag = linalg.mat_vec(self._kappa_u, b), self._kappa_diag
+        if any(ub[self.n_simple:]):
             return False
-        return all(c >= 0 for c in coeffs)
+        scaled = [x * (diag[-1] // d) for x, d in zip(ub, diag)]
+        return all(c >= 0 for c in linalg.mat_vec(self._kappa_v, scaled))
 
     def kappa_class(self, lam):
         """Canonical coordinates of lam in X / Z<simple coroots>.
@@ -410,23 +411,6 @@ class RootDatum:
             else:
                 key.append(int(ulam[k]))
         return tuple(key)
-
-    def kappa_zero(self):
-        return tuple(0 for _ in range(self.rank))
-
-    def kappa_add(self, a, b):
-        out = []
-        for k in range(self.rank):
-            s = a[k] + b[k]
-            if k < len(self._kappa_diag):
-                s %= self._kappa_diag[k]
-            out.append(s)
-        return tuple(out)
-
-    def in_coroot_lattice(self, lam):
-        """Membership of lam in the integer span of the simple coroots."""
-        coeffs = linalg.solve_rational(self.coroot_matrix, lam)
-        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
     def pi1_order(self):
         """Order of X / Z<coroots>, or None when the quotient is infinite."""

@@ -9,10 +9,9 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .affweyl import class_key, is_straight, newton_point
+from .affweyl import class_key, coweight, is_straight, newton_point
 from .classes import (
     approx_closure,
-    coweight,
     enumerate_straight_classes,
     length_ball,
     p_alcove_test,

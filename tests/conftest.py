@@ -1,6 +1,12 @@
+from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
+
 import pytest
 
-from weylcalc import build_root_datum
+from weylcalc import aw_identity, build_root_datum, finite, simple_reflections
+from weylcalc.affweyl import low_shifts
+from weylcalc.search import closure, explore_level, right_moves
 
 
 @pytest.fixture(scope="session")
@@ -59,3 +65,103 @@ def cartan_config(name):
         "roots": cartan,
         "coroots": [[int(i == j) for j in range(n)] for i in range(n)],
     }
+
+
+# -- references ---------------------------------------------------------------
+# Written on the public API, for tests that check the library against them
+# or that need what the library no longer keeps.
+
+
+def solve_rational(a, b):
+    """The unique solution of a x = b over Q, by Gauss-Jordan elimination on
+    Fractions, or None if the system is inconsistent.  The columns of a
+    must be independent."""
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    ncols = len(a[0])
+    r = 0
+    for c in range(ncols):
+        pivot = next(i for i in range(r, len(rows)) if rows[i][c] != 0)
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    if any(row[-1] != 0 for row in rows[ncols:]):
+        return None
+    return tuple(row[-1] for row in rows[:ncols])
+
+
+def in_coroot_lattice(datum, lam):
+    """Membership of lam in the integer span of the simple coroots."""
+    coeffs = solve_rational(datum.coroot_matrix, lam)
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+
+
+def kappa_add(datum, a, b):
+    """a + b in X / Z<coroots>, in the coordinates of kappa_class: the first
+    n_simple are reduced modulo the invariant factors (the leading ones 1,
+    then the nonzero pi1_invariants), the rest are free."""
+    factors = [x for x in datum.pi1_invariants() if x]
+    moduli = [1] * (datum.n_simple - len(factors)) + factors
+    return tuple(
+        (x + y) % moduli[k] if k < len(moduli) else x + y for k, (x, y) in enumerate(zip(a, b))
+    )
+
+
+def alcove_point(datum, step=0):
+    """An interior point of the base alcove: rho^vee / m with m > <beta,
+    rho^vee> for every positive root beta; each step gives another one."""
+    m = 1 + step + max(sum(map(mul, beta, datum.rho_check)) for beta in datum.pos_roots)
+    return tuple(x / m for x in datum.rho_check)
+
+
+@dataclass(frozen=True)
+class AffineRoot:
+    """The affine function v -> <alpha, v> + k."""
+
+    alpha: tuple
+    k: int
+
+    def value_at(self, v):
+        return sum(map(mul, self.alpha, v)) + self.k
+
+    def is_positive(self, datum):
+        """Positive iff positive on the interior of the base alcove."""
+        val = self.value_at(alcove_point(datum))
+        assert val != 0, "affine root vanishes at the alcove sample point"
+        return val > 0
+
+
+def transport_affine_root(g, ar):
+    """The affine function ar o g for g = t^lam u: (ar o g)(v) = <alpha,
+    u(v) + lam> + k, so alpha becomes alpha o M_u and k gains <alpha, lam>."""
+    m = g.fw.matrix
+    beta = tuple(sum(a * row[j] for a, row in zip(ar.alpha, m)) for j in range(len(m)))
+    return AffineRoot(beta, ar.k + sum(map(mul, ar.alpha, g.lam)))
+
+
+def enumerate_parabolic(datum, labels, cap=100_000):
+    """The subgroup generated by the labeled generators, sorted by key; a
+    budget overrun when it has more than cap elements."""
+    refl = dict(simple_reflections(datum))
+    gens = [(label, refl[label]) for label in labels]
+    elts = closure([aw_identity(datum)], right_moves(gens), cap, "parabolic subgroup closure")
+    return [elts[k] for k in sorted(elts)]
+
+
+def shift_witnesses(w, budget=None):
+    """The shift class of w explored until two length-reducing shifts s v s
+    are found, and those as witnesses (v, s); none when w is minimal."""
+    refl = dict(simple_reflections(w.datum))
+    elts, descents = explore_level(w, low_shifts, budget, "shift-class exploration", want=2)
+    return elts, [(v, refl[label]) for v, label, _ in descents]
+
+
+def dim_max(a, b):
+    """max of two DimValues, with Empty the least."""
+    if a.is_empty:
+        return b
+    if b.is_empty:
+        return a
+    return finite(max(a.dim, b.dim))

@@ -4,8 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylcalc import (
+from conftest import (
+    CARTAN_MATRICES,
     AffineRoot,
+    alcove_point,
+    cartan_config,
+    kappa_add,
+    solve_rational,
+    transport_affine_root,
+)
+from weylcalc import (
     InfinitePi1,
     aw_identity,
     aw_inv,
@@ -23,10 +31,10 @@ from weylcalc import (
     omega_elements,
     simple_reflections,
     translation,
-    transport_affine_root,
 )
 from weylcalc.linalg import vec_dot
 from weylcalc.oracle import brute_straight_check, cayley_ball
+from weylcalc.rootdata import PRESETS
 
 
 def _random_elements(datum, count, lam_range=3, seed=11):
@@ -90,7 +98,7 @@ def test_length_zero_pgl2_oracle(pgl2):
     w = from_parts(pgl2, (1,), [0])
     assert w.length == 0
     # geometric oracle: w maps the open base alcove into itself
-    v0 = pgl2.alcove_point
+    v0 = alcove_point(pgl2)
     image = w.act(v0)
     for beta in pgl2.pos_roots:
         assert 0 < vec_dot(beta, image) < 1
@@ -155,8 +163,8 @@ def test_affine_root_positivity_two_sample_points(sl3):
     for beta in list(sl3.pos_roots) + [tuple(-x for x in b) for b in sl3.pos_roots]:
         for k in range(-3, 4):
             ar = AffineRoot(beta, k)
-            v1 = ar.value_at(sl3.alcove_point) > 0
-            v2 = ar.value_at(sl3.alcove_point2) > 0
+            v1 = ar.value_at(alcove_point(sl3)) > 0
+            v2 = ar.value_at(alcove_point(sl3, 1)) > 0
             assert v1 == v2
 
 
@@ -231,14 +239,14 @@ def test_defect_examples(sl2, pgl2):
 
 def test_kappa_examples(sl2, pgl2):
     for _, s in simple_reflections(sl2):
-        assert kappa_w(s) == sl2.kappa_zero()
+        assert kappa_w(s) == (0,)
     assert kappa_w(from_parts(pgl2, (1,), [0])) == (1,)
 
 
 def test_kappa_multiplicative_and_coset_invariant(pgl2):
     for w in _random_elements(pgl2, 30):
         for v in _random_elements(pgl2, 5, seed=7):
-            assert kappa_w(aw_mul(w, v)) == pgl2.kappa_add(kappa_w(w), kappa_w(v))
+            assert kappa_w(aw_mul(w, v)) == kappa_add(pgl2, kappa_w(w), kappa_w(v))
         for _, s in simple_reflections(pgl2):
             assert kappa_w(aw_mul(s, w)) == kappa_w(w)
 
@@ -316,7 +324,27 @@ def test_omega_infinite_pi1_refused():
     with pytest.raises(InfinitePi1):
         omega_elements(datum)
     # kappa stays available
-    assert datum.kappa_class((1, 0)) != datum.kappa_zero()
+    assert datum.kappa_class((1, 0)) != (0, 0)
+
+
+def _scan_omega(datum):
+    """The length-zero elements by a W0 scan: for each u, the lam with
+    <alpha_i, lam> = [u^-1 alpha_i < 0], kept when integral and of length 0."""
+    found = []
+    for u in enumerate_w0(datum):
+        rhs = [int(datum.is_negative_root(u.inv_act_root(alpha))) for alpha in datum.simple_roots]
+        lam = solve_rational(datum.simple_roots, rhs)
+        if lam is not None and all(x.denominator == 1 for x in lam):
+            w = from_parts(datum, [int(x) for x in lam], u.word)
+            if w.length == 0:
+                found.append(w.key)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("config", sorted(PRESETS) + sorted(CARTAN_MATRICES))
+def test_omega_matches_the_w0_scan(config):
+    datum = build_root_datum(PRESETS.get(config) or cartan_config(config))
+    assert [w.key for w in omega_elements(datum)] == _scan_omega(datum)
 
 
 def test_length_zero_iff_omega(pgl2):

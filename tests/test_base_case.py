@@ -7,11 +7,12 @@ import ast
 import os
 
 import pytest
+from conftest import shift_witnesses
 
 import weylcalc
 from weylcalc import build_root_datum, class_key, length_ball, straight_class_of
 from weylcalc.classes import _class_of_straight, ux_decompose
-from weylcalc.dims import _dim_cache, _shift_witnesses, dim_profile
+from weylcalc.dims import _dim_cache, dim_profile
 from weylcalc.rootdata import PRESETS
 
 BALL_BOUND = {1: 12, 2: 9, 3: 7}
@@ -24,7 +25,7 @@ def test_minimal_leaf_matches_the_ux_route(name):
     minimal = 0
     for v in length_ball(datum, BALL_BOUND[datum.rank]):
         assert class_key(v) == straight_class_of(v).pair_key, v
-        if _shift_witnesses(v)[1]:
+        if shift_witnesses(v)[1]:
             continue
         minimal += 1
         dec = ux_decompose(v, check_minimal=False)

@@ -11,7 +11,7 @@ from weylcalc import (
     omega_elements,
     reduce_to_min,
 )
-from weylcalc.classes import shift_moves
+from weylcalc.affweyl import low_shifts
 from weylcalc.dims import _shift_descents
 from weylcalc.errors import ExplorationBudgetExceeded
 from weylcalc.search import explore_level
@@ -63,7 +63,7 @@ def test_a_descent_overrun_carries_its_original_start():
     # w's own level finds a descent within the budget; the next level down
     # overruns it, and the start is still w
     w = from_parts(build_root_datum("SL3"), (0, 0), [0, 1, 0])
-    explore_level(w, shift_moves(w.datum), 1, "cyclic-shift search")
+    explore_level(w, low_shifts, 1, "cyclic-shift search")
     with pytest.raises(ExplorationBudgetExceeded) as info:
         reduce_to_min(w, budget=1)
     exc = info.value

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import enumerate_parabolic
 
 from weylcalc import (
     ExplorationBudgetExceeded,
@@ -24,7 +25,6 @@ from weylcalc import (
     ux_decompose,
     UnknownClass,
 )
-from weylcalc.classes import enumerate_parabolic
 from weylcalc.oracle import brute_min_length
 
 

@@ -59,6 +59,26 @@ def test_bad_input_is_one_usage_line(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--group", "PGL2", "--max-length", "-1", "--format", "csv"),
+        ("table", "--group", "PGL2", "--max-length", "2", "--class-length", "-1"),
+        ("classes", "straight-classes", "--group", "PGL2", "--max-length", "-1"),
+        ("verify", "--suite", "oracle", "--group", "SL2", "--radius", "-1"),
+        ("verify", "--suite", "min", "--group", "SL2", "--max-length", "-1"),
+    ],
+    ids=["table-max-length", "table-class-length", "classes-max-length", "verify-radius",
+         "verify-max-length"],
+)
+def test_negative_bound_is_a_usage_error(argv):
+    """A negative length bound or radius is refused, not read as an empty
+    bound: the library would still return the length-zero seeds of a ball."""
+    code, out, err = _run(argv)
+    flag = argv[argv.index("-1") - 1]
+    assert (code, out, err) == (1, "", f"usage error: {flag} must be nonnegative\n")
+
+
+@pytest.mark.parametrize(
     "where",
     [("--cache-dir", "{file}/sub"), ("--out", "{missing}/x.csv")],
     ids=["cache-dir-under-a-file", "out-in-a-missing-dir"],

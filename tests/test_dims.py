@@ -2,6 +2,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from conftest import dim_max
 
 from weylcalc import (
     EMPTY,
@@ -32,7 +33,7 @@ from weylcalc import (
     translation,
     virtual_dimension,
 )
-from weylcalc.dims import dim_max, load_cache, save_cache, _dim_cache
+from weylcalc.dims import load_cache, save_cache, _dim_cache
 
 
 def _basic(datum):

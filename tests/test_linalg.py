@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from conftest import solve_rational
 from hypothesis import given, strategies as st
 
 from weylcalc import linalg
@@ -15,15 +16,19 @@ def small_matrix(n):
     ).map(lambda rows: tuple(tuple(r) for r in rows))
 
 
+# solve_rational is the tests' reference for dominance, the coroot lattice
+# and the length-zero elements
+
+
 def test_solve_rational_basic():
     a = ((2, 0), (0, 3))
-    assert linalg.solve_rational(a, (4, 9)) == (Fraction(2), Fraction(3))
+    assert solve_rational(a, (4, 9)) == (Fraction(2), Fraction(3))
 
 
 def test_solve_rational_inconsistent():
     # columns of a span the line y = x
     a = ((1,), (1,))
-    assert linalg.solve_rational(a, (1, 2)) is None
+    assert solve_rational(a, (1, 2)) is None
 
 
 def test_rank():

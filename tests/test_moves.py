@@ -11,12 +11,11 @@ import weylcalc
 from weylcalc import AffineWeylElt, build_root_datum, cayley_ball, length_ball
 from weylcalc.affweyl import (
     left_move,
+    low_shifts,
     omega_elements,
     right_move,
-    shift_move,
     simple_reflections,
 )
-from weylcalc.classes import shift_moves
 from weylcalc.rootdata import PRESETS
 from weylcalc.search import closure, right_moves
 
@@ -24,8 +23,8 @@ BALL_BOUND = {1: 10, 2: 8, 3: 6}
 
 # every name through which a length could be read off a root sign
 MOVE_HELPERS = {
-    "GeneratorMove", "move_row", "left_move", "right_move", "shift_move", "low_shifts",
-    "left_descents", "right_ascents", "shift_moves", "length_ball", "_moves",
+    "GeneratorMove", "move_row", "left_move", "right_move", "low_shifts",
+    "left_descents", "right_ascents", "length_ball", "_moves",
 }
 
 
@@ -40,17 +39,15 @@ def _formula_length(w):
 def test_moves_match_products(name):
     datum = build_root_datum(name)
     gens = simple_reflections(datum)
-    shifts = shift_moves(datum)
     ball = length_ball(datum, BALL_BOUND[datum.rank])
     pairs = 0
     for v in ball:
         assert v._length == _formula_length(v), v
-        low = {label: svs for label, svs in shifts(v)}
+        low = {label: svs for label, svs in low_shifts(v)}
         for label, s in gens:
             for move, product in (
                 (left_move(v, label), s * v),
                 (right_move(v, label), v * s),
-                (shift_move(v, label), s * v * s),
             ):
                 assert move.key == product.key, (v, label)
                 assert product._length is None

@@ -3,15 +3,12 @@ Fraction algorithms they replaced, the closed alcove sign rule of
 p_alcove_test against the level loop it replaced, and Fractions wherever a
 Newton point is handed out."""
 
-import ast
-import os
 from fractions import Fraction
 
 import pytest
+from conftest import AffineRoot, transport_affine_root
 
-import weylcalc
 from weylcalc import (
-    AffineRoot,
     build_root_datum,
     defect_of,
     enumerate_straight_classes,
@@ -20,7 +17,6 @@ from weylcalc import (
     newton_point,
     p_alcove_test,
     reduce_to_min,
-    transport_affine_root,
 )
 from weylcalc.finiteweyl import fw_identity, fw_reflection
 from weylcalc.rootdata import PRESETS
@@ -178,21 +174,3 @@ def test_closed_alcove_rule_matches_the_level_loop(name):
                 checked += 1
                 passed += got
     assert 0 < passed < checked
-
-
-# -- one row reduction ------------------------------------------------------
-
-
-def test_rref_is_private_to_linalg():
-    pkg = os.path.dirname(weylcalc.__file__)
-    users = set()
-    for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            ident = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            if ident == "_rref" or (isinstance(node, ast.alias) and node.name == "_rref"):
-                users.add(name)
-    assert users == {"linalg.py"}

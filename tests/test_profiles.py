@@ -8,6 +8,7 @@ import json
 import os
 
 import pytest
+from conftest import dim_max, shift_witnesses
 
 from weylcalc import (
     EMPTY,
@@ -26,7 +27,7 @@ from weylcalc import dims
 from weylcalc.classes import _class_of_straight, ux_decompose
 from weylcalc.affweyl import eta_decomposition
 from weylcalc.cli import UsageError, emit_table, main
-from weylcalc.dims import _dim_cache, _shift_witnesses, dim_max, dim_profile, load_cache, save_cache
+from weylcalc.dims import _dim_cache, dim_profile, load_cache, save_cache
 from weylcalc.linalg import format_fraction
 from weylcalc.memo import memo
 from weylcalc.rootdata import PRESETS
@@ -106,7 +107,7 @@ def _reference_dim(w, cls, memo):
     at a minimal element l(u) for the class of x, Empty for any other."""
     if w.key in memo:
         return memo[w.key]
-    _, witnesses = _shift_witnesses(w)
+    _, witnesses = shift_witnesses(w)
     if witnesses:
         v, s = witnesses[0]
         result = dim_max(_reference_dim(s * v, cls, memo), _reference_dim(s * v * s, cls, memo)).plus(1)
@@ -131,7 +132,7 @@ def test_witness_disagreement_raises():
     datum = build_root_datum("SL3")
     bogus_class = _dim_cache(datum).class_id(((99, 99), ()))
     for w in length_ball(datum, 6):
-        _, witnesses = _shift_witnesses(w)
+        _, witnesses = shift_witnesses(w)
         if len(witnesses) < 2:
             continue
         (v1, s1), (v2, s2) = witnesses

@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import CARTAN_MATRICES, cartan_config, in_coroot_lattice, kappa_add, solve_rational
 from hypothesis import given, strategies as st
 
 from weylcalc import (
@@ -11,6 +13,9 @@ from weylcalc import (
     build_root_datum,
 )
 from weylcalc.linalg import vec_dot
+from weylcalc.rootdata import PRESETS
+
+GL2_ISH = {"name": "GL2-ish", "rank": 2, "roots": [[1, -1]], "coroots": [[1], [-1]]}
 
 
 # -- construction and presets ----------------------------------------------
@@ -188,6 +193,34 @@ def test_dominance_partial_order_on_grid(sl3):
     assert sp4.dominance_leq((0, 0), (1, 1)) is True
 
 
+def _ref_dominance_leq(datum, nu1, nu2):
+    """nu2 - nu1 solved against the simple coroots over Q."""
+    coeffs = solve_rational(datum.coroot_matrix, [b - a for a, b in zip(nu1, nu2)])
+    return coeffs is not None and all(c >= 0 for c in coeffs)
+
+
+@pytest.mark.parametrize("config", sorted(PRESETS) + sorted(CARTAN_MATRICES) + ["GL2-ish"])
+def test_dominance_matches_the_rational_solve(config):
+    datum = build_root_datum(
+        GL2_ISH if config == "GL2-ish" else PRESETS.get(config) or cartan_config(config)
+    )
+    halves = [Fraction(k, 2) for k in range(-2, 3)]
+    grid = sorted({datum.dominant_rep(v) for v in itertools.product(halves, repeat=datum.rank)})
+    comparable = 0
+    for nu1 in grid:
+        for nu2 in grid:
+            got = datum.dominance_leq(nu1, nu2)
+            assert got == _ref_dominance_leq(datum, nu1, nu2), (nu1, nu2)
+            comparable += got
+    assert len(grid) < comparable < len(grid) ** 2
+    # a dominant coweight off the centre, whose negative is not dominant
+    nu = next(v for v in grid if any(vec_dot(alpha, v) for alpha in datum.simple_roots))
+    minus = tuple(-x for x in nu)
+    for pair in ((minus, nu), (nu, minus)):
+        with pytest.raises(NotDominant):
+            datum.dominance_leq(*pair)
+
+
 # -- kappa -------------------------------------------------------------------
 
 
@@ -199,22 +232,22 @@ def test_kappa_sl2(sl2):
 def test_kappa_pgl2(pgl2):
     # oracle: omega is in the coroot lattice Z*(2 omega) iff its coordinate
     # is even
-    assert not pgl2.in_coroot_lattice((1,))
-    assert pgl2.in_coroot_lattice((2,))
-    assert pgl2.kappa_class((1,)) != pgl2.kappa_zero()
-    assert pgl2.kappa_class((2,)) == pgl2.kappa_zero()
+    assert not in_coroot_lattice(pgl2, (1,))
+    assert in_coroot_lattice(pgl2, (2,))
+    assert pgl2.kappa_class((1,)) != (0,)
+    assert pgl2.kappa_class((2,)) == (0,)
     assert pgl2.pi1_order() == 2
 
 
 def test_kappa_pgl3(pgl3):
     assert pgl3.pi1_order() == 3
     gen = pgl3.kappa_class((1, 0))
-    acc = pgl3.kappa_zero()
+    acc = (0, 0)
     seen = set()
     for _ in range(3):
-        acc = pgl3.kappa_add(acc, gen)
+        acc = kappa_add(pgl3, acc, gen)
         seen.add(acc)
-    assert acc == pgl3.kappa_zero()
+    assert acc == (0, 0)
     assert len(seen) == 3
 
 
@@ -226,18 +259,16 @@ def test_kappa_additive(lam, mu):
     datum = build_root_datum("PGL3")
     lam, mu = tuple(lam), tuple(mu)
     total = tuple(a + b for a, b in zip(lam, mu))
-    assert datum.kappa_class(total) == datum.kappa_add(
-        datum.kappa_class(lam), datum.kappa_class(mu)
+    assert datum.kappa_class(total) == kappa_add(
+        datum, datum.kappa_class(lam), datum.kappa_class(mu)
     )
     # kappa vanishes exactly on the coroot lattice
-    assert (datum.kappa_class(lam) == datum.kappa_zero()) == datum.in_coroot_lattice(lam)
+    assert (datum.kappa_class(lam) == (0, 0)) == in_coroot_lattice(datum, lam)
 
 
 def test_infinite_pi1_allowed_for_kappa():
     # a torus direction: X = Z^2 with a single A1 inside
-    datum = build_root_datum(
-        {"name": "GL2-ish", "rank": 2, "roots": [[1, -1]], "coroots": [[1], [-1]]}
-    )
+    datum = build_root_datum(GL2_ISH)
     assert datum.pi1_order() is None
-    assert datum.kappa_class((1, 0)) != datum.kappa_zero()
+    assert datum.kappa_class((1, 0)) != (0, 0)
     assert datum.kappa_class((1, 1)) != datum.kappa_class((2, 2))

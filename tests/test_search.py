@@ -6,6 +6,7 @@ import hashlib
 from dataclasses import dataclass
 
 import pytest
+from conftest import enumerate_parabolic
 
 from weylcalc import (
     ExplorationBudgetExceeded,
@@ -20,11 +21,12 @@ from weylcalc import (
     newton_point,
     p_alcove_test,
     reduce_to_min,
+    simple_reflections,
     straight_class_of,
     ux_decompose,
 )
-from weylcalc.classes import _spherical_subsets, enumerate_parabolic
-from weylcalc.dims import _shift_witnesses
+from weylcalc.classes import _spherical_subsets
+from weylcalc.dims import _shift_descents
 from weylcalc.errors import GroupTooLarge
 from weylcalc.rootdata import DiagramAutomorphism
 from weylcalc.search import closure, descend, explore_level
@@ -67,15 +69,16 @@ def _search_digest(group, max_len):
         put([v.key for v in enumerate_parabolic(datum, sub)])
     ball = length_ball(datum, max_len)
     put([w.key for w in ball])
+    refl = dict(simple_reflections(datum))
     for w in ball:
         r = reduce_to_min(w)
         put(r.to_json())
         put(ux_decompose(r.w_min, check_minimal=False).to_json())
         put(straight_class_of(w).to_json())
         put([v.key for v in approx_closure(w)])
-        elts, witnesses = _shift_witnesses(w)
+        elts, descents = _shift_descents(w)
         put(sorted(elts))
-        put([(v.key, s.key) for v, s in witnesses])
+        put([(v.key, refl[label].key) for v, label, _ in descents])
         e = eta_decomposition(w)
         put((e.x.key, e.mu, e.y.key, e.eta.key))
         put(p_alcove_test(w, newton_point(w)[0]))
@@ -99,10 +102,9 @@ def test_enumerate_w0_cap_raises_group_too_large():
     [
         (lambda w: reduce_to_min(w, budget=1), "cyclic-shift search"),
         (lambda w: approx_closure(w, budget=1), "shift-class closure"),
-        (lambda w: _shift_witnesses(w, budget=1), "shift-class exploration"),
+        (lambda w: _shift_descents(w, budget=1), "shift-class exploration"),
         (lambda w: ux_decompose(w, budget=1, check_minimal=False), "shift-class closure"),
         (lambda w: length_ball(w.datum, 3, budget=4), "length ball"),
-        (lambda w: enumerate_parabolic(w.datum, (1, 2), cap=5), "parabolic subgroup closure"),
     ],
 )
 def test_budget_overrun_names_the_search(search, what):
