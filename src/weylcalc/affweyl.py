@@ -8,25 +8,21 @@ every simple reflection, including the affine ones t^{theta^vee} s_theta,
 has length one.
 
 Generator moves never multiply.  A generator s = t^mu sigma has the simple
-affine root a_s = (alpha_i, 0) for a finite s_i and (-theta, 1) for the
-affine node of a component, and l(s w) > l(w) iff a_s o w is positive,
-l(w s) > l(w) iff a_s o w^-1 is positive (Humphreys, Reflection Groups and
-Coxeter Groups, 5.4).  For w = t^lam u these are (alpha o M_u, <alpha, lam>
-+ k) and (r, k - <r, lam>) with r = alpha o M_u^-1, read by the closed rule
-above.  The move row of u (move_row) holds, per generator, sigma u and u
-sigma, the roots alpha o M_u and r with their signs, and u(mu), so a left,
-right or shift move costs O(rank) and sets the moved element's length to
-l(w) +- 1 (or l(w) + {-2, 0, 2} for s w s).  Elements built by a product,
-and every element of the oracle's Cayley ball, compute their length from
-the Iwahori-Matsumoto formula instead.
+affine root a_s = (alpha, k): (alpha_i, 0) for a finite s_i, (-theta, 1)
+for the affine node of a component.  l(s w) > l(w) iff a_s o w is
+positive, l(w s) > l(w) iff a_s o w^-1 is (Humphreys, Reflection Groups
+and Coxeter Groups, 5.4); for w = t^lam u these are (u^-1 alpha, <alpha,
+lam> + k) and (u alpha, k - <u alpha, lam>).  The move row of u (move_row)
+reads these roots, u(mu) and the same data of sigma u for a shift s w s
+off u's root permutation, so a left, right or shift move costs O(rank) and
+sets the moved element's length.  Elements built by a product, and the
+oracle's Cayley ball, use the Iwahori-Matsumoto formula instead.
 
 Newton data are kept in integers: n nu_w = sum_{i<n} u^i(lam) for n the
 order of u is integral, and Fractions are built only when nu is returned.
-
 The length-zero elements of each standard Levi's extended affine Weyl
-group are read off W0 and the Cartan matrix in integers, one J at a time
-(_levi): J = S gives omega_elements, and every J the census of straight
-classes in weylcalc.classes.
+group are read off W_J and the Cartan matrix in integers, one J at a time
+(_levi): J = S gives omega_elements, and every J the straight census.
 """
 
 from __future__ import annotations
@@ -38,15 +34,17 @@ from operator import sub
 from . import linalg
 from .errors import DatumMismatch, DecompositionFailure, InfinitePi1, InternalAssertion
 from .finiteweyl import (
+    W0_CAP,
     FiniteWeylElt,
     enumerate_w0,
     fw_from_word,
     fw_identity,
     fw_reflection,
     fw_simple,
+    product,
 )
 from .memo import memoised
-from .search import descend
+from .search import closure, descend, right_moves
 
 
 class AffineWeylElt:
@@ -182,31 +180,46 @@ class GeneratorMove:
 
     a_s = (alpha, k) is the simple affine root of s and coroot the coroot of
     alpha, so s(v) = v - a_s(v) coroot.  left = sigma u and right = u sigma
-    are the finite parts of s t^lam u and t^lam u s; left_positive tells
-    whether alpha o M_u is a positive root, root = alpha o M_u^-1 and
+    (built on first use) are the finite parts of s t^lam u and t^lam u s;
+    left_positive is the sign of u^-1 alpha, root = u alpha and
     root_positive its sign, and right_lam = u(mu) is what a right move adds
-    to lam (None for a finite s, where mu = 0).
+    to lam (None when mu = 0).  s w s is the right move of s w: shift_root,
+    shift_positive and shift_lam are root, root_positive and right_lam of
+    sigma u, shift_pairing = <shift_root, coroot>, shifted = sigma u sigma.
     """
 
-    __slots__ = (
-        "label", "alpha", "k", "coroot", "left", "left_positive",
-        "right", "root", "root_positive", "right_lam",
-    )
+    __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left", "left_positive", "root",
+                 "root_positive", "right_lam", "shift_root", "shift_positive", "shift_pairing",
+                 "shift_lam", "_right", "_shifted")
 
     def __init__(self, label, s, u):
-        datum = u.datum
-        if label > 0:
-            alpha, k, coroot = datum.simple_roots[label - 1], 0, datum.simple_coroots[label - 1]
-        else:
-            theta, thetavee = datum.highest_roots[-label]
-            alpha, k, coroot = linalg.vec_neg(theta), 1, linalg.vec_neg(thetavee)
-        self.label, self.alpha, self.k, self.coroot = label, alpha, k, coroot
-        self.left = s.fw * u
-        self.left_positive = datum.is_positive_root(linalg.row_mat(alpha, u.matrix))
-        self.right = u * s.fw
-        self.root = linalg.row_mat(alpha, u.inverse().matrix)
-        self.root_positive = datum.is_positive_root(self.root)
-        self.right_lam = u.act(s.lam) if k else None
+        datum, perm, sigma, half = u.datum, u.perm, s.fw, len(u.perm) // 2
+        # index of alpha in Phi: alpha_i, or -theta for an affine node
+        a = sigma.refl + (half if label <= 0 else 0)
+        self.label, self.k = label, int(label <= 0)
+        self.alpha, self.coroot = datum.roots[a], datum.coroots[a]
+        self.u, self.sigma, self.left = u, sigma, product(sigma, u)
+        self.left_positive = perm.index(a) < half
+        ua, sua = perm[a], sigma.perm[perm[a]]  # the indices of u alpha and sigma u alpha
+        self.root, self.root_positive = datum.roots[ua], ua < half
+        # u(theta^vee) = -(u alpha)^vee
+        self.right_lam = datum.coroots[ua - half] if self.k else None
+        self.shift_root, self.shift_positive = datum.roots[sua], sua < half
+        self.shift_pairing = linalg.vec_dot(self.shift_root, self.coroot)
+        self.shift_lam = datum.coroots[sua - half] if self.k else None
+        self._right = self._shifted = None
+
+    @property
+    def right(self):
+        if self._right is None:
+            self._right = product(self.u, self.sigma)
+        return self._right
+
+    @property
+    def shifted(self):
+        if self._shifted is None:
+            self._shifted = product(self.left, self.sigma)
+        return self._shifted
 
 
 def move_row(u):
@@ -254,16 +267,6 @@ def _right_lam(m, lam):
     return lam if m.right_lam is None else linalg.vec_add(lam, m.right_lam)
 
 
-def _shift(w, j):
-    """(length change, lam, m) of s w s for the generator at position j:
-    s w s = t^lam' u' with lam' = _right_lam(m, lam) and u' = m.right."""
-    m = move_row(w.fw)[j]
-    c, up = _left_up(m, w.lam)
-    lam = _left_lam(m, w.lam, c)
-    m2 = move_row(m.left)[j]
-    return (1 if up else -1) + (1 if _right_up(m2, lam) else -1), lam, m2
-
-
 def left_move(w, label):
     """s w for the generator s labelled label, of length l(w) +- 1."""
     m = move_row(w.fw)[_position(w.datum, label)]
@@ -284,13 +287,21 @@ def right_move(w, label):
 
 def low_shifts(w):
     """(label, s w s) for every generator s with l(s w s) <= l(w), in label
-    order; a shift that raises the length is told by its signs and never
-    built."""
-    lw = w.length
-    for j, m in enumerate(move_row(w.fw)):
-        step, lam, m2 = _shift(w, j)
+    order.  s w = t^lam' (sigma u) with lam' = lam - c coroot, c = <alpha,
+    lam> + k, so the right move reads k - <shift_root, lam'> = k -
+    <shift_root, lam> + c shift_pairing, and a shift that raises the length
+    is never built."""
+    lw, lam = w.length, w.lam
+    for m in move_row(w.fw):
+        c = linalg.vec_dot(m.alpha, lam) + m.k
+        c2 = m.k - linalg.vec_dot(m.shift_root, lam) + c * m.shift_pairing
+        step = (1 if c > 0 or (c == 0 and m.left_positive) else -1) + (
+            1 if c2 > 0 or (c2 == 0 and m.shift_positive) else -1)
         if step <= 0:
-            yield m.label, AffineWeylElt._from_ints(w.datum, _right_lam(m2, lam), m2.right, lw + step)
+            lam2 = _left_lam(m, lam, c)
+            if m.shift_lam is not None:
+                lam2 = linalg.vec_add(lam2, m.shift_lam)
+            yield m.label, AffineWeylElt._from_ints(w.datum, lam2, m.shifted, lw + step)
 
 
 def left_descents(datum, labels):
@@ -366,7 +377,7 @@ def defect_of(w):
     m = w.fw.matrix
     a = [linalg.vec_sub(row, e) for row, e in zip(m, linalg.identity_matrix(len(m)))]
     rank = linalg.rank_rational(a)
-    rhs = linalg.vec_sub(total, linalg.vec_scale(n, w.lam))
+    rhs = tuple(t - n * x for t, x in zip(total, w.lam))
     if linalg.rank_rational([row + (b,) for row, b in zip(a, rhs)]) != rank:
         raise InternalAssertion("twisted fixed-point system is inconsistent")
     return rank
@@ -379,7 +390,8 @@ def kappa_w(w):
 
 def class_key(w):
     """(kappa(w), nu_bar_w): the StraightClass.pair_key of the class [w] in B(G)."""
-    return kappa_w(w), newton_point(w)[1]
+    n, _, dominant = _newton_data(w)
+    return kappa_w(w), tuple(Fraction(x, n) for x in dominant)
 
 
 @dataclass(frozen=True)
@@ -440,22 +452,22 @@ def _levi(datum, mask):
     n, cartan, coeffs = datum.n_simple, datum.cartan, datum.pos_coeffs
     J = tuple(i for i in range(n) if mask >> i & 1)
     K = tuple(i for i in range(n) if not mask >> i & 1)
-    in_j = [all(mask >> j & 1 for j, c in enumerate(coeff) if c) for coeff in coeffs]
-    out_j = [k for k, inside in enumerate(in_j) if not inside]
-    simple_pos = [datum.pos_roots.index(alpha) for alpha in datum.simple_roots]
     weights = tuple(sum(coeff[k] for coeff in coeffs) for k in K)
     a_jj = tuple(tuple(cartan[i][j] for j in J) for i in J)
     a_kj = tuple(tuple(cartan[k][j] for j in J) for k in K)
     inv, den, index = linalg.scaled_inverse(a_jj)
     # (position, coefficients on J) of each root of Phi_J^+
-    phi_j = [(k, [coeff[j] for j in J]) for k, coeff in enumerate(coeffs) if in_j[k]]
+    phi_j = [(k, [coeff[j] for j in J]) for k, coeff in enumerate(coeffs)
+             if all(mask >> j & 1 for j, c in enumerate(coeff) if c)]
+    # W_J by closure over J's own simple reflections, in the order of W0
+    gens = [(j, fw_simple(datum, j)) for j in J]
+    w_j = enumerate_w0(datum) if len(J) == n else sorted(
+        closure([fw_identity(datum)], right_moves(gens), W0_CAP, "Levi Weyl group").values(),
+        key=lambda u: (u.length, u.key))
     cosets = []
-    for u in enumerate_w0(datum):
+    for u in w_j:
         neg = u.neg_mask
-        # u lies in W_J iff the roots it makes negative lie in Phi_J
-        if any(neg[k] for k in out_j):
-            continue
-        p_j = tuple(int(neg[simple_pos[j]]) for j in J)
+        p_j = tuple(int(neg[datum.simple_index[j]]) for j in J)
         # l_J(t^lam' u) = 0 iff <beta, lam'> = [u^-1 beta < 0] on Phi_J^+
         if all(linalg.vec_dot(c, p_j) == neg[k] for k, c in phi_j):
             cosets.append((u, p_j, linalg.mat_vec(a_kj, linalg.mat_vec(inv, p_j))))

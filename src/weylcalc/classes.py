@@ -384,13 +384,13 @@ def p_alcove_test(w, nu):
     nu = tuple(Fraction(x) for x in nu)
     if w.fw.act(nu) != nu:
         return False
-    winv = w.inv()
-    for alpha in datum.pos_roots:
+    winv, perm, half = w.inv(), w.fw.perm, len(datum.pos_roots)
+    for k, alpha in enumerate(datum.pos_roots):
         pairing = linalg.vec_dot(alpha, nu)
         if pairing == 0:
             continue
-        beta = alpha if pairing > 0 else linalg.vec_neg(alpha)
-        moved_negative = datum.is_negative_root(winv.fw.inv_act_root(beta))
-        if moved_negative - linalg.vec_dot(beta, winv.lam) < (pairing < 0):
+        # beta o M_u' = u(beta), of index perm[j] for beta the root of index j
+        beta, j = (alpha, k) if pairing > 0 else (linalg.vec_neg(alpha), k + half)
+        if (perm[j] >= half) - linalg.vec_dot(beta, winv.lam) < (pairing < 0):
             return False
     return True

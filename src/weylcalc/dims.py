@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from . import linalg
 from .affweyl import (
+    _newton_data,
     class_key,
     eta_decomposition,
     from_finite,
@@ -269,11 +270,11 @@ def dim_profile(w, budget=None):
             # the whole shift class admits no descent, so v is of minimal length:
             # X_v(b) is nonempty only for b = [v], and there its dimension is
             # l(v) - <2 rho, nu_bar_v> (He, Ann. of Math. 179 (2014), Thm 4.8)
-            ckey = class_key(v)
-            dim = v.length - linalg.vec_dot(v.datum.two_rho, ckey[1])
-            if dim < 0 or dim.denominator != 1:
-                raise InternalAssertion(f"minimal-length leaf has dimension {dim}")
-            profile = {cache.class_id(ckey): int(dim)}
+            n, _, dominant = _newton_data(v)
+            num = n * v.length - linalg.vec_dot(v.datum.two_rho, dominant)
+            if num < 0 or num % n:
+                raise InternalAssertion(f"minimal-length leaf has dimension {Fraction(num, n)}")
+            profile = {cache.class_id(class_key(v)): num // n}
         for key in elts:
             cache.put(key, profile)
         stack.pop()

@@ -1,26 +1,28 @@
 """The finite Weyl group W0 acting on the lattice, with twisted conjugation.
 
-Elements are stored as the integer matrix of their action on X; the matrix
-is the canonical hash key (reduced words are not unique).  A canonical
-reduced word is recovered greedily by smallest left descent, which makes
-every reported word deterministic.  Elements of one datum are interned so
-per-element caches (word, inverse, inversion pattern) are shared.
+An element is stored as the integer matrix of its action on X, its key
+(reduced words are not unique), and as its permutation of the root indices
+(Phi^+ then -Phi^+): W0 acts faithfully on the roots (Humphreys, Reflection
+Groups and Coxeter Groups, 1.4-1.6), so the elements of a datum are
+interned by permutation.  Products compose permutations; the inverse, the
+order and the inversion pattern are read off them.  A new element's matrix
+is one rank-one update M - c (x) r when a factor is a reflection, else one
+product.  The canonical reduced word strips the smallest left descent.
 
-Each interned element also carries a small integer index and a product
-row: a * b reads a's row at b's index, and only on a miss multiplies the
-matrices and interns the result.  Rows fill lazily, so a fresh datum pays
-for the products it uses and no more.  Next to the product row sits the
-move row (`_moves`), filled on first use by weylcalc.affweyl.move_row: what
-a move of t^lam u by each affine generator needs to know of u.
+Each element carries a small integer index and a product row: a * b reads
+a's row at b's index, filled on first use.  Next to it sits the move row
+(`_moves`), filled by weylcalc.affweyl.move_row: what a move of t^lam u by
+each affine generator needs to know of u.
 """
 
 from __future__ import annotations
 
 from itertools import count
+from math import lcm
 
 from . import linalg
-from .errors import DatumMismatch, ExplorationBudgetExceeded, GroupTooLarge
-from .memo import memoised
+from .errors import DatumMismatch, ExplorationBudgetExceeded, GroupTooLarge, InternalAssertion
+from .memo import memo, memoised
 from .rootdata import DiagramAutomorphism
 from .search import closure, descend, right_moves
 
@@ -32,27 +34,26 @@ _next_index = count().__next__
 
 
 class FiniteWeylElt:
-    __slots__ = (
-        "datum", "matrix", "idx", "is_identity", "_row", "_moves",
-        "_word", "_length", "_inverse", "_neg_mask", "_order",
-    )
+    __slots__ = ("datum", "matrix", "perm", "refl", "idx", "_row", "_moves", "_word", "_length",
+                 "_inverse", "_neg_mask", "_order")
 
-    def __init__(self, datum, matrix):
+    def __init__(self, datum, matrix, perm):
         self.datum = datum
         self.matrix = matrix
+        self.perm = perm  # perm[k]: the index of u(beta_k), beta_k the root of index k
+        self.refl = None  # the index of beta once this is known as the reflection s_beta
         self.idx = _next_index()
-        self.is_identity = matrix == linalg.identity_matrix(len(matrix))
         self._row = {}  # other.idx -> self * other
         self._moves = None  # GeneratorMove per affine generator, in label order
-        self._word = None
-        self._length = None
-        self._inverse = None
-        self._neg_mask = None
-        self._order = None
+        self._word = self._length = self._inverse = self._neg_mask = self._order = None
 
     @property
     def key(self):
         return self.matrix
+
+    @property
+    def is_identity(self):
+        return self.length == 0
 
     @property
     def length(self):
@@ -64,15 +65,11 @@ class FiniteWeylElt:
     @property
     def word(self):
         """Canonical reduced word: repeatedly strip the smallest left descent,
-        s_i u being shorter than u iff alpha_i o M_u is a negative root."""
+        s_i u being shorter than u iff u^-1 alpha_i is a negative root."""
         if self._word is None:
             d, u, word = self.datum, self, []
             while True:
-                i = next(
-                    (i for i, alpha in enumerate(d.simple_roots)
-                     if d.is_negative_root(u.inv_act_root(alpha))),
-                    None,
-                )
+                i = next((i for i, k in enumerate(d.simple_index) if u.neg_mask[k]), None)
                 if i is None:
                     break
                 word.append(i)
@@ -84,44 +81,38 @@ class FiniteWeylElt:
 
     @property
     def neg_mask(self):
-        """neg_mask[k] is True iff this element's inverse sends pos_roots[k]
-        to a negative root; drives the affine length formula."""
+        """neg_mask[k] is True iff u^-1 sends pos_roots[k] to a negative
+        root, i.e. u sends a negative root to it; drives the length formula."""
         if self._neg_mask is None:
-            d = self.datum
-            self._neg_mask = tuple(
-                linalg.row_mat(beta, self.matrix) in d._neg_set for beta in d.pos_roots
-            )
+            n = len(self.perm) // 2
+            images = set(self.perm[n:])
+            self._neg_mask = tuple([k in images for k in range(n)])
         return self._neg_mask
 
     def inverse(self):
-        """The last power of this element before the identity."""
+        """The element of the inverse permutation."""
         if self._inverse is None:
-            self._power_cycle()
+            d, perm = self.datum, self.perm
+            inv = _intern(d, d.perm_type(sorted(range(len(perm)), key=perm.__getitem__)),
+                          lambda: linalg.invert_unimodular(self.matrix))
+            self._inverse, inv._inverse = inv, self
         return self._inverse
 
     def order(self):
+        """The lcm of the cycle lengths of the permutation."""
         if self._order is None:
-            self._power_cycle()
+            perm, seen, self._order = self.perm, set(), 1
+            for k in perm:
+                size = 0
+                while k not in seen:
+                    seen.add(k)
+                    k, size = perm[k], size + 1
+                self._order = lcm(self._order, size or 1)
         return self._order
-
-    def _power_cycle(self):
-        prev, power, k = self, self, 1
-        while not power.is_identity:
-            prev, power = power, power * self
-            k += 1
-            if k > W0_CAP:
-                raise AssertionError("element order exceeds group cap")
-        self._order = prev._order = k
-        self._inverse = prev
-        prev._inverse = self
 
     def act(self, v):
         """Action on a coweight vector."""
         return linalg.mat_vec(self.matrix, v)
-
-    def inv_act_root(self, beta):
-        """The inverse element acting on a root functional: beta o matrix."""
-        return linalg.row_mat(beta, self.matrix)
 
     def __mul__(self, other):
         if not isinstance(other, FiniteWeylElt):
@@ -130,8 +121,7 @@ class FiniteWeylElt:
             raise DatumMismatch("cannot compose elements of different root data")
         prod = self._row.get(other.idx)
         if prod is None:
-            prod = _intern(self.datum, linalg.mat_mul(self.matrix, other.matrix))
-            self._row[other.idx] = prod
+            prod = self._row[other.idx] = product(self, other)
         return prod
 
     def __eq__(self, other):
@@ -147,17 +137,55 @@ class FiniteWeylElt:
         return f"<{word}>"
 
 
-@memoised("fw_intern", key=lambda datum, matrix: matrix)
-def _intern(datum, matrix):
-    return FiniteWeylElt(datum, matrix)
+def _intern(datum, perm, matrix_of):
+    """The element of datum with permutation perm; matrix_of() gives the
+    matrix of a new one."""
+    table = memo(datum, "fw_intern")
+    elt = table.get(perm)
+    if elt is None:
+        elt = table.put(perm, FiniteWeylElt(datum, matrix_of(), perm))
+    return elt
+
+
+def _reflection(datum, perm, refl):
+    """The reflection s_beta, of matrix 1 - beta^vee (x) beta, with permutation
+    perm and beta of index refl, marked as a reflection for product."""
+    matrix_of = lambda: _rank_one(linalg.identity_matrix(datum.rank), datum.coroots[refl],
+                                  datum.roots[refl])
+    elt = _intern(datum, perm, matrix_of)
+    if elt.refl is None:
+        if elt.matrix != matrix_of():
+            raise InternalAssertion("one root permutation has two matrices")
+        elt.refl = refl
+    return elt
+
+
+def _rank_one(m, c, r):
+    """m - c (x) r."""
+    return tuple(tuple([x - ci * y for x, y in zip(row, r)]) for row, ci in zip(m, c))
+
+
+def product(a, b):
+    """a * b by composing permutations, with no product row.  For a
+    reflection factor s_beta, M_a s_beta = M_a - (a beta)^vee (x) beta and
+    s_beta M_b = M_b - beta^vee (x) b^-1 beta."""
+    d = a.datum
+    if b.refl is not None:
+        matrix_of = lambda: _rank_one(a.matrix, d.coroots[a.perm[b.refl]], d.roots[b.refl])
+    elif a.refl is not None:
+        matrix_of = lambda: _rank_one(b.matrix, d.coroots[a.refl], d.roots[b.perm.index(a.refl)])
+    else:
+        matrix_of = lambda: linalg.mat_mul(a.matrix, b.matrix)
+    return _intern(d, d.perm_type(map(a.perm.__getitem__, b.perm)), matrix_of)
 
 
 def fw_identity(datum):
-    return _intern(datum, linalg.identity_matrix(datum.rank))
+    ident = datum.perm_type(range(len(datum.roots)))
+    return _intern(datum, ident, lambda: linalg.identity_matrix(datum.rank))
 
 
 def fw_simple(datum, i):
-    return _intern(datum, datum.simple_reflection_matrix(i))
+    return _reflection(datum, datum.simple_perms[i], datum.simple_index[i])
 
 
 def fw_from_word(datum, word):
@@ -168,7 +196,11 @@ def fw_from_word(datum, word):
 
 
 def fw_reflection(datum, beta, betavee):
-    return _intern(datum, datum.reflection_matrix(beta, betavee))
+    """s_beta for a root beta: gamma -> gamma - <gamma, beta^vee> beta on Phi."""
+    index, pairings = datum.root_index, linalg.mat_vec(datum.roots, betavee)
+    perm = datum.perm_type(index[tuple([x - c * y for x, y in zip(gamma, beta)])] if c else k
+                           for k, (gamma, c) in enumerate(zip(datum.roots, pairings)))
+    return _reflection(datum, perm, index[beta])
 
 
 def fw_inverse(a):

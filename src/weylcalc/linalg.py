@@ -23,10 +23,6 @@ def vec_neg(a):
     return tuple(map(neg, a))
 
 
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
 def vec_dot(a, b):
     return sum(map(mul, a, b))
 
@@ -85,33 +81,21 @@ def invert_unimodular(m):
 
 
 def is_positive_definite(sym):
-    """Sylvester criterion with exact arithmetic on a symmetric matrix."""
-    n = len(sym)
-    for k in range(1, n + 1):
-        minor = [[Fraction(sym[i][j]) for j in range(k)] for i in range(k)]
-        det = _det_fraction(minor)
-        if det <= 0:
+    """Sylvester criterion on a symmetric integer matrix: every leading
+    principal minor is positive.  Fraction-free (Bareiss) elimination
+    without pivoting leaves the k-th leading minor as the k-th pivot, and
+    each of its divisions is exact."""
+    rows = [list(row) for row in sym]
+    prev = 1
+    for k, top in enumerate(rows):
+        pivot = top[k]
+        if pivot <= 0:
             return False
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
     return True
-
-
-def _det_fraction(rows):
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
 
 
 def smith_normal_form(a):

@@ -18,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -122,13 +122,7 @@ class RootDatum:
         self._validate_basic()
         # rank x n, column j the simple coroot alpha_j^vee
         self.coroot_matrix = tuple(zip(*self.simple_coroots))
-        self._simple_reflection_matrices = tuple(
-            self.reflection_matrix(a, av) for a, av in zip(self.simple_roots, self.simple_coroots)
-        )
-        self.cartan = tuple(
-            tuple(linalg.vec_dot(self.simple_roots[i], self.simple_coroots[j]) for j in range(self.n_simple))
-            for i in range(self.n_simple)
-        )
+        self.cartan = linalg.mat_mul(self.simple_roots, self.coroot_matrix)
         self._validate_cartan()
         self._validate_independence()
         self._derive_roots()
@@ -154,8 +148,7 @@ class RootDatum:
                 raise MalformedConfig("each simple coroot must be a vector in Z^rank")
 
     def _validate_independence(self):
-        # redundant once the Cartan matrix is known nonsingular, but kept as
-        # a defensive backstop
+        # redundant once the Cartan matrix is nonsingular; a defensive backstop
         if linalg.rank_rational(self.simple_roots) != self.n_simple:
             raise MalformedConfig("simple roots are linearly dependent")
         if linalg.rank_rational(self.coroot_matrix) != self.n_simple:
@@ -173,28 +166,33 @@ class RootDatum:
                         raise MalformedConfig("off-diagonal Cartan entries must be <= 0")
                     if (a[i][j] == 0) != (a[j][i] == 0):
                         raise MalformedConfig("Cartan zero pattern is not symmetric")
-        # symmetrize: d_i a_ij = d_j a_ji with d_i > 0, per connected component
-        d = [None] * n
+        # symmetrize: d_i a_ij = d_j a_ji with d_i = num / den > 0, per
+        # connected component (collected on the way), then scale the d_i to
+        # integers
+        d, components = [None] * n, []
         for start in range(n):
             if d[start] is not None:
                 continue
-            d[start] = Fraction(1)
-            stack = [start]
+            d[start], stack, members = (1, 1), [start], [start]
             while stack:
                 i = stack.pop()
                 for j in range(n):
                     if a[i][j] != 0 and i != j:
-                        want = d[i] * a[i][j] / a[j][i]
+                        # both entries are negative, so the ratio is positive
+                        num, den = -d[i][0] * a[i][j], -d[i][1] * a[j][i]
                         if d[j] is None:
-                            d[j] = want
+                            g = gcd(num, den)
+                            d[j] = (num // g, den // g)
                             stack.append(j)
-                        elif d[j] != want:
+                            members.append(j)
+                        elif d[j][0] * den != num * d[j][1]:
                             raise NotFiniteType("Cartan matrix is not symmetrizable")
-        sym = tuple(tuple(d[i] * a[i][j] for j in range(n)) for i in range(n))
-        for i in range(n):
-            for j in range(n):
-                if sym[i][j] != sym[j][i]:
-                    raise NotFiniteType("symmetrized Cartan matrix is not symmetric")
+            components.append(tuple(sorted(members)))
+        self.components = tuple(components)
+        scale = lcm(*(den for _, den in d))
+        sym = tuple(tuple(num * (scale // den) * x for x in row) for (num, den), row in zip(d, a))
+        if sym != tuple(zip(*sym)):
+            raise NotFiniteType("symmetrized Cartan matrix is not symmetric")
         if not linalg.is_positive_definite(sym):
             raise NotFiniteType("symmetrized Cartan matrix is not positive definite")
 
@@ -225,7 +223,7 @@ class RootDatum:
                 if self.cartan[perm[i]][perm[j]] != self.cartan[i][j]:
                     raise BadAutomorphism("delta does not fix the Cartan matrix")
         for beta in self.pos_roots:
-            if linalg.row_mat(beta, matrix) not in self._pos_set:
+            if linalg.row_mat(beta, matrix) not in self.pos_roots:
                 raise BadAutomorphism("delta does not permute the positive roots")
         return DiagramAutomorphism(perm, matrix)
 
@@ -234,26 +232,29 @@ class RootDatum:
     def _derive_roots(self):
         n = self.n_simple
         # closure of the simple roots under simple reflections, carrying the
-        # coroot and the coefficient vector in the simple-root basis along
+        # coroot and the coefficient vector in the simple-root basis along,
+        # and keeping every root's images s_i(beta)
         seen = {}
+        images = {}
         work = []
         for i in range(n):
             coeff = tuple(1 if j == i else 0 for j in range(n))
             item = (self.simple_roots[i], self.simple_coroots[i], coeff)
             seen[item[0]] = item
             work.append(item)
+        simple = tuple(enumerate(zip(self.simple_roots, self.simple_coroots)))
         while work:
             beta, betavee, coeff = work.pop()
-            for i in range(n):
-                pairing = linalg.vec_dot(beta, self.simple_coroots[i])
-                nbeta = linalg.vec_sub(beta, linalg.vec_scale(pairing, self.simple_roots[i]))
+            row = images[beta] = []
+            for i, (alpha, alphavee) in simple:
+                pairing = linalg.vec_dot(beta, alphavee)
+                nbeta = tuple([x - pairing * y for x, y in zip(beta, alpha)]) if pairing else beta
+                row.append(nbeta)
                 if nbeta in seen:
                     continue
-                cb = linalg.vec_dot(self.simple_roots[i], betavee)
-                nbetavee = linalg.vec_sub(betavee, linalg.vec_scale(cb, self.simple_coroots[i]))
-                ncoeff = tuple(
-                    coeff[j] - (pairing if j == i else 0) for j in range(n)
-                )
+                cb = linalg.vec_dot(alpha, betavee)
+                nbetavee = tuple([x - cb * y for x, y in zip(betavee, alphavee)])
+                ncoeff = coeff[:i] + (coeff[i] - pairing,) + coeff[i + 1:]
                 item = (nbeta, nbetavee, ncoeff)
                 seen[nbeta] = item
                 work.append(item)
@@ -271,37 +272,21 @@ class RootDatum:
                 raise MalformedConfig("root with mixed-sign coefficients; invalid data")
         if 2 * len(pos) != len(seen):
             raise MalformedConfig("root system is not symmetric under negation")
-        self.pos_roots = tuple(p[0] for p in pos)
-        self.pos_coroots = tuple(p[1] for p in pos)
-        self.pos_coeffs = tuple(p[2] for p in pos)
-        self._pos_set = frozenset(self.pos_roots)
-        self._neg_set = frozenset(linalg.vec_neg(b) for b in self.pos_roots)
+        self.pos_roots, self.pos_coroots, self.pos_coeffs = map(tuple, zip(*pos))
+        # Phi indexed as Phi^+ then -Phi^+, with the coroot of each root; W0 acts
+        # on Phi by permutations of these indices (bytes, a quarter of a tuple's
+        # memory, when they fit), s_i by simple_perms[i]
+        self.roots = self.pos_roots + tuple(map(linalg.vec_neg, self.pos_roots))
+        self.coroots = self.pos_coroots + tuple(map(linalg.vec_neg, self.pos_coroots))
+        self.root_index = {beta: k for k, beta in enumerate(self.roots)}
+        self.perm_type = bytes if len(self.roots) <= 256 else tuple
+        self.simple_index = tuple(self.root_index[alpha] for alpha in self.simple_roots)
+        self.simple_perms = tuple(self.perm_type(self.root_index[images[b][i]] for b in self.roots)
+                                  for i in range(n))
         for beta, betavee in zip(self.pos_roots, self.pos_coroots):
             if linalg.vec_dot(beta, betavee) != 2:
                 raise MalformedConfig("derived coroot fails <beta, beta^vee> = 2")
-        self.components = self._connected_components()
         self.highest_roots = tuple(self._highest_root(comp) for comp in self.components)
-
-    def _connected_components(self):
-        n = self.n_simple
-        comp = [None] * n
-        comps = []
-        for start in range(n):
-            if comp[start] is not None:
-                continue
-            cid = len(comps)
-            members = []
-            stack = [start]
-            comp[start] = cid
-            while stack:
-                i = stack.pop()
-                members.append(i)
-                for j in range(n):
-                    if comp[j] is None and self.cartan[i][j] != 0:
-                        comp[j] = cid
-                        stack.append(j)
-            comps.append(tuple(sorted(members)))
-        return tuple(comps)
 
     def _highest_root(self, comp):
         comp_set = set(comp)
@@ -321,11 +306,12 @@ class RootDatum:
         self.rho = tuple(Fraction(x, 2) for x in self.two_rho)
         self.two_rho_check = tuple(map(sum, zip(*self.pos_coroots)))
         self.rho_check = tuple(Fraction(x, 2) for x in self.two_rho_check)
-        # standard identities; failure indicates a derivation bug
+        # standard identities, checked on 2 rho and 2 rho^vee; failure
+        # indicates a derivation bug
         for i in range(self.n_simple):
-            if linalg.vec_dot(self.simple_roots[i], self.rho_check) != 1:
+            if linalg.vec_dot(self.simple_roots[i], self.two_rho_check) != 2:
                 raise MalformedConfig("<alpha_i, rho^vee> != 1; inconsistent root data")
-            if linalg.vec_dot(self.rho, self.simple_coroots[i]) != 1:
+            if linalg.vec_dot(self.two_rho, self.simple_coroots[i]) != 2:
                 raise MalformedConfig("<rho, alpha_i^vee> != 1; inconsistent root data")
 
     def _derive_kappa(self):
@@ -340,21 +326,6 @@ class RootDatum:
     def reflect_coweight(self, i, v):
         c = linalg.vec_dot(self.simple_roots[i], v)
         return tuple(x - c * y for x, y in zip(v, self.simple_coroots[i]))
-
-    def is_positive_root(self, beta):
-        return beta in self._pos_set
-
-    def is_negative_root(self, beta):
-        return beta in self._neg_set
-
-    def simple_reflection_matrix(self, i):
-        return self._simple_reflection_matrices[i]
-
-    def reflection_matrix(self, beta, betavee):
-        return tuple(
-            tuple((1 if j == k else 0) - betavee[j] * beta[k] for k in range(self.rank))
-            for j in range(self.rank)
-        )
 
     def dominant_rep(self, nu):
         """The unique dominant representative of the W0-orbit of nu, in the

@@ -165,3 +165,50 @@ def dim_max(a, b):
     if b.is_empty:
         return a
     return finite(max(a.dim, b.dim))
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _row_mat(v, m):
+    return tuple(sum(x * y for x, y in zip(v, col)) for col in zip(*m))
+
+
+def _mat_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def matrix_generator_move(label, s, u, inverse_matrix):
+    """The fields of affweyl.GeneratorMove for the generator s = t^mu sigma
+    labelled label and the finite part u, from matrices alone, with finite
+    parts given by their matrices and inverse_matrix(m) the matrix of the
+    inverse.  alpha is alpha_i for label i > 0 and -theta for an affine
+    node; a right move adds u(mu), and a shift s w s is the right move of
+    s w."""
+    datum = u.datum
+    if label > 0:
+        alpha, k, coroot = datum.simple_roots[label - 1], 0, datum.simple_coroots[label - 1]
+    else:
+        theta, thetavee = datum.highest_roots[-label]
+        alpha, k, coroot = tuple(-x for x in theta), 1, tuple(-x for x in thetavee)
+    sigma, m_u = s.fw.matrix, u.matrix
+    left = _matmul(sigma, m_u)
+    root = _row_mat(alpha, inverse_matrix(m_u))
+    shift_root = _row_mat(alpha, inverse_matrix(left))
+    return {
+        "alpha": alpha,
+        "k": k,
+        "coroot": coroot,
+        "left": left,
+        "left_positive": _row_mat(alpha, m_u) in datum.pos_roots,
+        "right": _matmul(m_u, sigma),
+        "root": root,
+        "root_positive": root in datum.pos_roots,
+        "right_lam": _mat_vec(m_u, s.lam) if k else None,
+        "shift_root": shift_root,
+        "shift_positive": shift_root in datum.pos_roots,
+        "shift_pairing": sum(x * y for x, y in zip(shift_root, coroot)),
+        "shift_lam": _mat_vec(left, s.lam) if k else None,
+        "shifted": _matmul(left, sigma),
+    }

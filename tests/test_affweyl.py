@@ -32,7 +32,7 @@ from weylcalc import (
     simple_reflections,
     translation,
 )
-from weylcalc.linalg import vec_dot
+from weylcalc.linalg import row_mat, vec_dot
 from weylcalc.oracle import brute_straight_check, cayley_ball
 from weylcalc.rootdata import PRESETS
 
@@ -332,7 +332,8 @@ def _scan_omega(datum):
     <alpha_i, lam> = [u^-1 alpha_i < 0], kept when integral and of length 0."""
     found = []
     for u in enumerate_w0(datum):
-        rhs = [int(datum.is_negative_root(u.inv_act_root(alpha))) for alpha in datum.simple_roots]
+        rhs = [int(tuple(-x for x in row_mat(alpha, u.matrix)) in datum.pos_roots)
+               for alpha in datum.simple_roots]
         lam = solve_rational(datum.simple_roots, rhs)
         if lam is not None and all(x.denominator == 1 for x in lam):
             w = from_parts(datum, [int(x) for x in lam], u.word)
