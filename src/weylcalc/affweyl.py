@@ -19,7 +19,8 @@ sets the moved element's length.  Elements built by a product, and the
 oracle's Cayley ball, use the Iwahori-Matsumoto formula instead.
 
 Newton data are kept in integers: n nu_w = sum_{i<n} u^i(lam) for n the
-order of u is integral, and Fractions are built only when nu is returned.
+order of u is integral, and Fractions are built only when newton_point
+returns nu; class_key names a class by nu_bar as reduced integer pairs.
 The length-zero elements of each standard Levi's extended affine Weyl
 group are read off W_J and the Cartan matrix in integers, one J at a time
 (_levi): J = S gives omega_elements, and every J the straight census.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import sub
 
 from . import linalg
@@ -48,13 +50,17 @@ from .search import closure, descend, right_moves
 
 
 class AffineWeylElt:
-    """t^lam * u with lam in X and u in W0."""
+    """t^lam * u with lam in X and u in W0.  The public constructor refuses
+    a lam whose length is not the rank (DatumMismatch); _from_ints does not
+    check."""
 
     __slots__ = ("datum", "lam", "fw", "_length", "_newton")
 
     def __init__(self, datum, lam, fw):
         self.datum = datum
         self.lam = tuple(int(x) for x in lam)
+        if len(self.lam) != datum.rank:
+            raise DatumMismatch(f"lambda has {len(self.lam)} coordinates, not {datum.rank}")
         self.fw = fw
         self._length = None
         self._newton = None
@@ -389,9 +395,11 @@ def kappa_w(w):
 
 
 def class_key(w):
-    """(kappa(w), nu_bar_w): the StraightClass.pair_key of the class [w] in B(G)."""
+    """(kappa(w), nu_bar_w as reduced (numerator, denominator) pairs): the
+    StraightClass.pair_key of the class [w] in B(G), in integers."""
     n, _, dominant = _newton_data(w)
-    return kappa_w(w), tuple(Fraction(x, n) for x in dominant)
+    gcds = [gcd(x, n) for x in dominant]
+    return kappa_w(w), tuple((x // g, n // g) for x, g in zip(dominant, gcds))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Cyclic-shift reduction to minimal length, closures under length-preserving
 shifts, the decomposition of a minimal-length element as (finite part u) x
 (straight part x) adapted to a spherical generator subset, straight
-conjugacy classes keyed by (kappa, dominant Newton point), and the alcove
-sign test for Levi compatibility.
+conjugacy classes keyed in integers by (kappa, dominant Newton point as
+reduced pairs), the class_key of each member, and the alcove sign test for
+Levi compatibility.
 
 The census of straight classes builds no length ball.  Straight classes
 are in bijection with B(G) (He, Ann. of Math. 179, 2014), and B(G) with
@@ -35,8 +36,10 @@ from .affweyl import (
     coweight,
     defect_of,
     is_straight,
+    kappa_w,
     left_descents,
     low_shifts,
+    newton_point,
     omega_elements,
     right_ascents,
     right_move,
@@ -53,8 +56,9 @@ class StraightClass:
 
     Doubles as the combinatorial stand-in for a Frobenius-twisted conjugacy
     class of the associated residually split group.  Equality and hashing
-    use only the identifying pair; length and defect are derived invariants
-    carried along for the dimension formulas.
+    use only pair_key, the identifying pair in integers; length and defect
+    are derived invariants carried along for the dimension formulas, and
+    nu_bar stays a tuple of Fractions for printing and sorting.
     """
 
     kappa: tuple
@@ -65,21 +69,16 @@ class StraightClass:
     def __eq__(self, other):
         if not isinstance(other, StraightClass):
             return NotImplemented
-        return self.kappa == other.kappa and self.nu_bar == other.nu_bar
+        return self.pair_key == other.pair_key
 
     def __hash__(self):
-        return hash((self.kappa, self.nu_bar))
-
-    @property
-    def pair_key(self):
-        return (self.kappa, self.nu_bar)
+        return hash(self.pair_key)
 
     @cached_property
-    def facts_key(self):
-        """(kappa, nu_bar as (numerator, denominator) pairs, length) in
-        ints, built once per class: a key that hashes no Fraction."""
-        nu = tuple((x.numerator, x.denominator) for x in self.nu_bar)
-        return self.kappa, nu, self.length
+    def pair_key(self):
+        """(kappa, nu_bar as reduced (numerator, denominator) pairs), the
+        value class_key gives for every element of the class."""
+        return self.kappa, tuple((x.numerator, x.denominator) for x in self.nu_bar)
 
     def to_json(self):
         return {
@@ -133,7 +132,7 @@ def _class_of_straight(x):
     """StraightClass populated from a straight representative."""
     if not is_straight(x):
         raise InternalAssertion("representative is not straight")
-    return StraightClass(*class_key(x), length=x.length, defect=defect_of(x))
+    return StraightClass(kappa_w(x), newton_point(x)[1], length=x.length, defect=defect_of(x))
 
 
 @memoised("reduce_min", key=lambda w, budget=None: w.key)
@@ -358,7 +357,7 @@ def resolve_class(datum, kappa, nu_bar):
         if lam is None or datum.kappa_class(lam) != kappa:
             continue
         cls = _class_of_levi_rep(AffineWeylElt._from_ints(datum, lam, u))
-        if cls.pair_key != (kappa, nu_bar):
+        if (cls.kappa, cls.nu_bar) != (kappa, nu_bar):
             raise InternalAssertion("the Levi representative lies in another class")
         return cls
     raise UnknownClass(

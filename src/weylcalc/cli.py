@@ -20,9 +20,9 @@ import time
 
 from . import dims, verify
 from .affweyl import (
-    class_key,
     from_finite,
     from_parts,
+    kappa_w,
     newton_point,
     omega_elements,
     simple_reflections,
@@ -201,13 +201,13 @@ def _emit(doc, started=None):
 
 
 def _element_info(w):
-    kappa, nu_bar = class_key(w)
+    nu, nu_bar = newton_point(w)
     return {
         "element": w.to_json(),
         "length": w.length,
-        "nu": [format_fraction(x) for x in newton_point(w)[0]],
+        "nu": [format_fraction(x) for x in nu],
         "nu_dominant": [format_fraction(x) for x in nu_bar],
-        "kappa": list(kappa),
+        "kappa": list(kappa_w(w)),
     }
 
 

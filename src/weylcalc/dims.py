@@ -8,10 +8,14 @@ dimension is 1 + max over the two shorter elements.  dim_X_flag reads one
 class off the profile.  Everything else is a closed formula layered on top,
 and the affine Lusztig evaluators add a GammaDescriptor's fiber dimension.
 
-Each class fact is decided once per datum: _validate_class gives a class's
-length and Newton-form checks and its profile id, and superregular_applies
-the superregular hypotheses for (mu, nu_bar).  The virtual dimension is the
-element part l(w) + l(eta(w)) minus the class part def(C) + l(C), halved.
+A class is named by StraightClass.pair_key, (kappa, nu_bar as reduced
+integer pairs), and enters profiles as an id from the datum's class_ids
+table, which is never reset.  _validate_class checks l(C) = <2 rho, nu_bar>
+once per class and gives that id; from then on every formula reads l(C)
+for <2 rho, nu_bar>, so the virtual dimension (the element part l(w) +
+l(eta(w)) minus the class part def(C) + l(C)), the Grassmannian dimension
+and the fiber dimension are integers halved.  Fractions are built only for
+error messages and at the cache file's edge.
 
 The empty value is absorbing under +1 and max and is kept distinct from 0
 everywhere, including serialization.
@@ -24,6 +28,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .affweyl import (
@@ -45,7 +50,7 @@ from .errors import (
     NotDominant,
 )
 from .finiteweyl import enumerate_w0, longest_element, supp
-from .memo import Memo, memo, memoised
+from .memo import memo, memoised
 from .search import explore_level
 
 
@@ -126,26 +131,33 @@ class GammaDescriptor:
         }
 
 
-def _validate_class(datum, cls):
-    """Check l(C) = <2 rho, nu_bar> and <rho, nu_bar> = l(C)/2 (the Newton
-    form of virtual_dimension) and return the profile id DimCache.class_id.
+def _class_id(datum, pair):
+    """The profile id of the class with pair key pair: its index in the
+    datum's class_ids table, assigned on first meeting and never reset."""
+    ids = memo(datum, "class_ids")
+    cid = ids.get(pair)
+    return ids.put(pair, len(ids.table)) if cid is None else cid
 
-    These facts depend on the class alone, so they are memoised per datum
-    in the class_facts table, keyed by the integral StraightClass.facts_key
-    (kappa, nu_bar, length): class equality ignores the length, and a class
-    carrying a wrong length must still be refused.  A class that no profile
-    meets reads as Empty.
+
+def _validate_class(datum, cls):
+    """Check l(C) = <2 rho, nu_bar> in integers and return the class's
+    profile id (_class_id).
+
+    The check depends on the class alone, so it is memoised per datum in
+    the class_facts table, keyed by (pair_key, length): class equality
+    ignores the length, and a class carrying a wrong length must still be
+    refused.  A class that no profile meets reads as Empty.
     """
-    cache = _dim_cache(datum)  # first: a new profile table clears the facts
-    facts, key = memo(datum, "class_facts"), cls.facts_key
+    facts, key = memo(datum, "class_facts"), (cls.pair_key, cls.length)
     cid = facts.get(key)
     if cid is None:
-        ell = linalg.vec_dot(datum.two_rho, cls.nu_bar)
-        if Fraction(ell) != Fraction(cls.length):
-            raise InternalAssertion(f"class length {cls.length} != <2 rho, nu_bar> = {ell}")
-        if 2 * linalg.vec_dot(datum.rho, cls.nu_bar) != cls.length:
-            raise InternalAssertion("the two virtual-dimension forms disagree")
-        cid = facts.put(key, cache.class_id(cls.pair_key))
+        nu = cls.pair_key[1]
+        den = lcm(*(d for _, d in nu))
+        ell = sum(c * n * (den // d) for c, (n, d) in zip(datum.two_rho, nu))
+        if ell != den * cls.length:
+            raise InternalAssertion(
+                f"class length {cls.length} != <2 rho, nu_bar> = {Fraction(ell, den)}")
+        cid = facts.put(key, _class_id(datum, cls.pair_key))
     return cid
 
 
@@ -162,10 +174,8 @@ def element_part(w):
 
 def virtual_dimension(w, cls):
     """d_w(C) = (l(w) + l(eta(w)) - def(C) - l(C)) / 2 in integers: the
-    element part minus the class part, halved.  The Newton-point form
-    (l(w) + l(eta(w)) - def)/2 - <rho, nu_bar> agrees, as _validate_class
-    checks once per class.  A non-integral half is surfaced as an error
-    carrying the exact rational, never rounded."""
+    element part minus the class part, halved.  A non-integral half is
+    surfaced as an error carrying the exact rational, never rounded."""
     _validate_class(w.datum, cls)
     num = element_part(w) - cls.defect - cls.length
     if num % 2:
@@ -173,36 +183,10 @@ def virtual_dimension(w, cls):
     return num // 2
 
 
-class DimCache(Memo):
-    """The memo of dimension profiles keyed by element.
-
-    A profile maps each straight class the cell meets to its dimension; a
-    class that is absent is Empty.  Classes enter profiles as small integer
-    ids, so that merging profiles hashes no rationals.  Profiles are shared
-    between the elements of a shift class and never mutated.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.class_ids = {}  # class pair key (kappa, nu_bar) -> id
-        self.class_keys = []  # id -> class pair key
-
-    def class_id(self, ckey):
-        cid = self.class_ids.get(ckey)
-        if cid is None:
-            cid = self.class_ids[ckey] = len(self.class_keys)
-            self.class_keys.append(ckey)
-        return cid
-
-
 def _dim_cache(datum):
-    def fresh():
-        # these tables hold class ids of the profile table, so they start with it
-        for name in ("class_facts", "grass_max"):
-            memo(datum, name).table.clear()
-        return DimCache()
-
-    return memo(datum, "dim_x_flag", fresh)
+    """The datum's profile table: element key -> {class id: dim}.  Profiles
+    are shared between the elements of a shift class and never mutated."""
+    return memo(datum, "dim_x_flag")
 
 
 def _shift_descents(w, budget=None):
@@ -224,7 +208,7 @@ def _raise_by_one(a, b):
 
 def dim_profile(w, budget=None):
     """Dimension of the flag cell of w for every straight class at once, as
-    a profile {class id: dim} (ids from DimCache.class_id).
+    a profile {class id: dim} (ids from _class_id).
 
     The reduction tree depends on w alone; only its leaves depend on the
     class.  A minimal-length leaf x meets only its own class class_key(x),
@@ -274,7 +258,7 @@ def dim_profile(w, budget=None):
             num = n * v.length - linalg.vec_dot(v.datum.two_rho, dominant)
             if num < 0 or num % n:
                 raise InternalAssertion(f"minimal-length leaf has dimension {Fraction(num, n)}")
-            profile = {cache.class_id(class_key(v)): num // n}
+            profile = {_class_id(v.datum, class_key(v)): num // n}
         for key in elts:
             cache.put(key, profile)
         stack.pop()
@@ -293,7 +277,8 @@ def dim_X_grass(datum, mu, cls):
     """Closed formula in the affine Grassmannian.
 
     Empty unless kappa matches and the class Newton point is dominated by
-    mu; otherwise <rho, mu - nu> - def/2, which must come out integral.
+    mu; otherwise <rho, mu - nu_bar> - def/2, computed as (<2 rho, mu> -
+    l(C) - def)/2 in integers, which must come out integral.
     """
     _validate_class(datum, cls)
     mu = tuple(int(x) for x in mu)
@@ -303,31 +288,28 @@ def dim_X_grass(datum, mu, cls):
         return EMPTY
     if not datum.dominance_leq(cls.nu_bar, mu):
         return EMPTY
-    diff = linalg.vec_sub(tuple(Fraction(x) for x in mu), cls.nu_bar)
-    value = linalg.vec_dot(datum.rho, diff) - Fraction(cls.defect, 2)
-    if value.denominator != 1:
-        raise NonIntegralDimension(f"Grassmannian formula gave {value}")
-    if value < 0:
-        raise NegativeDimension(f"Grassmannian formula gave {value}")
-    return finite(int(value))
+    num = linalg.vec_dot(datum.two_rho, mu) - cls.length - cls.defect
+    if num % 2:
+        raise NonIntegralDimension(f"Grassmannian formula gave {Fraction(num, 2)}")
+    if num < 0:
+        raise NegativeDimension(f"Grassmannian formula gave {num // 2}")
+    return finite(num // 2)
 
 
 def springer_dim_from_invariants(datum, gd):
     """Fiber dimension from (discriminant valuation, rank drop):
-    <rho, nu> + def/2 + (d - c)/2."""
+    <rho, nu_bar> + def/2 + (d - c)/2, computed as (l(C) + def + d - c)/2
+    in integers once l(C) = <2 rho, nu_bar> is checked."""
     if gd.d_gamma is None or gd.c_gamma is None:
         raise ValueError("both d_gamma and c_gamma are required")
     cls = gd.straight_class
-    value = (
-        linalg.vec_dot(datum.rho, cls.nu_bar)
-        + Fraction(cls.defect, 2)
-        + Fraction(gd.d_gamma - gd.c_gamma, 2)
-    )
-    if value.denominator != 1:
-        raise NonIntegralDimension(f"fiber dimension formula gave {value}")
-    if value < 0:
-        raise NegativeDimension(f"fiber dimension formula gave {value}")
-    return int(value)
+    _validate_class(datum, cls)
+    num = cls.length + cls.defect + gd.d_gamma - gd.c_gamma
+    if num % 2:
+        raise NonIntegralDimension(f"fiber dimension formula gave {Fraction(num, 2)}")
+    if num < 0:
+        raise NegativeDimension(f"fiber dimension formula gave {num // 2}")
+    return num // 2
 
 
 def dim_Y_flag(w, gd, budget=None):
@@ -342,19 +324,19 @@ def dim_Y_grass(datum, mu, gd):
     return dim_X_grass(datum, mu, gd.straight_class).plus(d)
 
 
-@memoised("superregular", key=lambda datum, mu, nu_bar: (mu, nu_bar))
-def superregular_applies(datum, mu, nu_bar):
-    """Whether the superregular formula applies to mu and a class with Newton
-    point nu_bar: raises HypothesisViolated unless mu is dominant with
-    <alpha_i, mu> >= 2 for every simple root, and otherwise returns whether
-    nu_bar + 2 rho^vee is dominated by mu.  mu is a tuple of ints."""
+@memoised("superregular", key=lambda datum, mu, cls: (mu, cls.pair_key))
+def superregular_applies(datum, mu, cls):
+    """Whether the superregular formula applies to mu and the class cls with
+    Newton point nu_bar: raises HypothesisViolated unless mu is dominant
+    with <alpha_i, mu> >= 2 for every simple root, and otherwise returns
+    whether nu_bar + 2 rho^vee is dominated by mu.  mu is a tuple of ints."""
     if not datum.is_dominant(mu):
         raise HypothesisViolated(f"{mu} is not dominant")
     for i in range(datum.n_simple):
         c = linalg.vec_dot(datum.simple_roots[i], mu)
         if c < 2:
             raise HypothesisViolated(f"<alpha_{i}, mu> = {c} < 2; use the flag recursion")
-    return datum.dominance_leq(linalg.vec_add(nu_bar, datum.two_rho_check), mu)
+    return datum.dominance_leq(linalg.vec_add(cls.nu_bar, datum.two_rho_check), mu)
 
 
 def dim_Y_superregular(x, mu, y, gd, budget=None):
@@ -370,7 +352,7 @@ def dim_Y_superregular(x, mu, y, gd, budget=None):
     cls = gd.straight_class
     _validate_class(datum, cls)
     mu = tuple(int(v) for v in mu)
-    if not superregular_applies(datum, mu, cls.nu_bar):
+    if not superregular_applies(datum, mu, cls):
         raise HypothesisViolated("nu + 2 rho^vee is not dominated by mu")
     w = from_finite(x) * translation(datum, mu) * from_finite(y)
     eta = _eta(w)
@@ -405,10 +387,12 @@ def save_cache(datum, directory):
     hash.  The file is written next to its final path and then moved into
     place, so a reader never sees a partial file."""
     cache = _dim_cache(datum)
-    # classes are written sorted by key and renumbered, so the file does not
-    # depend on the order in which this process met them
+    # classes are written sorted by (kappa, nu_bar) and renumbered, so the
+    # file does not depend on the order in which this process met them
+    keys = {cid: (kappa, tuple(Fraction(n, d) for n, d in nu))
+            for (kappa, nu), cid in memo(datum, "class_ids").table.items()}
     classes = sorted({cid for profile in cache.table.values() for cid in profile},
-                     key=cache.class_keys.__getitem__)
+                     key=keys.__getitem__)
     file_id = {cid: i for i, cid in enumerate(classes)}
     profiles, profile_index, elements = [], {}, []
     for (lam, matrix), profile in sorted(cache.table.items()):
@@ -422,7 +406,7 @@ def save_cache(datum, directory):
         "datum": datum.hash_hex,
         "classes": [
             [list(kappa), [linalg.format_fraction(x) for x in nu_bar]]
-            for kappa, nu_bar in map(cache.class_keys.__getitem__, classes)
+            for kappa, nu_bar in map(keys.__getitem__, classes)
         ],
         "profiles": profiles,
         "elements": elements,
@@ -447,14 +431,15 @@ def _int(x):
     return x
 
 
-def _parse_cache(payload, cache):
+def _parse_cache(payload, datum):
     """Element key -> profile from a version-2 payload, with classes renumbered
-    to the ids of `cache`; raises on any malformed part, so a bad file loads
-    no profile."""
+    to the datum's class ids; raises on any malformed part, so a bad file
+    loads no profile."""
     classes = [
-        cache.class_id(
-            (tuple(_int(x) for x in kappa), tuple(linalg.parse_fraction(x) for x in nu))
-        )
+        _class_id(datum, (
+            tuple(_int(x) for x in kappa),
+            tuple((x.numerator, x.denominator) for x in map(linalg.parse_fraction, nu)),
+        ))
         for kappa, nu in payload["classes"]
     ]
     profiles = []
@@ -493,13 +478,13 @@ def load_cache(datum, directory):
             return 0
         if payload.get("datum") != datum.hash_hex:
             return 0
-        cache = _dim_cache(datum)
-        table = _parse_cache(payload, cache)
+        table = _parse_cache(payload, datum)
     except (
         OSError, ValueError, ZeroDivisionError, KeyError, TypeError, IndexError, AttributeError
     ) as exc:
         print(f"weylcalc: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
         return 0
+    cache = _dim_cache(datum)
     for key, profile in table.items():
         cache.put(key, profile)
     return len(table)

@@ -27,11 +27,11 @@ class Memo:
         return self.table.setdefault(key, value)
 
 
-def memo(datum, name, factory=Memo):
+def memo(datum, name):
     """The datum's table called name, created on first use."""
     table = datum._cache.get(name)
     if table is None:
-        table = datum._cache[name] = factory()
+        table = datum._cache[name] = Memo()
     return table
 
 

@@ -56,35 +56,28 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
     ident = aw_identity(datum)
     dist = {ident.key: 0}
     elems = {ident.key: ident}
+
+    def add(w, d):
+        """Record w at distance d unless it is known; True when it is new."""
+        key = w.key
+        if key in dist:
+            return False
+        dist[key] = d
+        elems[key] = w
+        if len(dist) > cap:
+            raise ExplorationBudgetExceeded(
+                f"Cayley ball exceeded {cap} nodes",
+                what="Cayley ball", held=len(dist), budget=cap,
+            )
+        return True
+
     frontier = [ident]
     for level in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            for _, s in refl:
-                v2 = s * v
-                if v2.key not in dist:
-                    dist[v2.key] = level
-                    elems[v2.key] = v2
-                    nxt.append(v2)
-                    if len(dist) > cap:
-                        raise ExplorationBudgetExceeded(
-                            f"Cayley ball exceeded {cap} nodes",
-                            what="Cayley ball", held=len(dist), budget=cap,
-                        )
-        frontier = nxt
+        frontier = [v2 for v2 in (s * v for v in frontier for _, s in refl) if add(v2, level)]
     for tau in omega_elements(datum):
-        if tau.is_identity:
-            continue
-        for key, w in list(elems.items()):
-            tw = tau * w
-            if tw.key not in dist:
-                dist[tw.key] = dist[key]
-                elems[tw.key] = tw
-                if len(dist) > cap:
-                    raise ExplorationBudgetExceeded(
-                        f"Cayley ball exceeded {cap} nodes",
-                        what="Cayley ball", held=len(dist), budget=cap,
-                    )
+        if not tau.is_identity:
+            for key, w in list(elems.items()):
+                add(tau * w, dist[key])
     shells = {}  # v -> (inner mus, boundary mus)
     for key, g in elems.items():
         shells.setdefault(g.fw, ([], []))[dist[key] == radius].append(g.lam)

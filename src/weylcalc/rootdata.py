@@ -3,7 +3,7 @@
 A root datum here is a free lattice X = Z^r (thought of as a coweight
 lattice), a list of simple coroots in X, and a list of simple roots given as
 integer functionals on X.  All derived structure (the positive roots and
-coroots, rho, the dominance order, the quotient X / Z<coroots> used for the
+coroots, 2 rho, the dominance order, the quotient X / Z<coroots> used for the
 kappa invariant) is computed exactly, so every predicate in this package is
 a decision, never an approximation.
 
@@ -231,9 +231,11 @@ class RootDatum:
 
     def _derive_roots(self):
         n = self.n_simple
-        # closure of the simple roots under simple reflections, carrying the
-        # coroot and the coefficient vector in the simple-root basis along,
-        # and keeping every root's images s_i(beta)
+        # closure of the simple roots under simple reflections inside Phi^+,
+        # carrying the coroot and the coefficient vector in the simple-root
+        # basis along, and keeping every positive root's images s_i(beta);
+        # s_i permutes Phi^+ \ {alpha_i}, so an image that leaves Phi^+ must
+        # be -alpha_i, and the negative roots need no closure
         seen = {}
         images = {}
         work = []
@@ -252,26 +254,25 @@ class RootDatum:
                 row.append(nbeta)
                 if nbeta in seen:
                     continue
+                ncoeff = coeff[:i] + (coeff[i] - pairing,) + coeff[i + 1:]
+                if not all(c >= 0 for c in ncoeff):
+                    if any(c > 0 for c in ncoeff):
+                        raise MalformedConfig("root with mixed-sign coefficients; invalid data")
+                    if nbeta != linalg.vec_neg(alpha):
+                        raise MalformedConfig("root system is not symmetric under negation")
+                    continue
+                if not any(ncoeff):
+                    raise MalformedConfig("zero root generated; invalid data")
                 cb = linalg.vec_dot(alpha, betavee)
                 nbetavee = tuple([x - cb * y for x, y in zip(betavee, alphavee)])
-                ncoeff = coeff[:i] + (coeff[i] - pairing,) + coeff[i + 1:]
                 item = (nbeta, nbetavee, ncoeff)
                 seen[nbeta] = item
                 work.append(item)
-                if len(seen) > ROOT_CLOSURE_CAP:
+                if 2 * len(seen) > ROOT_CLOSURE_CAP:
                     raise NotFiniteType(
                         f"root closure exceeded {ROOT_CLOSURE_CAP} roots; data is not of finite type"
                     )
-        pos = []
-        for beta, (_, betavee, coeff) in sorted(seen.items()):
-            if all(c >= 0 for c in coeff):
-                if not any(c > 0 for c in coeff):
-                    raise MalformedConfig("zero root generated; invalid data")
-                pos.append((beta, betavee, coeff))
-            elif not all(c <= 0 for c in coeff):
-                raise MalformedConfig("root with mixed-sign coefficients; invalid data")
-        if 2 * len(pos) != len(seen):
-            raise MalformedConfig("root system is not symmetric under negation")
+        pos = [item for _, item in sorted(seen.items())]
         self.pos_roots, self.pos_coroots, self.pos_coeffs = map(tuple, zip(*pos))
         # Phi indexed as Phi^+ then -Phi^+, with the coroot of each root; W0 acts
         # on Phi by permutations of these indices (bytes, a quarter of a tuple's
@@ -281,8 +282,11 @@ class RootDatum:
         self.root_index = {beta: k for k, beta in enumerate(self.roots)}
         self.perm_type = bytes if len(self.roots) <= 256 else tuple
         self.simple_index = tuple(self.root_index[alpha] for alpha in self.simple_roots)
-        self.simple_perms = tuple(self.perm_type(self.root_index[images[b][i]] for b in self.roots)
-                                  for i in range(n))
+        # s_i(-beta) = -s_i(beta), whose index is half away from s_i(beta)'s
+        half = len(self.pos_roots)
+        on_pos = ([self.root_index[images[b][i]] for b in self.pos_roots] for i in range(n))
+        self.simple_perms = tuple(self.perm_type(row + [(k + half) % (2 * half) for k in row])
+                                  for row in on_pos)
         for beta, betavee in zip(self.pos_roots, self.pos_coroots):
             if linalg.vec_dot(beta, betavee) != 2:
                 raise MalformedConfig("derived coroot fails <beta, beta^vee> = 2")
@@ -303,9 +307,7 @@ class RootDatum:
 
     def _derive_rho(self):
         self.two_rho = tuple(map(sum, zip(*self.pos_roots)))
-        self.rho = tuple(Fraction(x, 2) for x in self.two_rho)
         self.two_rho_check = tuple(map(sum, zip(*self.pos_coroots)))
-        self.rho_check = tuple(Fraction(x, 2) for x in self.two_rho_check)
         # standard identities, checked on 2 rho and 2 rho^vee; failure
         # indicates a derivation bug
         for i in range(self.n_simple):

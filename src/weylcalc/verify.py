@@ -221,7 +221,7 @@ def verify_superregular(datum, pairing_min=2, pairing_cap=None):
     ]
     for mu, classes in _census_by_mu(datum, mus).items():
         for cls in classes:
-            if not superregular_applies(datum, mu, cls.nu_bar):
+            if not superregular_applies(datum, mu, cls):
                 continue
             gd = GammaDescriptor(cls, springer_dim=0)
             for x in w0:
@@ -284,14 +284,13 @@ def _twisted_class(datum, w, delta):
     return list(seen.values())
 
 
-def verify_finite_delta(datum, with_flip=None):
+def verify_finite_delta(datum):
     """Exhaustive check that the twisted cyclic-shift walk reaches the true
-    class minimum for every element of the finite Weyl group."""
+    class minimum for every element of the finite Weyl group, untwisted and
+    twisted by the datum's delta when it has one."""
     deltas = [DiagramAutomorphism.identity(datum.n_simple, datum.rank)]
-    if with_flip is None:
-        with_flip = datum.delta
-    if with_flip is not None and not with_flip.is_identity:
-        deltas.append(with_flip)
+    if datum.delta is not None and not datum.delta.is_identity:
+        deltas.append(datum.delta)
     failures = []
     checked = 0
     for delta in deltas:

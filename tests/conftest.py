@@ -112,8 +112,8 @@ def kappa_add(datum, a, b):
 def alcove_point(datum, step=0):
     """An interior point of the base alcove: rho^vee / m with m > <beta,
     rho^vee> for every positive root beta; each step gives another one."""
-    m = 1 + step + max(sum(map(mul, beta, datum.rho_check)) for beta in datum.pos_roots)
-    return tuple(x / m for x in datum.rho_check)
+    m = 1 + step + max(sum(map(mul, beta, datum.two_rho_check)) for beta in datum.pos_roots) // 2
+    return tuple(Fraction(x, 2 * m) for x in datum.two_rho_check)
 
 
 @dataclass(frozen=True)

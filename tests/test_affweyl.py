@@ -354,3 +354,20 @@ def test_length_zero_iff_omega(pgl2):
     for key in ball.elements:
         w = ball.elements[key]
         assert (w.length == 0) == (w.key in omega_keys)
+
+
+def test_a_lambda_of_the_wrong_length_is_refused():
+    """The public constructor, and from_parts and translation through it,
+    refuse a lambda whose length is not the rank instead of building an
+    element with a wrong length."""
+    from weylcalc import AffineWeylElt, DatumMismatch, fw_identity
+
+    sl4 = build_root_datum("SL4")
+    for build in (
+        lambda: from_parts(sl4, (0, 0, 0, 1), [0, 2, 1]),
+        lambda: translation(sl4, (1, 2)),
+        lambda: AffineWeylElt(sl4, (), fw_identity(sl4)),
+    ):
+        with pytest.raises(DatumMismatch, match="lambda has .* coordinates, not 3"):
+            build()
+    assert from_parts(sl4, (0, 0, 1), [0, 2, 1]).lam == (0, 0, 1)

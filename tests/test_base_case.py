@@ -12,7 +12,7 @@ from conftest import shift_witnesses
 import weylcalc
 from weylcalc import build_root_datum, class_key, length_ball, straight_class_of
 from weylcalc.classes import _class_of_straight, ux_decompose
-from weylcalc.dims import _dim_cache, dim_profile
+from weylcalc.dims import _class_id, dim_profile
 from weylcalc.rootdata import PRESETS
 
 BALL_BOUND = {1: 12, 2: 9, 3: 7}
@@ -21,7 +21,6 @@ BALL_BOUND = {1: 12, 2: 9, 3: 7}
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_minimal_leaf_matches_the_ux_route(name):
     datum = build_root_datum(name)
-    cache = _dim_cache(datum)
     minimal = 0
     for v in length_ball(datum, BALL_BOUND[datum.rank]):
         assert class_key(v) == straight_class_of(v).pair_key, v
@@ -29,7 +28,7 @@ def test_minimal_leaf_matches_the_ux_route(name):
             continue
         minimal += 1
         dec = ux_decompose(v, check_minimal=False)
-        expected = {cache.class_id(_class_of_straight(dec.x).pair_key): dec.u.length}
+        expected = {_class_id(datum, _class_of_straight(dec.x).pair_key): dec.u.length}
         assert dim_profile(v) == expected, v
     assert minimal > 0
 

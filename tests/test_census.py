@@ -41,7 +41,8 @@ def _ball_census(datum, max_len):
     found = {}
     for w in length_ball(datum, max_len):
         if is_straight(w):
-            row = (*class_key(w), w.length, defect_of(w))
+            kappa, nu = class_key(w)
+            row = (kappa, tuple(Fraction(*p) for p in nu), w.length, defect_of(w))
             assert found.setdefault(row[:2], row) == row
     return sorted(found.values(), key=lambda r: (r[2], r[1], r[0]))
 

@@ -150,9 +150,9 @@ def test_dim_x_flag_choice_independence_fresh_cache(sl3):
     assert warm == cold
 
 
-def test_a_fresh_profile_table_restarts_the_class_ids_held_elsewhere():
-    # class_facts and grass_max hold ids of the profile table; after the
-    # table is dropped, classes met in another order must still read right
+def test_class_ids_survive_a_dropped_profile_table():
+    # class_facts and grass_max hold class ids; after the profile table is
+    # dropped, classes met in another order must still read right
     warm, cold = build_root_datum("SL3"), build_root_datum("SL3")
     classes = enumerate_straight_classes(warm, 4)
 
@@ -387,3 +387,34 @@ def test_class_with_a_wrong_length_is_refused_after_its_facts_are_memoised(sl3):
     ):
         with pytest.raises(InternalAssertion, match="class length"):
             query()
+
+
+def test_the_class_key_and_the_dimension_formulas_build_no_fraction(monkeypatch):
+    """class_key, a dim_profile leaf, dim_X_grass and
+    springer_dim_from_invariants run in integers on a fresh SL4 datum: the
+    Fraction names of affweyl and dims are never called."""
+    from weylcalc import affweyl, class_key, dims, newton_point
+
+    datum = build_root_datum("SL4")
+    classes = enumerate_straight_classes(datum, 4)
+    expected = straight_class_of(from_parts(datum, (1, 0, -1), [0, 1])).pair_key
+    w = from_parts(datum, (1, 0, -1), [0, 1])
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(affweyl, "Fraction", counting)
+    monkeypatch.setattr(dims, "Fraction", counting)
+    assert class_key(w) == expected
+    profile = dims.dim_profile(w)
+    assert profile  # at least one minimal-length leaf was read
+    grass = [dim_X_grass(datum, mu, cls) for mu in ((1, 1, 1), (1, 2, 1)) for cls in classes]
+    assert any(not d.is_empty for d in grass)
+    for cls in classes:
+        gd = GammaDescriptor(cls, d_gamma=cls.length + cls.defect, c_gamma=0)
+        assert springer_dim_from_invariants(datum, gd) == cls.length + cls.defect
+    assert made == []
+    newton_point(w)  # the patch does see the one Fraction builder in affweyl
+    assert made

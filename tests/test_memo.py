@@ -16,7 +16,8 @@ from weylcalc.memo import Memo, memo, memoised
 TABLES = {
     "fw_intern", "w0", "simple_reflections", "omega", "reduce_min", "spherical_subsets",
     "ux", "length_ball", "levis", "levi_classes", "straight_classes",
-    "superregular", "class_facts", "eta", "grass_max", "dim_x_flag", "oracle_ball",
+    "superregular", "class_ids", "class_facts", "eta", "grass_max", "dim_x_flag",
+    "oracle_ball",
 }
 
 

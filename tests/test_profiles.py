@@ -130,7 +130,7 @@ def test_profile_agrees_with_per_class_recursion(group, max_length, class_length
 
 def test_witness_disagreement_raises():
     datum = build_root_datum("SL3")
-    bogus_class = _dim_cache(datum).class_id(((99, 99), ()))
+    bogus_class = dims._class_id(datum, ((99, 99), ()))
     for w in length_ball(datum, 6):
         _, witnesses = shift_witnesses(w)
         if len(witnesses) < 2:
@@ -244,23 +244,6 @@ def test_table_computes_each_part_once(monkeypatch, capsys):
     assert (facts.misses, facts.hits) == (len(classes), 0)
     assert sorted(etas) == sorted(w.key for w in ball)
     assert len(capsys.readouterr().out.splitlines()) == 1 + len(ball) * len(classes)
-
-
-def test_a_wrong_rho_fails_the_newton_form_check(tmp_path):
-    """<rho, nu_bar> = l(C)/2 is checked with the class facts; a datum whose
-    rho is wrong (2 rho intact, so the length check passes) is refused by the
-    virtual dimension and by the table."""
-    datum = build_root_datum("SL3")
-    classes = enumerate_straight_classes(datum, 4)
-    cls = next(c for c in classes if c.length > 0)
-    w = from_parts(datum, (1, 0), [0])
-    datum.rho = tuple(x + 1 for x in datum.rho)
-    for query in (
-        lambda: virtual_dimension(w, cls),
-        lambda: emit_table(datum, 2, classes, fmt="csv", out=str(tmp_path / "t.csv")),
-    ):
-        with pytest.raises(InternalAssertion, match="the two virtual-dimension forms disagree"):
-            query()
 
 
 def test_a_bad_table_format_is_refused_before_any_work(monkeypatch):

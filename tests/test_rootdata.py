@@ -26,7 +26,7 @@ def test_sl2_preset(sl2):
     assert sl2.pos_roots == ((2,),)
     assert sl2.simple_coroots == ((1,),)
     assert vec_dot(sl2.simple_roots[0], sl2.simple_coroots[0]) == 2
-    assert sl2.rho == (Fraction(1),)
+    assert sl2.two_rho == (2,)
 
 
 def test_pgl2_preset(pgl2):
@@ -71,8 +71,8 @@ def test_positive_root_counts(sl3, sp4, pgl3):
 def test_rho_pairing_identity(sl2, pgl2, sl3, pgl3, sp4):
     for datum in (sl2, pgl2, sl3, pgl3, sp4):
         for covee in datum.simple_coroots:
-            assert vec_dot(datum.rho, covee) == 1
-        assert all(vec_dot(a, datum.rho_check) == 1 for a in datum.simple_roots)
+            assert vec_dot(datum.two_rho, covee) == 2
+        assert all(vec_dot(a, datum.two_rho_check) == 2 for a in datum.simple_roots)
 
 
 def test_delta_validation(sl3):
