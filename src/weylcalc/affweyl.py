@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import sub
+from operator import mul, sub
 
 from . import linalg
 from .errors import DatumMismatch, DecompositionFailure, InfinitePi1, InternalAssertion
@@ -45,8 +45,8 @@ from .finiteweyl import (
     fw_simple,
     product,
 )
-from .memo import memoised
-from .search import closure, descend, right_moves
+from .memo import memo, memoised
+from .search import closure, right_moves
 
 
 class AffineWeylElt:
@@ -412,20 +412,62 @@ class EtaDecomposition:
     eta: FiniteWeylElt
 
 
+def _finite_descent(datum, lam, u):
+    """(i, <alpha_i, lam>) for the smallest i with l(s_i t^lam u) < l(t^lam u),
+    or None: s_i is a left descent iff <alpha_i, lam> < 0, or it is 0 and
+    u^-1 alpha_i is negative."""
+    neg = u.neg_mask
+    for i, (alpha, k) in enumerate(zip(datum.simple_roots, datum.simple_index)):
+        c = sum(map(mul, alpha, lam))
+        if c < 0 or (c == 0 and neg[k]):
+            return i, c
+    return None
+
+
 def eta_decomposition(w):
     """Unique decomposition w = x t^mu y with mu dominant and t^mu y of
-    minimal length in its W0-coset; eta(w) = y x."""
-    datum = w.datum
-    finite = range(1, datum.n_simple + 1)
-    m, _ = descend(w, left_descents(datum, finite), None, "coset-minimal strip")
-    mu, y = m.lam, m.fw
-    if not datum.is_dominant(mu):
+    minimal length in its W0-coset; eta(w) = y x.
+
+    A walk on (lam, u) in integers strips the smallest finite left descent
+    s_i of t^lam u: lam -> lam - <alpha_i, lam> alpha_i^vee and u -> s_i u.
+    s_i w lies in the coset of w and x(w) = s_i x(s_i w), so the walk stops
+    at the first stripped element whose decomposition the datum's eta table
+    (written by dims._eta) holds, and otherwise at the coset minimum.
+    Either way w = x t^mu y is checked exactly, with mu dominant, t^mu y
+    free of finite left descents and l(w) = l(x) + l(t^mu y).
+    """
+    datum, lw = w.datum, w.length
+    known = memo(datum, "eta").table
+    lam, u, strips, found = w.lam, w.fw, [], None
+    while found is None:
+        descent = _finite_descent(datum, lam, u)
+        if descent is None:
+            break
+        i, c = descent
+        if c:
+            lam = tuple([x - c * y for x, y in zip(lam, datum.simple_coroots[i])])
+        s = fw_simple(datum, i)
+        u = s * u
+        strips.append(s)
+        found = known.get((lam, u.matrix))
+    # l(t^mu y) as the walk knows it: l(w) less the strips, and less l(x)
+    # of a decomposition read off the table
+    if found is None:
+        x, mu, y, short = fw_identity(datum), lam, u, lw - len(strips)
+    else:
+        x, mu, y = found.x, found.mu, found.y
+        short = lw - len(strips) - x.length
+    pairings = linalg.mat_vec(datum.simple_roots, mu)
+    if any(c < 0 for c in pairings):
         raise DecompositionFailure(f"coset-minimal translation part {mu} is not dominant")
-    x_aff = w * m.inv()
-    if any(c != 0 for c in x_aff.lam):
-        raise DecompositionFailure("finite factor has a nonzero translation part")
-    x = x_aff.fw
-    if w.length != x.length + m.length:
+    if found is not None and any(c == 0 and y.neg_mask[k]
+                                 for c, k in zip(pairings, datum.simple_index)):
+        raise DecompositionFailure(f"t^{list(mu)} y has a finite left descent")
+    for s in reversed(strips):
+        x = s * x
+    if x.act(mu) != w.lam or x * y != w.fw:
+        raise DecompositionFailure("w is not x t^mu y")
+    if lw != x.length + short:
         raise DecompositionFailure("coset decomposition is not length-additive")
     return EtaDecomposition(x=x, mu=mu, y=y, eta=y * x)
 

@@ -45,9 +45,15 @@ from .affweyl import (
     right_move,
     simple_reflections,
 )
-from .errors import DecompositionNotFound, InternalAssertion, NotMinimal, UnknownClass
+from .errors import (
+    DecompositionNotFound,
+    ExplorationBudgetExceeded,
+    InternalAssertion,
+    NotMinimal,
+    UnknownClass,
+)
 from .memo import memo, memoised
-from .search import closure, descend
+from .search import DEFAULT_BUDGET, closure, descend
 
 
 @dataclass(frozen=True)
@@ -265,16 +271,18 @@ def length_ball(datum, max_len, budget=None):
     return tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
 
 
-def _under(steps, room):
-    """Every nonnegative integer vector x with sum steps[i] x[i] <= room."""
+def _lines(steps, room):
+    """Every nonnegative integer vector x with sum steps[i] x[i] <= room, a
+    line at a time: (head, top) stands for the x = head + (last,) with 0 <=
+    last <= top.  No steps give the empty vector as the line ((), 0)."""
     if room < 0:
         return
-    if not steps:
-        yield ()
+    if len(steps) <= 1:
+        yield (), room // steps[0] if steps else 0
         return
     for x in range(room // steps[0] + 1):
-        for rest in _under(steps[1:], room - steps[0] * x):
-            yield (x,) + rest
+        for head, top in _lines(steps[1:], room - steps[0] * x):
+            yield (x,) + head, top
 
 
 @memoised("levi_classes", key=lambda w, budget=None: w.key)
@@ -300,29 +308,54 @@ def enumerate_straight_classes(datum, max_len, budget=None):
     walked by its simple pairings p, with p_J one per residue mod A_JJ Z^J
     and p_K bounded through the weights <2 rho, omega_k^vee>, and the class
     is read off the length-zero element of M_J's extended affine Weyl group
-    in the coset of t^lam (_class_of_levi_rep).  budget bounds only the
-    reduce_to_min that a non-straight such element needs.
+    in the coset of t^lam (_class_of_levi_rep).
+
+    p_K is walked a line at a time.  Whether p is the pairings of an
+    integral lam (coweight) depends on p modulo period, the denominator of
+    A^-1, and one period along a line moves lam by an integral coweight.  So
+    a line's classes are counted from its first period points before any
+    is built, and a census that would hold more than budget classes raises
+    ExplorationBudgetExceeded.  budget also bounds the reduce_to_min that a
+    non-straight Levi representative needs.
     """
-    classes = []
-    for mask in range(1 << datum.n_simple):
+    budget = DEFAULT_BUDGET if budget is None else budget
+    n = datum.n_simple
+    period = _levi(datum, (1 << n) - 1)[3]
+    held, classes = 0, []
+    for mask in range(1 << n):
         J, K, weights, den, _, cosets = _levi(datum, mask)
         steps = [den * c for c in weights]
         zeros = (0,) * len(J)
+        # lam moves by this when the last pairing on K grows by period
+        step = coweight(datum, [period if K and i == K[-1] else 0 for i in range(n)])
         for u, p_j, shift in cosets:
             # the least p_k with <alpha_k, nu> > 0, and what is left of
             # den * max_len once every <alpha_k, nu> takes it
             lows = [s // den + 1 for s in shift]
             room = den * max_len - sum(c * (den * lo - s) for c, lo, s in zip(weights, lows, shift))
-            for extra in _under(steps, room):
-                p_k = [lo + x for lo, x in zip(lows, extra)]
-                lam = coweight(datum, _spread(J, p_j, K, p_k))
-                if lam is None:
-                    continue
-                cls = _class_of_levi_rep(AffineWeylElt._from_ints(datum, lam, u), budget)
-                nu = [Fraction(den * x - s, den) for x, s in zip(p_k, shift)]
-                if linalg.mat_vec(datum.simple_roots, cls.nu_bar) != _spread(J, zeros, K, nu):
-                    raise InternalAssertion("the Levi representative has the wrong Newton point")
-                classes.append(cls)
+            for head, top in _lines(steps, room):
+                def p_k(last):
+                    return [lo + x for lo, x in zip(lows, (*head, last))]
+
+                firsts = []
+                for r in range(min(period, top + 1)):
+                    lam = coweight(datum, _spread(J, p_j, K, p_k(r)))
+                    if lam is not None:
+                        firsts.append((r, lam))
+                held += sum((top - r) // period + 1 for r, _ in firsts)
+                if held > budget:
+                    raise ExplorationBudgetExceeded(
+                        f"straight-class census exceeded its budget of {budget} classes",
+                        what="straight-class census", held=held, budget=budget)
+                for r, lam in firsts:
+                    for last in range(r, top + 1, period):
+                        cls = _class_of_levi_rep(AffineWeylElt._from_ints(datum, lam, u), budget)
+                        nu = [Fraction(den * x - s, den) for x, s in zip(p_k(last), shift)]
+                        if linalg.mat_vec(datum.simple_roots, cls.nu_bar) != _spread(J, zeros, K, nu):
+                            raise InternalAssertion(
+                                "the Levi representative has the wrong Newton point")
+                        classes.append(cls)
+                        lam = linalg.vec_add(lam, step)
     return tuple(sorted(classes, key=lambda c: (c.length, c.nu_bar, c.kappa)))
 
 

@@ -32,11 +32,11 @@ class GroupTooLarge(WeylcalcError):
 class ExplorationBudgetExceeded(WeylcalcError):
     """A closure/BFS search exceeded its node budget; never a silent truncation.
 
-    Every raiser (a search of the kernel in weylcalc.search, and the
-    oracle's Cayley ball) sets `what` (the search's name), `held` (the
-    elements it held) and `budget`.  A kernel search also sets `start`, the
-    element it began from (descend's original start, closure's first seed);
-    the Cayley ball leaves it None.
+    Every raiser (a search of the kernel in weylcalc.search, the oracle's
+    Cayley ball and the straight-class census) sets `what` (the search's
+    name), `held` (the elements, or classes, it held) and `budget`.  A
+    kernel search also sets `start`, the element it began from (descend's
+    original start, closure's first seed); the others leave it None.
     """
 
     def __init__(self, message, what=None, held=None, budget=None, start=None):

@@ -19,7 +19,7 @@ from operator import add, sub
 from . import linalg
 from .affweyl import aw_identity, omega_elements, simple_reflections
 from .errors import ExplorationBudgetExceeded, Inconclusive
-from .memo import memoised
+from .memo import memo, memoised
 
 BALL_CAP = 1_000_000
 
@@ -31,7 +31,9 @@ class Ball:
     A fibre is (v, mus, n_inner, shifts) for the elements t^mu v: mus lists
     their translation parts, the n_inner of distance below the radius
     first, and shifts maps x.idx to the vectors (<alpha, mu - x(mu)>)_alpha
-    of mus, filled on first use by brute_min_length.
+    of mus, filled on first use by brute_min_length.  A vector depends on
+    (x, mu) alone, so it is interned in the datum's oracle_vectors table and
+    shared by every fibre and ball that holds mu.
     """
 
     radius: int
@@ -85,6 +87,15 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
     return Ball(radius=radius, elements=elems, distances=dist, fibres=fibres)
 
 
+def _vector(vectors, pos, x, mu):
+    """(<alpha, mu - x(mu)>)_alpha, interned by (x.idx, mu) in vectors."""
+    key = (x.idx, mu)
+    vec = vectors.get(key)
+    if vec is None:
+        vec = vectors[key] = linalg.mat_vec(pos, linalg.vec_sub(mu, x.act(mu)))
+    return vec
+
+
 def brute_min_length(w, radius, cap=BALL_CAP):
     """Minimum length over conjugates g w g^-1 for g in the radius ball.
 
@@ -96,12 +107,13 @@ def brute_min_length(w, radius, cap=BALL_CAP):
     """
     ball = cayley_ball(w.datum, radius, cap)
     pos, u = w.datum.pos_roots, w.fw
+    vectors = memo(w.datum, "oracle_vectors").table
     lows, inner = [], []
     for v, mus, n_inner, shifts in ball.fibres:
         x = v * u * v.inverse()
         d = shifts.get(x.idx)
         if d is None:
-            d = shifts[x.idx] = [linalg.mat_vec(pos, linalg.vec_sub(mu, x.act(mu))) for mu in mus]
+            d = shifts[x.idx] = [_vector(vectors, pos, x, mu) for mu in mus]
         c = tuple(map(sub, linalg.mat_vec(pos, v.act(w.lam)), x.neg_mask))
         vals = [sum(map(abs, map(add, dm, c))) for dm in d]
         lows.append(min(vals))

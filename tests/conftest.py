@@ -5,8 +5,8 @@ from operator import mul
 import pytest
 
 from weylcalc import aw_identity, build_root_datum, finite, simple_reflections
-from weylcalc.affweyl import low_shifts
-from weylcalc.search import closure, explore_level, right_moves
+from weylcalc.affweyl import EtaDecomposition, left_descents, low_shifts
+from weylcalc.search import closure, descend, explore_level, right_moves
 
 
 @pytest.fixture(scope="session")
@@ -156,6 +156,20 @@ def shift_witnesses(w, budget=None):
     refl = dict(simple_reflections(w.datum))
     elts, descents = explore_level(w, low_shifts, budget, "shift-class exploration", want=2)
     return elts, [(v, refl[label]) for v, label, _ in descents]
+
+
+def reference_eta(w):
+    """The eta decomposition by search: strip the smallest finite left
+    descent with descend until the coset minimum m = t^mu y is reached, and
+    read x off w m^-1, which must be finite."""
+    datum = w.datum
+    finite_labels = range(1, datum.n_simple + 1)
+    m, _ = descend(w, left_descents(datum, finite_labels), None, "coset-minimal strip")
+    x_aff = w * m.inv()
+    assert not any(x_aff.lam) and datum.is_dominant(m.lam)
+    x = x_aff.fw
+    assert w.length == x.length + m.length
+    return EtaDecomposition(x=x, mu=m.lam, y=m.fw, eta=m.fw * x)
 
 
 def dim_max(a, b):

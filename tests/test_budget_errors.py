@@ -6,6 +6,7 @@ import pytest
 from weylcalc import (
     build_root_datum,
     cayley_ball,
+    enumerate_straight_classes,
     from_parts,
     length_ball,
     omega_elements,
@@ -69,3 +70,14 @@ def test_a_descent_overrun_carries_its_original_start():
     exc = info.value
     assert exc.held == 2 and exc.start is w
     assert str(exc) == "cyclic-shift search exceeded its budget of 1 elements"
+
+
+@pytest.mark.parametrize("name, max_len", [("SL3", 40), ("Sp4", 30), ("PGL3", 20)])
+def test_census_counts_its_classes_against_the_budget(name, max_len):
+    size = len(enumerate_straight_classes(build_root_datum(name), max_len))
+    assert len(enumerate_straight_classes(build_root_datum(name), max_len, budget=size)) == size
+    with pytest.raises(ExplorationBudgetExceeded) as info:
+        enumerate_straight_classes(build_root_datum(name), max_len, budget=size - 1)
+    exc = info.value
+    assert (exc.what, exc.budget, exc.start) == ("straight-class census", size - 1, None)
+    assert size - 1 < exc.held <= size

@@ -239,6 +239,23 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_census_budget_exit_code(capsys):
+    code, out, err = run(
+        capsys, "classes", "straight-classes", "--group", "SL3", "--max-length", "300",
+        "--budget", "10",
+    )
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: straight-class census exceeded its budget of 10 classes\n"
+
+
+def test_table_with_a_huge_class_length_exits_on_the_census_budget(capsys):
+    code, out, err = run(
+        capsys, "table", "--group", "SL3", "--max-length", "2", "--class-length", "99999999999",
+    )
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("budget exceeded: straight-class census")
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "dim", "x-flag", "--group", "SL2", "--class", '{"kappa":[0],"nu":[0]}')
     assert code == 1

@@ -2,7 +2,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from conftest import dim_max
+from conftest import cartan_config, dim_max
 
 from weylcalc import (
     EMPTY,
@@ -33,7 +33,9 @@ from weylcalc import (
     translation,
     virtual_dimension,
 )
-from weylcalc.dims import load_cache, save_cache, _dim_cache
+from weylcalc.dims import _coset_max, _dim_cache, dim_profile, load_cache, save_cache
+from weylcalc.finiteweyl import enumerate_w0
+from weylcalc.verify import _dominant_box
 
 
 def _basic(datum):
@@ -418,3 +420,21 @@ def test_the_class_key_and_the_dimension_formulas_build_no_fraction(monkeypatch)
     assert made == []
     newton_point(w)  # the patch does see the one Fraction builder in affweyl
     assert made
+
+
+@pytest.mark.parametrize("name, cap", [("SL3", 3), ("Sp4", 3), ("PGL3", 2), ("SL4", 2), ("G2", 2)])
+def test_coset_max_is_the_profile_of_the_longest_element(name, cap):
+    """The class-by-class max over W0 t^mu W0 equals the profile of the
+    coset's longest element, on every mu of the grass suite's box.  No
+    source proves this yet, so it is a check here and not a shortcut."""
+    datum = build_root_datum(cartan_config(name) if name == "G2" else name)
+    w0 = enumerate_w0(datum)
+    mus = _dominant_box(datum, cap)
+    assert mus
+    for mu in mus:
+        tmu = translation(datum, mu)
+        coset = {w.key: w for a in w0 for b in w0
+                 for w in [from_finite(a) * tmu * from_finite(b)]}
+        top = max(w.length for w in coset.values())
+        (longest,) = [w for w in coset.values() if w.length == top]
+        assert _coset_max(datum, mu) == dim_profile(longest), mu

@@ -17,7 +17,7 @@ TABLES = {
     "fw_intern", "w0", "simple_reflections", "omega", "reduce_min", "spherical_subsets",
     "ux", "length_ball", "levis", "levi_classes", "straight_classes",
     "superregular", "class_ids", "class_facts", "eta", "grass_max", "dim_x_flag",
-    "oracle_ball",
+    "oracle_ball", "oracle_vectors",
 }
 
 
