@@ -18,6 +18,9 @@ off u's root permutation, so a left, right or shift move costs O(rank) and
 sets the moved element's length.  Elements built by a product, and the
 oracle's Cayley ball, use the Iwahori-Matsumoto formula instead.
 
+eta_decomposition runs no search: it walks (lam, u) in integers and reads
+shorter coset mates from the datum's eta table.
+
 Newton data are kept in integers: n nu_w = sum_{i<n} u^i(lam) for n the
 order of u is integral, and Fractions are built only when newton_point
 returns nu; class_key names a class by nu_bar as reduced integer pairs.
@@ -413,9 +416,8 @@ class EtaDecomposition:
 
 
 def _finite_descent(datum, lam, u):
-    """(i, <alpha_i, lam>) for the smallest i with l(s_i t^lam u) < l(t^lam u),
-    or None: s_i is a left descent iff <alpha_i, lam> < 0, or it is 0 and
-    u^-1 alpha_i is negative."""
+    """(i, <alpha_i, lam>) for the smallest finite left descent s_i of t^lam u,
+    or None: <alpha_i, lam> < 0, or = 0 with u^-1 alpha_i negative."""
     neg = u.neg_mask
     for i, (alpha, k) in enumerate(zip(datum.simple_roots, datum.simple_index)):
         c = sum(map(mul, alpha, lam))
@@ -428,13 +430,11 @@ def eta_decomposition(w):
     """Unique decomposition w = x t^mu y with mu dominant and t^mu y of
     minimal length in its W0-coset; eta(w) = y x.
 
-    A walk on (lam, u) in integers strips the smallest finite left descent
-    s_i of t^lam u: lam -> lam - <alpha_i, lam> alpha_i^vee and u -> s_i u.
-    s_i w lies in the coset of w and x(w) = s_i x(s_i w), so the walk stops
-    at the first stripped element whose decomposition the datum's eta table
-    (written by dims._eta) holds, and otherwise at the coset minimum.
-    Either way w = x t^mu y is checked exactly, with mu dominant, t^mu y
-    free of finite left descents and l(w) = l(x) + l(t^mu y).
+    The walk strips the smallest finite left descent s_i of t^lam u until
+    none is left, or until the eta table (written by dims._eta) holds the
+    stripped element, as x(w) = s_i x(s_i w).  Checked exactly: x(mu) = lam,
+    x y = u, mu dominant, t^mu y free of finite left descents, and l(w) =
+    l(x) + l(t^mu y).
     """
     datum, lw = w.datum, w.length
     known = memo(datum, "eta").table
@@ -450,8 +450,7 @@ def eta_decomposition(w):
         u = s * u
         strips.append(s)
         found = known.get((lam, u.matrix))
-    # l(t^mu y) as the walk knows it: l(w) less the strips, and less l(x)
-    # of a decomposition read off the table
+    # l(t^mu y) as the walk knows it
     if found is None:
         x, mu, y, short = fw_identity(datum), lam, u, lw - len(strips)
     else:

@@ -272,9 +272,8 @@ def length_ball(datum, max_len, budget=None):
 
 
 def _lines(steps, room):
-    """Every nonnegative integer vector x with sum steps[i] x[i] <= room, a
-    line at a time: (head, top) stands for the x = head + (last,) with 0 <=
-    last <= top.  No steps give the empty vector as the line ((), 0)."""
+    """The nonnegative integer x with sum steps[i] x[i] <= room, as lines
+    (head, top): x = head + (last,), 0 <= last <= top; no steps give ((), 0)."""
     if room < 0:
         return
     if len(steps) <= 1:
@@ -310,13 +309,10 @@ def enumerate_straight_classes(datum, max_len, budget=None):
     is read off the length-zero element of M_J's extended affine Weyl group
     in the coset of t^lam (_class_of_levi_rep).
 
-    p_K is walked a line at a time.  Whether p is the pairings of an
-    integral lam (coweight) depends on p modulo period, the denominator of
-    A^-1, and one period along a line moves lam by an integral coweight.  So
-    a line's classes are counted from its first period points before any
-    is built, and a census that would hold more than budget classes raises
-    ExplorationBudgetExceeded.  budget also bounds the reduce_to_min that a
-    non-straight Levi representative needs.
+    lam is integral or not with p modulo period, the denominator of A^-1,
+    so a line of p_K's classes is counted from its first period points, and
+    a census over budget classes raises before building them.  budget also
+    bounds the reduce_to_min of a non-straight Levi representative.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     n = datum.n_simple

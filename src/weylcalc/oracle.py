@@ -31,9 +31,8 @@ class Ball:
     A fibre is (v, mus, n_inner, shifts) for the elements t^mu v: mus lists
     their translation parts, the n_inner of distance below the radius
     first, and shifts maps x.idx to the vectors (<alpha, mu - x(mu)>)_alpha
-    of mus, filled on first use by brute_min_length.  A vector depends on
-    (x, mu) alone, so it is interned in the datum's oracle_vectors table and
-    shared by every fibre and ball that holds mu.
+    of mus, filled on first use by brute_min_length and shared through the
+    datum's oracle_vectors table.
     """
 
     radius: int
