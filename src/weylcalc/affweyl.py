@@ -432,13 +432,13 @@ def eta_decomposition(w):
 
     The walk strips the smallest finite left descent s_i of t^lam u until
     none is left, or until the eta table (written by dims._eta) holds the
-    stripped element, as x(w) = s_i x(s_i w).  Checked exactly: x(mu) = lam,
-    x y = u, mu dominant, t^mu y free of finite left descents, and l(w) =
-    l(x) + l(t^mu y).
+    stripped element, whose mu and y are those of w.  Checked exactly: x =
+    u y^-1 has x(mu) = lam, mu is dominant, t^mu y has no finite left
+    descent, and l(w) = l(x) + l(t^mu y).
     """
     datum, lw = w.datum, w.length
     known = memo(datum, "eta").table
-    lam, u, strips, found = w.lam, w.fw, [], None
+    lam, u, steps, found = w.lam, w.fw, 0, None
     while found is None:
         descent = _finite_descent(datum, lam, u)
         if descent is None:
@@ -446,25 +446,22 @@ def eta_decomposition(w):
         i, c = descent
         if c:
             lam = tuple([x - c * y for x, y in zip(lam, datum.simple_coroots[i])])
-        s = fw_simple(datum, i)
-        u = s * u
-        strips.append(s)
+        u = fw_simple(datum, i) * u
+        steps += 1
         found = known.get((lam, u.matrix))
     # l(t^mu y) as the walk knows it
     if found is None:
-        x, mu, y, short = fw_identity(datum), lam, u, lw - len(strips)
+        mu, y, short = lam, u, lw - steps
     else:
-        x, mu, y = found.x, found.mu, found.y
-        short = lw - len(strips) - x.length
+        mu, y, short = found.mu, found.y, lw - steps - found.x.length
     pairings = linalg.mat_vec(datum.simple_roots, mu)
     if any(c < 0 for c in pairings):
         raise DecompositionFailure(f"coset-minimal translation part {mu} is not dominant")
     if found is not None and any(c == 0 and y.neg_mask[k]
                                  for c, k in zip(pairings, datum.simple_index)):
         raise DecompositionFailure(f"t^{list(mu)} y has a finite left descent")
-    for s in reversed(strips):
-        x = s * x
-    if x.act(mu) != w.lam or x * y != w.fw:
+    x = w.fw * y.inverse()
+    if x.act(mu) != w.lam:
         raise DecompositionFailure("w is not x t^mu y")
     if lw != x.length + short:
         raise DecompositionFailure("coset decomposition is not length-additive")

@@ -322,8 +322,6 @@ def enumerate_straight_classes(datum, max_len, budget=None):
         J, K, weights, den, _, cosets = _levi(datum, mask)
         steps = [den * c for c in weights]
         zeros = (0,) * len(J)
-        # lam moves by this when the last pairing on K grows by period
-        step = coweight(datum, [period if K and i == K[-1] else 0 for i in range(n)])
         for u, p_j, shift in cosets:
             # the least p_k with <alpha_k, nu> > 0, and what is left of
             # den * max_len once every <alpha_k, nu> takes it
@@ -345,13 +343,14 @@ def enumerate_straight_classes(datum, max_len, budget=None):
                         what="straight-class census", held=held, budget=budget)
                 for r, lam in firsts:
                     for last in range(r, top + 1, period):
+                        if last > r:
+                            lam = coweight(datum, _spread(J, p_j, K, p_k(last)))
                         cls = _class_of_levi_rep(AffineWeylElt._from_ints(datum, lam, u), budget)
                         nu = [Fraction(den * x - s, den) for x, s in zip(p_k(last), shift)]
                         if linalg.mat_vec(datum.simple_roots, cls.nu_bar) != _spread(J, zeros, K, nu):
                             raise InternalAssertion(
                                 "the Levi representative has the wrong Newton point")
                         classes.append(cls)
-                        lam = linalg.vec_add(lam, step)
     return tuple(sorted(classes, key=lambda c: (c.length, c.nu_bar, c.kappa)))
 
 

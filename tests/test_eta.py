@@ -52,33 +52,44 @@ def test_eta_matches_the_search_strip(name):
     assert memo(fresh, "eta").table == {}
 
 
+def _mate(w):
+    """s_i w for the smallest finite left descent s_i of w."""
+    for i in range(w.datum.n_simple):
+        v = from_finite(fw_simple(w.datum, i)) * w
+        if v.length < w.length:
+            return v
+    return None
+
+
 def _wrong_entries(datum):
-    """(w, a wrong decomposition of the coset mate s_2 w) on SL3 with w =
-    t^lam s_2 s_1: the smallest left descent of w is s_2, and s_2 w =
-    t^(s_2 lam) s_1."""
+    """(w, its coset mate s_i w, wrong decompositions of the mate) on SL3."""
     s1, s2, e = fw_simple(datum, 0), fw_simple(datum, 1), fw_identity(datum)
     w = from_parts(datum, (0, 0), [1, 0])
-    mate = from_parts(datum, (0, 0), [0])
-    right = eta_decomposition(mate)
-    assert (right.x, right.mu, right.y) == (s1, (0, 0), e)
-    return w, mate, [
+    mate = _mate(w)
+    assert mate.key == from_parts(datum, (0, 0), [0]).key
+    yield w, mate, [
         # exact and dominant, but t^0 s_1 still has the left descent s_1
         EtaDecomposition(x=e, mu=(0, 0), y=s1, eta=s1),
-        # a wrong x: x t^mu y is not w
+        # a wrong x: l(x) disagrees with the walk
         EtaDecomposition(x=s2 * s1, mu=(0, 0), y=e, eta=s2 * s1),
         # a wrong mu
         EtaDecomposition(x=s1, mu=(1, 1), y=e, eta=s1),
-        # a mu that is not dominant
-        EtaDecomposition(x=s1, mu=(-1, 2), y=e, eta=s1),
     ]
+    # t^lam' u' = 1 t^lam' u' is exact, and length-additive, for the mate
+    # t^lam' u' of an element w; it is wrong where lam' is not dominant
+    w = next(w for w in length_ball(datum, 4)
+             if _mate(w) is not None and not datum.is_dominant(_mate(w).lam))
+    mate = _mate(w)
+    yield w, mate, [EtaDecomposition(x=e, mu=mate.lam, y=mate.fw, eta=mate.fw)]
 
 
 @pytest.mark.parametrize("which", range(4))
 def test_a_wrong_entry_for_the_coset_mate_is_refused(which):
     datum = build_root_datum("SL3")
-    w, mate, wrong = _wrong_entries(datum)
+    cases = [(w, mate, wrong) for w, mate, entries in _wrong_entries(datum) for wrong in entries]
+    w, mate, wrong = cases[which]
     assert _parts(eta_decomposition(w)) == _parts(reference_eta(w))
-    memo(datum, "eta").put(mate.key, wrong[which])
+    memo(datum, "eta").put(mate.key, wrong)
     with pytest.raises(DecompositionFailure):
         eta_decomposition(w)
 
