@@ -19,9 +19,9 @@ from weylcalc import (
     fw_identity,
     fw_simple,
     length_ball,
+    search,
     translation,
 )
-from weylcalc import search
 from weylcalc.affweyl import AffineWeylElt, EtaDecomposition, eta_decomposition
 from weylcalc.memo import memo
 from weylcalc.rootdata import PRESETS
