@@ -111,8 +111,12 @@ class ConjugationStep:
 
 @dataclass(frozen=True)
 class MinimizationResult:
+    """w_min, the steps leading to it, and the count of elements the walk
+    held against its budget."""
+
     w_min: AffineWeylElt
     path: tuple
+    held: int
 
     def to_json(self):
         return {"w_min": self.w_min.to_json(), "path": [st.to_json() for st in self.path]}
@@ -141,17 +145,26 @@ def _class_of_straight(x):
     return StraightClass(kappa_w(x), newton_point(x)[1], length=x.length, defect=defect_of(x))
 
 
-@memoised("reduce_min", key=lambda w, budget=None: w.key)
+@memoised("reduce_min", key=lambda w, budget=None: w.key, held=lambda r: r.held)
 def reduce_to_min(w, budget=None):
     """Minimal-length element of the conjugacy class of w.
 
     Walks w via conjugation steps v -> s v s, s simple, never increasing
     length: each length level is explored breadth-first and the walk descends
     at the first strictly shorter conjugate found.  The returned path records
-    every step taken.
+    every step taken.  A descent that lands on an element whose reduction
+    the reduce_min table holds ends the walk with that reduction's steps,
+    when its count still fits the budget.
     """
-    w_min, steps = descend(w, low_shifts, budget, "cyclic-shift search")
-    return MinimizationResult(w_min, tuple(ConjugationStep(*step) for step in steps))
+    known = memo(w.datum, "reduce_min").table
+
+    def stop(v):
+        hit = known.get(v.key)
+        if hit is not None:
+            return hit.w_min, ((st.label, st.before, st.after) for st in hit.path), hit.held
+
+    w_min, steps, held = descend(w, low_shifts, budget, "cyclic-shift search", stop)
+    return MinimizationResult(w_min, tuple(ConjugationStep(*step) for step in steps), held)
 
 
 def approx_closure(w, budget=None):
@@ -221,7 +234,7 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
             gens = [(l, refl[l]) for l in k_labels]
             # left multiplication changes length by one, so every level of
             # this walk is a single element and it strips K-descents greedily
-            x, steps = descend(w2, left_descents(datum, k_labels), budget, "K-descent strip")
+            x, steps, _ = descend(w2, left_descents(datum, k_labels), budget, "K-descent strip")
             if not is_straight(x):
                 continue
             # x must be minimal on both sides of W_K
@@ -258,7 +271,7 @@ def straight_class_of(w, budget=None):
     return cls
 
 
-@memoised("length_ball", key=lambda datum, max_len, budget=None: max_len)
+@memoised("length_ball", key=lambda datum, max_len, budget=None: max_len, held=len)
 def length_ball(datum, max_len, budget=None):
     """All elements of length <= max_len, sorted by (length, key).
 
@@ -296,7 +309,6 @@ def _class_of_levi_rep(w, budget=None):
     return _class_of_straight(w)
 
 
-@memoised("straight_classes", key=lambda datum, max_len, budget=None: max_len)
 def enumerate_straight_classes(datum, max_len, budget=None):
     """All straight conjugacy classes with a representative of length
     <= max_len, sorted by (length, nu_bar, kappa).
@@ -314,10 +326,18 @@ def enumerate_straight_classes(datum, max_len, budget=None):
     a census over budget classes raises before building them.  budget also
     bounds the reduce_to_min of a non-straight Levi representative.
     """
+    return _census(datum, max_len, budget)[0]
+
+
+@memoised("straight_classes", key=lambda datum, max_len, budget=None: max_len,
+          held=lambda census: census[1])
+def _census(datum, max_len, budget=None):
+    """enumerate_straight_classes, and the largest count it held against
+    budget: its classes, or the walk of a non-straight Levi representative."""
     budget = DEFAULT_BUDGET if budget is None else budget
     n = datum.n_simple
     period = _levi(datum, (1 << n) - 1)[3]
-    held, classes = 0, []
+    held, walked, classes = 0, 0, []
     for mask in range(1 << n):
         J, K, weights, den, _, cosets = _levi(datum, mask)
         steps = [den * c for c in weights]
@@ -345,13 +365,18 @@ def enumerate_straight_classes(datum, max_len, budget=None):
                     for last in range(r, top + 1, period):
                         if last > r:
                             lam = coweight(datum, _spread(J, p_j, K, p_k(last)))
-                        cls = _class_of_levi_rep(AffineWeylElt._from_ints(datum, lam, u), budget)
+                        rep = AffineWeylElt._from_ints(datum, lam, u)
+                        cls = _class_of_levi_rep(rep, budget)
+                        if cls.length < rep.length:
+                            # rep is not straight: its walk counts against budget,
+                            # also when levi_classes already holds its class
+                            walked = max(walked, reduce_to_min(rep, budget).held)
                         nu = [Fraction(den * x - s, den) for x, s in zip(p_k(last), shift)]
                         if linalg.mat_vec(datum.simple_roots, cls.nu_bar) != _spread(J, zeros, K, nu):
                             raise InternalAssertion(
                                 "the Levi representative has the wrong Newton point")
                         classes.append(cls)
-    return tuple(sorted(classes, key=lambda c: (c.length, c.nu_bar, c.kappa)))
+    return tuple(sorted(classes, key=lambda c: (c.length, c.nu_bar, c.kappa))), max(held, walked)
 
 
 def _spread(J, on_j, K, on_k):

@@ -248,7 +248,7 @@ def delta_reduce_to_min(w, delta=None):
     landing element and the full list of (i, before, after) steps.
     """
     delta = _resolve_delta(w.datum, delta)
-    w_min, steps = descend(
+    w_min, steps, _ = descend(
         w,
         lambda v: ((i, twisted_conjugate(v, i, delta)) for i in range(w.datum.n_simple)),
         W0_CAP,

@@ -5,6 +5,9 @@ coset max, a zero pairing), and a compute that raises stores nothing.
 """
 
 from functools import wraps
+from inspect import signature
+
+from .search import DEFAULT_BUDGET
 
 
 class Memo:
@@ -35,17 +38,30 @@ def memo(datum, name):
     return table
 
 
-def memoised(name, key=None):
+def memoised(name, key=None, held=None):
     """Memoise a function's result on the datum of its first argument (a
     datum, or an element carrying one) under key(*args, **kwargs), or once
-    per datum when key is None."""
+    per datum when key is None.
+
+    With held, the function takes a `budget` argument (None means
+    DEFAULT_BUDGET), and held(value) is the count its computation held
+    against it: a stored value whose count is over the call's budget is not
+    served, and the call computes afresh, so it raises as on a fresh datum.
+    """
 
     def decorate(fn):
+        at = None if held is None else list(signature(fn).parameters).index("budget")
+
         @wraps(fn)
         def wrapper(*args, **kwargs):
             table = memo(getattr(args[0], "datum", args[0]), name)
             k = None if key is None else key(*args, **kwargs)
             value = table.get(k)
+            if value is not None and held is not None:
+                budget = kwargs["budget"] if "budget" in kwargs else (
+                    args[at] if len(args) > at else None)
+                if held(value) > (DEFAULT_BUDGET if budget is None else budget):
+                    value = None
             if value is None:
                 value = table.put(k, fn(*args, **kwargs))
             return value

@@ -8,7 +8,10 @@ backbone for the length formula, straightness, and minimal lengths.
 Conjugates are measured without affine products or moves: for g = t^mu v,
 w = t^lam u and x = v u v^-1, g w g^-1 = t^(mu + v(lam) - x(mu)) x, so its
 Iwahori-Matsumoto length is the sum over positive roots alpha of
-|<alpha, mu - x(mu)> + <alpha, v(lam)> - [x^-1 alpha < 0]|.
+|<alpha, mu - x(mu)> + <alpha, v(lam)> - [x^-1 alpha < 0]|.  Everything
+but <alpha, v(lam)> = <v^-1 alpha, lam> depends on u alone, so the ball
+keeps one row per fibre for each finite part u, and each w reads its
+pairings off the one vector (<beta, lam>)_beta over Phi.
 """
 
 from __future__ import annotations
@@ -26,19 +29,23 @@ BALL_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class Ball:
-    """The ball's elements and distances, and its fibres by finite part.
+    """The ball's elements and distances, its fibres by finite part, and
+    their rows by the finite part of the conjugated element.
 
-    A fibre is (v, mus, n_inner, shifts) for the elements t^mu v: mus lists
-    their translation parts, the n_inner of distance below the radius
-    first, and shifts maps x.idx to the vectors (<alpha, mu - x(mu)>)_alpha
-    of mus, filled on first use by brute_min_length and shared through the
-    datum's oracle_vectors table.
+    A fibre is (v, mus, n_inner) for the elements t^mu v: mus lists their
+    translation parts, the n_inner of distance below the radius first.
+    rows maps u.idx to one row per fibre, filled by brute_min_length on the
+    first w with finite part u: (the indices of v^-1 alpha over alpha in
+    Phi^+, the neg_mask of x = v u v^-1, the vectors (<alpha, mu -
+    x(mu)>)_alpha of mus, n_inner), the vectors shared through the datum's
+    oracle_vectors table.
     """
 
     radius: int
     elements: dict
     distances: dict
     fibres: tuple
+    rows: dict
 
     def distance(self, w):
         return self.distances.get(w.key)
@@ -82,38 +89,49 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
     shells = {}  # v -> (inner mus, boundary mus)
     for key, g in elems.items():
         shells.setdefault(g.fw, ([], []))[dist[key] == radius].append(g.lam)
-    fibres = tuple((v, inner + boundary, len(inner), {}) for v, (inner, boundary) in shells.items())
-    return Ball(radius=radius, elements=elems, distances=dist, fibres=fibres)
+    fibres = tuple((v, inner + boundary, len(inner)) for v, (inner, boundary) in shells.items())
+    return Ball(radius=radius, elements=elems, distances=dist, fibres=fibres, rows={})
 
 
-def _vector(vectors, pos, x, mu):
-    """(<alpha, mu - x(mu)>)_alpha, interned by (x.idx, mu) in vectors."""
-    key = (x.idx, mu)
-    vec = vectors.get(key)
-    if vec is None:
-        vec = vectors[key] = linalg.mat_vec(pos, linalg.vec_sub(mu, x.act(mu)))
-    return vec
+def _rows(datum, fibres, u):
+    """One row per fibre for the finite part u (Ball), by two finite
+    products per fibre."""
+    pos, n = datum.pos_roots, len(datum.pos_roots)
+    vectors = memo(datum, "oracle_vectors").table
+    rows = []
+    for v, mus, n_inner in fibres:
+        vinv = v.inverse()
+        x = v * u * vinv
+        d = []
+        for mu in mus:
+            # (<alpha, mu - x(mu)>)_alpha, interned by (x.idx, mu)
+            vec = vectors.get((x.idx, mu))
+            if vec is None:
+                vec = vectors[x.idx, mu] = linalg.mat_vec(pos, linalg.vec_sub(mu, x.act(mu)))
+            d.append(vec)
+        rows.append((vinv.perm[:n], x.neg_mask, d, n_inner))
+    return rows
 
 
 def brute_min_length(w, radius, cap=BALL_CAP):
     """Minimum length over conjugates g w g^-1 for g in the radius ball.
 
-    Per fibre v: x = v u v^-1 by two finite products, the vector
-    (<alpha, v(lam)> - [x^-1 alpha < 0])_alpha once, then one sum of
-    absolute values per mu (module docstring).  Raises Inconclusive when the
-    boundary shell still improves the minimum, so an answer is never wrong,
-    only possibly refused.
+    The ball's rows for w's finite part are built on first use; then per
+    fibre the vector (<alpha, v(lam)> - [x^-1 alpha < 0])_alpha is read off
+    (<beta, lam>)_beta, and one sum of absolute values is taken per mu
+    (module docstring).  Raises Inconclusive when the boundary shell still
+    improves the minimum, so an answer is never wrong, only possibly
+    refused.
     """
-    ball = cayley_ball(w.datum, radius, cap)
-    pos, u = w.datum.pos_roots, w.fw
-    vectors = memo(w.datum, "oracle_vectors").table
+    datum, u = w.datum, w.fw
+    ball = cayley_ball(datum, radius, cap)
+    rows = ball.rows.get(u.idx)
+    if rows is None:
+        rows = ball.rows[u.idx] = _rows(datum, ball.fibres, u)
+    pairings = linalg.mat_vec(datum.roots, w.lam)
     lows, inner = [], []
-    for v, mus, n_inner, shifts in ball.fibres:
-        x = v * u * v.inverse()
-        d = shifts.get(x.idx)
-        if d is None:
-            d = shifts[x.idx] = [_vector(vectors, pos, x, mu) for mu in mus]
-        c = tuple(map(sub, linalg.mat_vec(pos, v.act(w.lam)), x.neg_mask))
+    for index, mask, d, n_inner in rows:
+        c = tuple(map(sub, map(pairings.__getitem__, index), mask))
         vals = [sum(map(abs, map(add, dm, c))) for dm in d]
         lows.append(min(vals))
         inner += vals[:n_inner]

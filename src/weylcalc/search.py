@@ -77,16 +77,22 @@ def explore_level(start, moves, budget, what, want=1, held=0, origin=None):
     return level, descents
 
 
-def descend(start, moves, budget, what):
+def descend(start, moves, budget, what, stop=None):
     """Walk `start` down, taking the first descent of each level, until a
-    level has none.  Returns the landing element and the steps (label,
-    before, after), including the level-preserving moves leading to each
-    descent."""
+    level has none.  Returns the landing element, the steps (label, before,
+    after), including the level-preserving moves leading to each descent,
+    and the count of elements its levels held.
+
+    `stop(v)`, asked of each element a descent lands on, may give the walk
+    from v as (landing element, steps, held); the walk then ends with it
+    when the counts still fit the budget, and otherwise goes on from v,
+    as the walk from v is the same walk."""
+    budget = DEFAULT_BUDGET if budget is None else budget
     steps, held, current = [], 0, start
     while True:
         level, descents = explore_level(current, moves, budget, what, held=held, origin=start)
         if not descents:
-            return current, steps
+            return current, steps, held + len(level)
         held += len(level)
         v, label, current = descents[0]
         chain = [(label, v, current)]
@@ -96,3 +102,6 @@ def descend(start, moves, budget, what):
             chain.append((plabel, level[pk][0], level[k][0]))
             k, via = pk, level[pk][1]
         steps.extend(reversed(chain))
+        known = None if stop is None else stop(current)
+        if known is not None and held + known[2] <= budget:
+            return known[0], steps + list(known[1]), held + known[2]

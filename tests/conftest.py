@@ -164,7 +164,7 @@ def reference_eta(w):
     read x off w m^-1, which must be finite."""
     datum = w.datum
     finite_labels = range(1, datum.n_simple + 1)
-    m, _ = descend(w, left_descents(datum, finite_labels), None, "coset-minimal strip")
+    m, _, _ = descend(w, left_descents(datum, finite_labels), None, "coset-minimal strip")
     x_aff = w * m.inv()
     assert not any(x_aff.lam) and datum.is_dominant(m.lam)
     x = x_aff.fw

@@ -2,6 +2,7 @@
 for a search of the kernel, the element it began from."""
 
 import pytest
+from conftest import cartan_config
 
 from weylcalc import (
     build_root_datum,
@@ -13,6 +14,7 @@ from weylcalc import (
     reduce_to_min,
 )
 from weylcalc.affweyl import low_shifts
+from weylcalc.classes import _census
 from weylcalc.dims import _shift_descents
 from weylcalc.errors import ExplorationBudgetExceeded
 from weylcalc.search import explore_level
@@ -81,3 +83,47 @@ def test_census_counts_its_classes_against_the_budget(name, max_len):
     exc = info.value
     assert (exc.what, exc.budget, exc.start) == ("straight-class census", size - 1, None)
     assert size - 1 < exc.held <= size
+
+
+def _datum(name):
+    return build_root_datum(cartan_config(name) if name == "G2" else name)
+
+
+def _numbers(exc):
+    start = exc.start if exc.start is None else exc.start.key
+    return exc.what, exc.held, exc.budget, start
+
+
+def _raised(call):
+    with pytest.raises(ExplorationBudgetExceeded) as info:
+        call()
+    return _numbers(info.value)
+
+
+@pytest.mark.parametrize(
+    "name, search, stored",
+    [
+        ("SL3", lambda datum, budget=None: length_ball(datum, 6, budget),
+         lambda datum: len(length_ball(datum, 6))),
+        ("SL3", lambda datum, budget=None: enumerate_straight_classes(datum, 40, budget=budget),
+         lambda datum: _census(datum, 40)[1]),
+        # G2's census at 3 holds 2 classes, one read off a non-straight Levi
+        # representative whose walk holds more
+        ("G2", lambda datum, budget=None: enumerate_straight_classes(datum, 3, budget),
+         lambda datum: _census(datum, 3)[1]),
+        ("SL3", lambda datum, budget=None: reduce_to_min(from_parts(datum, (3, 3), []), budget),
+         lambda datum: reduce_to_min(from_parts(datum, (3, 3), [])).held),
+    ],
+    ids=["length-ball", "census", "census-levi-walk", "reduce-to-min"],
+)
+def test_a_memo_hit_keeps_the_budget(name, search, stored):
+    """After a large call, a smaller budget on the same datum raises what it
+    raises on a fresh datum, and a budget equal to the stored count is
+    served from the memo."""
+    datum = _datum(name)
+    big = search(datum)
+    held = stored(datum)
+    for budget in sorted({0, 1, held // 2, held - 1}):
+        assert _raised(lambda: search(datum, budget)) == _raised(
+            lambda: search(_datum(name), budget))
+    assert search(datum, held) is big

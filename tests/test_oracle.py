@@ -1,4 +1,5 @@
 import pytest
+from conftest import cartan_config
 
 from weylcalc import (
     Inconclusive,
@@ -10,6 +11,7 @@ from weylcalc import (
     simple_reflections,
     translation,
 )
+from weylcalc.finiteweyl import FiniteWeylElt
 from weylcalc.oracle import brute_min_length, brute_straight_check, cayley_ball
 from weylcalc.rootdata import PRESETS
 
@@ -97,11 +99,11 @@ def _reference_min(w, radius):
 
 
 @pytest.mark.parametrize("radius", [6, 3])
-@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["B3", "C3", "G2"])
 def test_brute_min_matches_products(name, radius):
     """The per-fibre kernel gives the product reference's value, and refuses
     exactly where the reference's inner-shell rule refuses."""
-    datum = build_root_datum(name)
+    datum = build_root_datum(name if name in PRESETS else cartan_config(name))
     want = []
     for w in length_ball(datum, W_BOUND[datum.rank]):
         try:
@@ -112,3 +114,23 @@ def test_brute_min_matches_products(name, radius):
         assert got == want[-1], (w, radius)
     if radius == 3 and datum.rank < 3:
         assert None in want  # the refusal rule is exercised
+
+
+def test_a_finite_part_seen_before_makes_no_finite_product(sl3, monkeypatch):
+    """The rows of a finite part are built once per ball: a second w with
+    the same finite part reads them, with no product of finite parts."""
+    first, second = from_parts(sl3, (1, 0), [0, 1]), from_parts(sl3, (0, 2), [0, 1])
+    other = from_parts(sl3, (1, 0), [1, 0])
+    brute_min_length(first, 4)
+    products = []
+    mul = FiniteWeylElt.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(FiniteWeylElt, "__mul__", counting)
+    brute_min_length(second, 4)
+    assert products == []
+    brute_min_length(other, 4)  # a new finite part builds its rows
+    assert products

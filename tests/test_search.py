@@ -154,8 +154,8 @@ def test_descend_counts_every_level_against_the_budget():
     def moves(v):
         yield "s", Toy(v.n - 1) if v.n > 0 else Toy(1)
 
-    w_min, steps = descend(Toy(4), moves, 5, "toy walk")
-    assert w_min == Toy(0)
+    w_min, steps, held = descend(Toy(4), moves, 5, "toy walk")
+    assert w_min == Toy(0) and held == 5
     assert [(label, a.n, b.n) for label, a, b in steps] == [("s", 4 - k, 3 - k) for k in range(4)]
     with pytest.raises(ExplorationBudgetExceeded, match="toy walk"):
         descend(Toy(4), moves, 4, "toy walk")

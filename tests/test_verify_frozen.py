@@ -5,15 +5,19 @@ change that keeps every answer keeps these bytes.  PGL3, SL4 and A3-twisted
 take several seconds for `--suite all`, so only their `--suite min` reports
 are frozen here (taken from the CLI at commit de61a09, before the oracle's
 minimum was computed per fibre); their other suites are left to manual
-comparison."""
+comparison.  On the configs beyond the presets, the `verify_min` counts
+are frozen instead."""
 
 import contextlib
 import hashlib
 import io
 
 import pytest
+from conftest import cartan_config
 
+from weylcalc import build_root_datum
 from weylcalc.cli import main
+from weylcalc.verify import verify_min
 
 FROZEN = {
     "SL2": "c4a20897ea5c19fdc7473620b9865ac5a76a37beee7a751ae7f9ae80da8a57ad",
@@ -46,3 +50,14 @@ def test_verify_min_report_is_frozen(group):
         code = main(["verify", "--suite", "min", "--group", group])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FROZEN_MIN[group]
+
+
+# (checked, inconclusive) of verify_min at its default sizes
+MIN_COUNTS = {"SL5": (1231, 0), "B3": (347, 0), "C3": (347, 0), "G2": (84, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(MIN_COUNTS))
+def test_verify_min_counts_are_frozen(name):
+    report = verify_min(build_root_datum(cartan_config(name)))
+    assert report["passed"]
+    assert (report["checked"], report["inconclusive"]) == MIN_COUNTS[name]
