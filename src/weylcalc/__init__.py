@@ -21,6 +21,7 @@ from .errors import (
     NonIntegralDimension,
     NonIntegralHalf,
     NotDominant,
+    NotIntegral,
     NotFiniteType,
     NotMinimal,
     UnknownClass,

@@ -54,14 +54,14 @@ from .search import closure, right_moves
 
 class AffineWeylElt:
     """t^lam * u with lam in X and u in W0.  The public constructor refuses
-    a lam whose length is not the rank (DatumMismatch); _from_ints does not
-    check."""
+    a lam whose length is not the rank (DatumMismatch) or with a non-integer
+    coordinate (NotIntegral); _from_ints does not check."""
 
     __slots__ = ("datum", "lam", "fw", "_length", "_newton")
 
     def __init__(self, datum, lam, fw):
         self.datum = datum
-        self.lam = tuple(int(x) for x in lam)
+        self.lam = tuple(map(linalg.as_int, lam))
         if len(self.lam) != datum.rank:
             raise DatumMismatch(f"lambda has {len(self.lam)} coordinates, not {datum.rank}")
         self.fw = fw
@@ -144,7 +144,7 @@ def translation(datum, lam):
 
 
 def from_finite(u):
-    return AffineWeylElt(u.datum, (0,) * u.datum.rank, u)
+    return AffineWeylElt._from_ints(u.datum, (0,) * u.datum.rank, u)
 
 
 def from_parts(datum, lam, word):

@@ -124,10 +124,13 @@ class MinimizationResult:
 
 @dataclass(frozen=True)
 class UxDecomposition:
+    """held, the largest count its searches held, is not printed."""
+
     u: AffineWeylElt
     x: AffineWeylElt
     K: tuple
     witness: AffineWeylElt
+    held: int
 
     def to_json(self):
         return {
@@ -177,7 +180,6 @@ def approx_closure(w, budget=None):
     return [elts[k] for k in sorted(elts)]
 
 
-@memoised("spherical_subsets")
 def _spherical_subsets(datum):
     """Spherical subsets of the generator labels, smallest first."""
     labels = [label for label, _ in simple_reflections(datum)]
@@ -214,7 +216,8 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
     Scans the shift-class of w_min (smallest key first) and the spherical
     subsets K (smallest first) for a presentation w'' = u x with x the
     minimal-length element of W_K w'', u in W_K, x straight, x doubly
-    K-minimal, and conjugation by x permuting K.  Returns the first success.
+    K-minimal, and conjugation by x permuting K.  Returns the first success,
+    memoised per w_min with its held count.
     """
     if check_minimal:
         reduced = reduce_to_min(w_min, budget)
@@ -222,19 +225,23 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
             raise NotMinimal(
                 f"element of length {w_min.length} reduces to length {reduced.w_min.length}"
             )
+    return _ux(w_min, budget)
+
+
+@memoised("ux", key=lambda w_min, budget=None: w_min.key, held=lambda dec: dec.held)
+def _ux(w_min, budget=None):
     datum = w_min.datum
-    table = memo(datum, "ux")
-    hit = table.get(w_min.key)
-    if hit is not None:
-        return hit
     refl = dict(simple_reflections(datum))
     shift_class = approx_closure(w_min, budget)
+    subsets = _spherical_subsets(datum)
+    held = len(shift_class)
     for w2 in shift_class:
-        for k_labels in _spherical_subsets(datum):
+        for k_labels in subsets:
             gens = [(l, refl[l]) for l in k_labels]
             # left multiplication changes length by one, so every level of
             # this walk is a single element and it strips K-descents greedily
-            x, steps, _ = descend(w2, left_descents(datum, k_labels), budget, "K-descent strip")
+            x, steps, strip = descend(w2, left_descents(datum, k_labels), budget, "K-descent strip")
+            held = max(held, strip)
             if not is_straight(x):
                 continue
             # x must be minimal on both sides of W_K
@@ -249,12 +256,7 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
             images = [next((l for l, g in gens if g == c), None) for c in conjugates]
             if None in images or sorted(images) != sorted(k_labels):
                 continue
-            result = table.put(
-                w_min.key, UxDecomposition(u=u, x=x, K=tuple(k_labels), witness=w2)
-            )
-            for elt in shift_class:
-                table.put(elt.key, result)
-            return result
+            return UxDecomposition(u=u, x=x, K=tuple(k_labels), witness=w2, held=held)
     raise DecompositionNotFound(
         f"no spherical decomposition found for {w_min!r}; this contradicts the "
         "minimal-length structure theory"
@@ -326,18 +328,10 @@ def enumerate_straight_classes(datum, max_len, budget=None):
     a census over budget classes raises before building them.  budget also
     bounds the reduce_to_min of a non-straight Levi representative.
     """
-    return _census(datum, max_len, budget)[0]
-
-
-@memoised("straight_classes", key=lambda datum, max_len, budget=None: max_len,
-          held=lambda census: census[1])
-def _census(datum, max_len, budget=None):
-    """enumerate_straight_classes, and the largest count it held against
-    budget: its classes, or the walk of a non-straight Levi representative."""
     budget = DEFAULT_BUDGET if budget is None else budget
     n = datum.n_simple
     period = _levi(datum, (1 << n) - 1)[3]
-    held, walked, classes = 0, 0, []
+    held, classes = 0, []
     for mask in range(1 << n):
         J, K, weights, den, _, cosets = _levi(datum, mask)
         steps = [den * c for c in weights]
@@ -369,14 +363,14 @@ def _census(datum, max_len, budget=None):
                         cls = _class_of_levi_rep(rep, budget)
                         if cls.length < rep.length:
                             # rep is not straight: its walk counts against budget,
-                            # also when levi_classes already holds its class
-                            walked = max(walked, reduce_to_min(rep, budget).held)
+                            # also on a levi_classes hit, which skips the walk
+                            reduce_to_min(rep, budget)
                         nu = [Fraction(den * x - s, den) for x, s in zip(p_k(last), shift)]
                         if linalg.mat_vec(datum.simple_roots, cls.nu_bar) != _spread(J, zeros, K, nu):
                             raise InternalAssertion(
                                 "the Levi representative has the wrong Newton point")
                         classes.append(cls)
-    return tuple(sorted(classes, key=lambda c: (c.length, c.nu_bar, c.kappa))), max(held, walked)
+    return tuple(sorted(classes, key=lambda c: (c.length, c.nu_bar, c.kappa)))
 
 
 def _spread(J, on_j, K, on_k):
@@ -395,7 +389,7 @@ def resolve_class(datum, kappa, nu_bar):
     those of nu_bar plus shift / den, and it must be integral with
     kappa(lam) = kappa.
     """
-    kappa = tuple(int(x) for x in kappa)
+    kappa = tuple(map(linalg.as_int, kappa))
     nu_bar = datum.dominant_rep(nu_bar)
     length = linalg.vec_dot(datum.two_rho, nu_bar)
     if Fraction(length).denominator != 1 or length < 0:

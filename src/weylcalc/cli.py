@@ -152,7 +152,9 @@ def _parse_element(datum, text, needed="this action"):
 
 
 def _parse_vector(datum, text, integral=False):
-    parts = [tok for tok in text.split(",") if tok.strip() != ""]
+    parts = text.split(",")
+    if any(tok.strip() == "" for tok in parts):
+        raise UsageError(f"empty coordinate in {text!r}")
     if len(parts) != datum.rank:
         raise UsageError(f"expected {datum.rank} comma-separated coordinates")
     vec = tuple(_rationals(parts, "coordinates"))

@@ -85,9 +85,10 @@ EMPTY = DimValue(None)
 
 
 def finite(n):
+    n = linalg.as_int(n)
     if n < 0:
         raise NegativeDimension(f"finite dimension {n} < 0")
-    return DimValue(int(n))
+    return DimValue(n)
 
 
 @dataclass(frozen=True)
@@ -273,6 +274,14 @@ def dim_X_flag(w, cls, budget=None):
     return EMPTY if dim is None else DimValue(dim)
 
 
+def _dominant(datum, mu):
+    """mu as a tuple of ints, refused unless it is dominant."""
+    mu = tuple(map(linalg.as_int, mu))
+    if not datum.is_dominant(mu):
+        raise NotDominant(f"{mu} is not dominant")
+    return mu
+
+
 def dim_X_grass(datum, mu, cls):
     """Closed formula in the affine Grassmannian.
 
@@ -281,9 +290,7 @@ def dim_X_grass(datum, mu, cls):
     l(C) - def)/2 in integers, which must come out integral.
     """
     _validate_class(datum, cls)
-    mu = tuple(int(x) for x in mu)
-    if not datum.is_dominant(mu):
-        raise NotDominant(f"{mu} is not dominant")
+    mu = _dominant(datum, mu)
     if datum.kappa_class(mu) != cls.kappa:
         return EMPTY
     if not datum.dominance_leq(cls.nu_bar, mu):
@@ -351,7 +358,7 @@ def dim_Y_superregular(x, mu, y, gd, budget=None):
     datum = x.datum
     cls = gd.straight_class
     _validate_class(datum, cls)
-    mu = tuple(int(v) for v in mu)
+    mu = tuple(map(linalg.as_int, mu))
     if not superregular_applies(datum, mu, cls):
         raise HypothesisViolated("nu + 2 rho^vee is not dominated by mu")
     w = from_finite(x) * translation(datum, mu) * from_finite(y)
@@ -514,9 +521,7 @@ def grass_fibration_max(datum, mu, cls, budget=None):
     flag dimensions over the double coset W0 t^mu W0, minus the dimension of
     the finite flag fiber.  The class-by-class maximum of the profiles of
     the coset is taken once per mu and answers every class."""
-    mu = tuple(int(x) for x in mu)
-    if not datum.is_dominant(mu):
-        raise NotDominant(f"{mu} is not dominant")
+    mu = _dominant(datum, mu)
     cid = _validate_class(datum, cls)
     dim = _coset_max(datum, mu, budget).get(cid)
     return EMPTY if dim is None else DimValue(dim - longest_element(datum).length)

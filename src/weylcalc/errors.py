@@ -21,6 +21,10 @@ class DatumMismatch(WeylcalcError):
     """Operands belong to different root data."""
 
 
+class NotIntegral(WeylcalcError):
+    """A coordinate that must be an integer is not one; never truncated."""
+
+
 class NotDominant(WeylcalcError):
     """A coweight that must be dominant is not; signals a caller bug."""
 

@@ -207,12 +207,12 @@ def fw_inverse(a):
     return a.inverse()
 
 
-@memoised("w0")
+@memoised("w0", key=lambda datum, cap=W0_CAP: cap)
 def enumerate_w0(datum, cap=W0_CAP):
     """All elements of W0 by closure under right multiplication.
 
-    Cached on the datum; the returned list is sorted by (length, key) so the
-    identity comes first and the longest element last.
+    Cached on the datum per cap; the returned list is sorted by (length,
+    key) so the identity comes first and the longest element last.
     """
     gens = [(i, fw_simple(datum, i)) for i in range(datum.n_simple)]
     try:

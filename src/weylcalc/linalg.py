@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import prod
 from operator import add, mul, neg
 
+from .errors import NotIntegral
+
 
 def vec_add(a, b):
     return tuple(map(add, a, b))
@@ -195,6 +197,16 @@ def scaled_inverse(m):
     d = factors[-1] if factors else 1
     scaled = [[x * (d // f) for x in row] for row, f in zip(u, factors)]
     return mat_mul(v, scaled), d, prod(factors)
+
+
+def as_int(x, error=NotIntegral):
+    """x as an int: an int or an integral Fraction.  Anything else, a bool or
+    a float included, raises error rather than being truncated."""
+    if type(x) is int:
+        return x
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    raise error(f"expected an integer, got {x!r}")
 
 
 def parse_fraction(value):

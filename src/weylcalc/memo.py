@@ -2,6 +2,11 @@
 
 A stored None reads as a miss, so a stored value may be falsy (an empty
 coset max, a zero pairing), and a compute that raises stores nothing.
+
+Budget rule: a hit raises whatever the computation would raise on a fresh
+datum.  A memoised function that takes a budget keeps it by held= alone;
+the few budgeted functions that read a table another way are listed, with
+their reasons, in tests/test_memo.py (BUDGET_EXEMPT).
 """
 
 from functools import wraps

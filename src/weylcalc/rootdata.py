@@ -115,9 +115,9 @@ class RootDatum:
 
     def __init__(self, name, rank, simple_roots, simple_coroots, delta=None):
         self.name = name
-        self.rank = rank
-        self.simple_roots = tuple(tuple(int(x) for x in row) for row in simple_roots)
-        self.simple_coroots = tuple(tuple(int(x) for x in v) for v in simple_coroots)
+        self.rank = linalg.as_int(rank, MalformedConfig)
+        self.simple_roots = _int_matrix(simple_roots)
+        self.simple_coroots = _int_matrix(simple_coroots)
         self.n_simple = len(self.simple_roots)
         self._validate_basic()
         # rank x n, column j the simple coroot alpha_j^vee
@@ -203,8 +203,8 @@ class RootDatum:
             perm, matrix = delta.perm, delta.matrix
         else:
             try:
-                perm = tuple(int(x) for x in delta["perm"])
-                matrix = tuple(tuple(int(x) for x in row) for row in delta["lattice_matrix"])
+                perm = tuple(linalg.as_int(x, MalformedConfig) for x in delta["perm"])
+                matrix = _int_matrix(delta["lattice_matrix"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedConfig(f"malformed delta block: {exc}") from exc
         if sorted(perm) != list(range(self.n_simple)):
@@ -376,7 +376,7 @@ class RootDatum:
         any remaining entries are free Z-coordinates.  Equality of classes is
         equality of these tuples, and the map is additive componentwise.
         """
-        ulam = linalg.mat_vec(self._kappa_u, tuple(int(x) for x in lam))
+        ulam = linalg.mat_vec(self._kappa_u, tuple(map(linalg.as_int, lam)))
         key = []
         for k in range(self.rank):
             if k < len(self._kappa_diag):
@@ -426,6 +426,11 @@ class RootDatum:
         return f"RootDatum({self.name!r}, rank={self.rank}, n_simple={self.n_simple})"
 
 
+def _int_matrix(rows):
+    """rows as a tuple of int tuples; a non-integer entry is MalformedConfig."""
+    return tuple(tuple(linalg.as_int(x, MalformedConfig) for x in row) for row in rows)
+
+
 def build_root_datum(config):
     """Build and validate a RootDatum from a preset name or a config mapping.
 
@@ -444,9 +449,10 @@ def build_root_datum(config):
     if not isinstance(config, dict):
         raise MalformedConfig("config must be a preset name or a mapping")
     try:
-        rank = int(config["rank"])
-        roots = [[int(x) for x in row] for row in config["roots"]]
-        coroot_matrix = [[int(x) for x in row] for row in config["coroots"]]
+        rank = linalg.as_int(config["rank"], MalformedConfig)
+        roots = _int_matrix(config["roots"])
+        coroot_matrix = _int_matrix(config["coroots"])
+        declared = _int_matrix(config["cartan"]) if "cartan" in config else None
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedConfig(f"missing or ill-typed config field: {exc}") from exc
     n = len(roots)
@@ -455,10 +461,8 @@ def build_root_datum(config):
     coroots = [[coroot_matrix[i][j] for i in range(rank)] for j in range(n)]
     name = str(config.get("name", "custom"))
     datum = RootDatum(name, rank, roots, coroots, delta=config.get("delta"))
-    if "cartan" in config:
-        declared = tuple(tuple(int(x) for x in row) for row in config["cartan"])
-        if declared != datum.cartan:
-            raise MalformedConfig("declared Cartan matrix disagrees with <alpha_i, alpha_j^vee>")
+    if declared is not None and declared != datum.cartan:
+        raise MalformedConfig("declared Cartan matrix disagrees with <alpha_i, alpha_j^vee>")
     return datum
 
 

@@ -371,3 +371,38 @@ def test_a_lambda_of_the_wrong_length_is_refused():
         with pytest.raises(DatumMismatch, match="lambda has .* coordinates, not 3"):
             build()
     assert from_parts(sl4, (0, 0, 1), [0, 2, 1]).lam == (0, 0, 1)
+
+
+def test_a_non_integral_coordinate_is_refused():
+    """No public entry truncates a coordinate: an int or an integral Fraction
+    is read as itself, anything else raises NotIntegral."""
+    from weylcalc import (
+        GammaDescriptor,
+        NotIntegral,
+        dim_X_grass,
+        dim_Y_superregular,
+        enumerate_straight_classes,
+        fw_identity,
+        grass_fibration_max,
+        kappa_class,
+        resolve_class,
+    )
+
+    sl3 = build_root_datum("SL3")
+    cls = enumerate_straight_classes(sl3, 4)[0]
+    one, half = fw_identity(sl3), Fraction(3, 2)
+    for call in (
+        lambda: from_parts(sl3, (Fraction(1, 2), 1), []),
+        lambda: from_parts(sl3, (0.5, 1), []),
+        lambda: translation(sl3, (Fraction(5, 2), 0)),
+        lambda: translation(sl3, (True, 0)),
+        lambda: dim_X_grass(sl3, (half, half), cls),
+        lambda: grass_fibration_max(sl3, (half, half), cls),
+        lambda: dim_Y_superregular(one, (half, half), one, GammaDescriptor(cls, springer_dim=0)),
+        lambda: resolve_class(sl3, (Fraction(1, 2), 0), (0, 0)),
+        lambda: kappa_class(sl3, (0.5, 0)),
+    ):
+        with pytest.raises(NotIntegral, match="expected an integer"):
+            call()
+    assert translation(sl3, (Fraction(4, 2), 0)).lam == (2, 0)
+    assert resolve_class(sl3, (Fraction(0), 0), (0, 0)) == cls

@@ -12,11 +12,12 @@ from weylcalc import (
     length_ball,
     omega_elements,
     reduce_to_min,
+    ux_decompose,
 )
 from weylcalc.affweyl import low_shifts
-from weylcalc.classes import _census
 from weylcalc.dims import _shift_descents
-from weylcalc.errors import ExplorationBudgetExceeded
+from weylcalc.errors import ExplorationBudgetExceeded, GroupTooLarge
+from weylcalc.finiteweyl import enumerate_w0
 from weylcalc.search import explore_level
 
 
@@ -100,30 +101,64 @@ def _raised(call):
     return _numbers(info.value)
 
 
+def _least_budget(name, search):
+    """The smallest budget a fresh datum passes.  A run under any budget
+    between one that raised and the count it held raises at the same
+    point, so the next budget tried is that count."""
+    budget = 0
+    while True:
+        try:
+            search(_datum(name), budget)
+            return budget
+        except ExplorationBudgetExceeded as exc:
+            budget = exc.held
+
+
+def _census(max_len):
+    return lambda datum, budget=None: enumerate_straight_classes(datum, max_len, budget)
+
+
+def _ux(datum, budget=None):
+    return ux_decompose(from_parts(datum, (-2, -2), []), budget, check_minimal=False)
+
+
 @pytest.mark.parametrize(
-    "name, search, stored",
+    "name, search, stored, kept",
     [
         ("SL3", lambda datum, budget=None: length_ball(datum, 6, budget),
-         lambda datum: len(length_ball(datum, 6))),
-        ("SL3", lambda datum, budget=None: enumerate_straight_classes(datum, 40, budget=budget),
-         lambda datum: _census(datum, 40)[1]),
+         lambda datum: len(length_ball(datum, 6)), True),
+        # the census keeps no memo: its stored count is what a fresh datum needs
+        ("SL3", _census(40), lambda datum: _least_budget("SL3", _census(40)), False),
         # G2's census at 3 holds 2 classes, one read off a non-straight Levi
         # representative whose walk holds more
-        ("G2", lambda datum, budget=None: enumerate_straight_classes(datum, 3, budget),
-         lambda datum: _census(datum, 3)[1]),
+        ("G2", _census(3), lambda datum: _least_budget("G2", _census(3)), False),
         ("SL3", lambda datum, budget=None: reduce_to_min(from_parts(datum, (3, 3), []), budget),
-         lambda datum: reduce_to_min(from_parts(datum, (3, 3), [])).held),
+         lambda datum: reduce_to_min(from_parts(datum, (3, 3), [])).held, True),
+        # a translation, whose shift class holds 6 elements
+        ("SL3", _ux, lambda datum: _ux(datum).held, True),
     ],
-    ids=["length-ball", "census", "census-levi-walk", "reduce-to-min"],
+    ids=["length-ball", "census", "census-levi-walk", "reduce-to-min", "ux"],
 )
-def test_a_memo_hit_keeps_the_budget(name, search, stored):
+def test_a_memo_hit_keeps_the_budget(name, search, stored, kept):
     """After a large call, a smaller budget on the same datum raises what it
     raises on a fresh datum, and a budget equal to the stored count is
-    served from the memo."""
+    served, from the memo where the search keeps one."""
     datum = _datum(name)
     big = search(datum)
     held = stored(datum)
     for budget in sorted({0, 1, held // 2, held - 1}):
         assert _raised(lambda: search(datum, budget)) == _raised(
             lambda: search(_datum(name), budget))
-    assert search(datum, held) is big
+    served = search(datum, held)
+    assert served is big if kept else served == big
+
+
+def test_a_used_datum_keeps_the_w0_cap():
+    datum = _datum("SL3")
+    assert len(enumerate_w0(datum)) == 6
+    for cap in (1, 5):
+        with pytest.raises(GroupTooLarge, match=f"exceeds cap {cap}"):
+            enumerate_w0(datum, cap=cap)
+        with pytest.raises(GroupTooLarge, match=f"exceeds cap {cap}"):
+            enumerate_w0(_datum("SL3"), cap=cap)
+    assert enumerate_w0(datum, cap=6) == enumerate_w0(datum)

@@ -40,6 +40,8 @@ BAD_INPUTS = [
      "--class", '{"kappa":[0,0],"nu":[0,0]}', "--springer-dim", "0"),
     ("dim", "y-super", "--group", "SL3", "--mu", "2,2", "--y-word", "3",
      "--class", '{"kappa":[0,0],"nu":[0,0]}', "--springer-dim", "0"),
+    # an empty coordinate is refused, not dropped (test_empty_coordinate_is_named)
+    ("dim", "x-gr", "--group", "SL2", "--mu", "2,", "--class", '{"kappa":[0],"nu":[0]}'),
 ]
 
 
@@ -56,6 +58,32 @@ def test_bad_input_is_one_usage_line(argv):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_empty_coordinate_is_named():
+    """"1,,1" is not read as SL3's (1, 1)."""
+    code, out, err = _run(("dim", "x-gr", "--group", "SL3", "--mu", "1,,1",
+                           "--class", '{"kappa":[0,0],"nu":[0,0]}'))
+    assert (code, out, err) == (1, "", "usage error: empty coordinate in '1,,1'\n")
+
+
+@pytest.mark.parametrize(
+    "config, entry",
+    [
+        ({"rank": 1, "roots": [[2.9]], "coroots": [[1.2]]}, "2.9"),
+        ({"rank": 1.7, "roots": [[True]], "coroots": [[1]]}, "1.7"),
+        ({"rank": 1, "roots": [[True]], "coroots": [[1]]}, "True"),
+        ({"rank": 1, "roots": [[2]], "coroots": [[1]], "cartan": [[2.0]]}, "2.0"),
+    ],
+    ids=["float-entries", "float-rank", "bool-entry", "float-cartan"],
+)
+def test_a_non_integer_config_entry_is_refused(tmp_path, config, entry):
+    """A config entry that is not an integer is refused, never truncated
+    into another datum (2.9 read as SL2's 2, 1.7 as rank 1)."""
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(("describe", "--group", str(path)))
+    assert (code, out, err) == (1, "", f"error: expected an integer, got {entry}\n")
 
 
 @pytest.mark.parametrize(

@@ -258,8 +258,12 @@ def test_a_bad_table_format_is_refused_before_any_work(monkeypatch):
         emit_table(datum, 4, classes, fmt="xml")
 
 
-def test_census_memoised_per_datum(sl3):
-    assert enumerate_straight_classes(sl3, 4) is enumerate_straight_classes(sl3, 4)
+def test_census_on_a_used_datum_equals_a_fresh_one(sl3):
+    """The census keeps no memo; a second run reads the levi_classes and
+    reduce_min tables the first one filled."""
+    first = enumerate_straight_classes(sl3, 4)
+    assert enumerate_straight_classes(sl3, 4) == first
+    assert enumerate_straight_classes(build_root_datum("SL3"), 4) == first
 
 
 # -- persistence, format 2 ------------------------------------------------------------
