@@ -24,6 +24,7 @@ from .errors import (
     NotIntegral,
     NotFiniteType,
     NotMinimal,
+    NotRational,
     UnknownClass,
     WeylcalcError,
 )

@@ -15,8 +15,13 @@ and Coxeter Groups, 5.4); for w = t^lam u these are (u^-1 alpha, <alpha,
 lam> + k) and (u alpha, k - <u alpha, lam>).  The move row of u (move_row)
 reads these roots, u(mu) and the same data of sigma u for a shift s w s
 off u's root permutation, so a left, right or shift move costs O(rank) and
-sets the moved element's length.  Elements built by a product, and the
-oracle's Cayley ball, use the Iwahori-Matsumoto formula instead.
+sets the moved element's length.  A shift is told by two pairings with
+lam: c = <alpha, lam> + k for s w, and c2 = k2 + <beta2, lam> for the right
+move of s w, with beta2 and k2 kept in the row.  The finite parts sigma u,
+u sigma and sigma u sigma are built on first use, and low_shifts leaves out
+the shift back to the element a search came from.  Elements built by a
+product, and the oracle's Cayley ball, use the Iwahori-Matsumoto formula
+instead.  An element's key (lam, matrix) is built once, with the element.
 
 eta_decomposition runs no search: it walks (lam, u) in integers and reads
 shorter coset mates from the datum's eta table.
@@ -57,7 +62,7 @@ class AffineWeylElt:
     a lam whose length is not the rank (DatumMismatch) or with a non-integer
     coordinate (NotIntegral); _from_ints does not check."""
 
-    __slots__ = ("datum", "lam", "fw", "_length", "_newton")
+    __slots__ = ("datum", "lam", "fw", "key", "_length", "_newton")
 
     def __init__(self, datum, lam, fw):
         self.datum = datum
@@ -65,6 +70,7 @@ class AffineWeylElt:
         if len(self.lam) != datum.rank:
             raise DatumMismatch(f"lambda has {len(self.lam)} coordinates, not {datum.rank}")
         self.fw = fw
+        self.key = (self.lam, fw.matrix)
         self._length = None
         self._newton = None
 
@@ -76,13 +82,10 @@ class AffineWeylElt:
         w.datum = datum
         w.lam = lam
         w.fw = fw
+        w.key = (lam, fw.matrix)
         w._length = length
         w._newton = None
         return w
-
-    @property
-    def key(self):
-        return (self.lam, self.fw.matrix)
 
     @property
     def is_identity(self):
@@ -189,17 +192,19 @@ class GeneratorMove:
 
     a_s = (alpha, k) is the simple affine root of s and coroot the coroot of
     alpha, so s(v) = v - a_s(v) coroot.  left = sigma u and right = u sigma
-    (built on first use) are the finite parts of s t^lam u and t^lam u s;
-    left_positive is the sign of u^-1 alpha, root = u alpha and
+    (both built on first use) are the finite parts of s t^lam u and t^lam u
+    s; left_positive is the sign of u^-1 alpha, root = u alpha and
     root_positive its sign, and right_lam = u(mu) is what a right move adds
     to lam (None when mu = 0).  s w s is the right move of s w: shift_root,
     shift_positive and shift_lam are root, root_positive and right_lam of
-    sigma u, shift_pairing = <shift_root, coroot>, shifted = sigma u sigma.
+    sigma u, and shifted = sigma u sigma.  With p = <shift_root, coroot>,
+    beta2 = p alpha - shift_root and k2 = k (1 + p), the right move of s w
+    reads the constant c2 = k2 + <beta2, lam> off lam itself.
     """
 
-    __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left", "left_positive", "root",
-                 "root_positive", "right_lam", "shift_root", "shift_positive", "shift_pairing",
-                 "shift_lam", "_right", "_shifted")
+    __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left_positive", "root",
+                 "root_positive", "right_lam", "shift_root", "shift_positive", "beta2", "k2",
+                 "shift_lam", "_left", "_right", "_shifted")
 
     def __init__(self, label, s, u):
         datum, perm, sigma, half = u.datum, u.perm, s.fw, len(u.perm) // 2
@@ -207,16 +212,24 @@ class GeneratorMove:
         a = sigma.refl + (half if label <= 0 else 0)
         self.label, self.k = label, int(label <= 0)
         self.alpha, self.coroot = datum.roots[a], datum.coroots[a]
-        self.u, self.sigma, self.left = u, sigma, product(sigma, u)
+        self.u, self.sigma = u, sigma
         self.left_positive = perm.index(a) < half
         ua, sua = perm[a], sigma.perm[perm[a]]  # the indices of u alpha and sigma u alpha
         self.root, self.root_positive = datum.roots[ua], ua < half
         # u(theta^vee) = -(u alpha)^vee
         self.right_lam = datum.coroots[ua - half] if self.k else None
         self.shift_root, self.shift_positive = datum.roots[sua], sua < half
-        self.shift_pairing = linalg.vec_dot(self.shift_root, self.coroot)
+        p = linalg.vec_dot(self.shift_root, self.coroot)
+        self.beta2 = tuple([p * x - y for x, y in zip(self.alpha, self.shift_root)])
+        self.k2 = self.k * (1 + p)
         self.shift_lam = datum.coroots[sua - half] if self.k else None
-        self._right = self._shifted = None
+        self._left = self._right = self._shifted = None
+
+    @property
+    def left(self):
+        if self._left is None:
+            self._left = product(self.sigma, self.u)
+        return self._left
 
     @property
     def right(self):
@@ -294,31 +307,36 @@ def right_move(w, label):
     )
 
 
-def low_shifts(w):
-    """(label, s w s) for every generator s with l(s w s) <= l(w), in label
-    order.  s w = t^lam' (sigma u) with lam' = lam - c coroot, c = <alpha,
-    lam> + k, so the right move reads k - <shift_root, lam'> = k -
-    <shift_root, lam> + c shift_pairing, and a shift that raises the length
-    is never built."""
-    lw, lam = w.length, w.lam
+def low_shifts(w, back=None):
+    """(label, s w s) for every generator s but the one labelled back with
+    l(s w s) <= l(w), in label order: s (s w s) s = w, so a search leaves
+    out the shift back to the element that reached w.  s w = t^lam' (sigma
+    u) with lam' = lam - c coroot, c = <alpha, lam> + k, so the right move
+    reads k - <shift_root, lam'> = k2 + <beta2, lam>, and a shift that
+    raises the length is never built."""
+    datum, lw, lam = w.datum, w.length, w.lam
     for m in move_row(w.fw):
-        c = linalg.vec_dot(m.alpha, lam) + m.k
-        c2 = m.k - linalg.vec_dot(m.shift_root, lam) + c * m.shift_pairing
+        if m.label == back:
+            continue
+        c = sum(map(mul, m.alpha, lam)) + m.k
+        c2 = sum(map(mul, m.beta2, lam)) + m.k2
         step = (1 if c > 0 or (c == 0 and m.left_positive) else -1) + (
             1 if c2 > 0 or (c2 == 0 and m.shift_positive) else -1)
         if step <= 0:
-            lam2 = _left_lam(m, lam, c)
             if m.shift_lam is not None:
-                lam2 = linalg.vec_add(lam2, m.shift_lam)
-            yield m.label, AffineWeylElt._from_ints(w.datum, lam2, m.shifted, lw + step)
+                lam2 = tuple([x - c * y + z for x, y, z in zip(lam, m.coroot, m.shift_lam)])
+            else:
+                lam2 = lam if c == 0 else tuple([x - c * y for x, y in zip(lam, m.coroot)])
+            yield m.label, AffineWeylElt._from_ints(datum, lam2, m.shifted, lw + step)
 
 
 def left_descents(datum, labels):
     """Search moves w -> s w over the labelled generators, in the given
-    order, yielding only those that shorten w."""
+    order, yielding only those that shorten w; the move back to a longer
+    element is never one of them, so back is not read."""
     positions = [_position(datum, label) for label in labels]
 
-    def moves(w):
+    def moves(w, back):
         row, lam = move_row(w.fw), w.lam
         for j in positions:
             m = row[j]
@@ -333,9 +351,10 @@ def left_descents(datum, labels):
 
 def right_ascents(max_len):
     """Search moves w -> w s, in label order, yielding only those that
-    lengthen w and stay within length max_len."""
+    lengthen w and stay within length max_len; the move back to a shorter
+    element is never one of them, so back is not read."""
 
-    def moves(w):
+    def moves(w, back):
         lw = w.length
         if lw >= max_len:
             return

@@ -46,6 +46,7 @@ from .affweyl import (
     simple_reflections,
 )
 from .errors import (
+    DatumMismatch,
     DecompositionNotFound,
     ExplorationBudgetExceeded,
     InternalAssertion,
@@ -387,10 +388,11 @@ def resolve_class(datum, kappa, nu_bar):
     Only the Levi M_J of nu_bar is searched, J being where <alpha_j, nu_bar>
     vanishes.  lam is tried once per residue p_J of J: its pairings on K are
     those of nu_bar plus shift / den, and it must be integral with
-    kappa(lam) = kappa.
+    kappa(lam) = kappa.  nu_bar's coordinates must be ints or Fractions
+    (NotRational), one per rank (DatumMismatch).
     """
     kappa = tuple(map(linalg.as_int, kappa))
-    nu_bar = datum.dominant_rep(nu_bar)
+    nu_bar = datum.dominant_rep(tuple(map(linalg.as_rational, nu_bar)))
     length = linalg.vec_dot(datum.two_rho, nu_bar)
     if Fraction(length).denominator != 1 or length < 0:
         raise UnknownClass(f"<2 rho, nu> = {length} is not a nonnegative integer")
@@ -425,9 +427,13 @@ def p_alcove_test(w, nu):
     On the base alcove (beta, k) is positive iff k >= [beta < 0].  For
     w^-1 = t^lam' u', (beta, k) o w^-1 = (beta o M_u', k + <beta, lam'>), so
     some level breaks (ii) iff [beta o M_u' < 0] - <beta, lam'> < [beta < 0].
+    nu's coordinates must be ints or Fractions (NotRational), one per rank
+    (DatumMismatch).
     """
     datum = w.datum
-    nu = tuple(Fraction(x) for x in nu)
+    nu = tuple(map(linalg.as_rational, nu))
+    if len(nu) != datum.rank:
+        raise DatumMismatch(f"nu has {len(nu)} coordinates, not {datum.rank}")
     if w.fw.act(nu) != nu:
         return False
     winv, perm, half = w.inv(), w.fw.perm, len(datum.pos_roots)

@@ -502,8 +502,9 @@ def _main(argv):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        # a negative length bound or radius has no meaning; a ball would keep its seeds
-        for flag in ("max_length", "class_length", "radius"):
+        # a negative length bound, radius or budget has no meaning; a ball
+        # would keep its seeds, and a search would name a budget of -1
+        for flag in ("max_length", "class_length", "radius", "budget"):
             if (getattr(args, flag, None) or 0) < 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative")
         return args.fn(args)

@@ -25,6 +25,11 @@ class NotIntegral(WeylcalcError):
     """A coordinate that must be an integer is not one; never truncated."""
 
 
+class NotRational(WeylcalcError):
+    """A coordinate that must be an exact rational (an int or a Fraction) is
+    not one; a float or a bool is never read as a number."""
+
+
 class NotDominant(WeylcalcError):
     """A coweight that must be dominant is not; signals a caller bug."""
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import prod
 from operator import add, mul, neg
 
-from .errors import NotIntegral
+from .errors import NotIntegral, NotRational
 
 
 def vec_add(a, b):
@@ -207,6 +207,16 @@ def as_int(x, error=NotIntegral):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     raise error(f"expected an integer, got {x!r}")
+
+
+def as_rational(x):
+    """x as a Fraction: an int or a Fraction.  Anything else, a bool or a
+    float included, raises NotRational rather than being rounded."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise NotRational(f"expected an int or a Fraction, got {x!r}")
 
 
 def parse_fraction(value):

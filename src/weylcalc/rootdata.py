@@ -23,6 +23,7 @@ from math import gcd, lcm
 from . import linalg
 from .errors import (
     BadAutomorphism,
+    DatumMismatch,
     MalformedConfig,
     NotDominant,
     NotFiniteType,
@@ -331,8 +332,11 @@ class RootDatum:
 
     def dominant_rep(self, nu):
         """The unique dominant representative of the W0-orbit of nu, in the
-        number type of nu's entries (ints stay ints, Fractions stay Fractions)."""
+        number type of nu's entries (ints stay ints, Fractions stay Fractions).
+        A nu without one coordinate per rank is refused (DatumMismatch)."""
         v = tuple(nu)
+        if len(v) != self.rank:
+            raise DatumMismatch(f"nu has {len(v)} coordinates, not {self.rank}")
         while True:
             i = next(
                 (i for i in range(self.n_simple) if linalg.vec_dot(self.simple_roots[i], v) < 0),

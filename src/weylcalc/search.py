@@ -1,10 +1,14 @@
 """The one search kernel behind every walk over group elements.
 
-Elements need `.key` (hashable, totally ordered) and `.length`; `moves(v)`
-lazily yields `(label, v2)` in a fixed order and is consumed only as far as
-the search needs.  Budget rule: a search raises ExplorationBudgetExceeded,
-naming itself and its start, once it holds more than `budget` elements
-(None means DEFAULT_BUDGET); `descend` counts the elements of all its levels.
+Elements need `.key` (hashable, totally ordered) and `.length`; `moves(v,
+back)` lazily yields `(label, v2)` in a fixed order and is consumed only as
+far as the search needs.  `back` is the label of the move that first
+reached v, None for a seed or a start: a moves function whose label-`back`
+move leads from v back to that element may leave it out, since the search
+already holds it (s(svs)s = v for a shift, (vs)s = v for a right move).
+Budget rule: a search raises ExplorationBudgetExceeded, naming itself and
+its start, once it holds more than `budget` elements (None means
+DEFAULT_BUDGET); `descend` counts the elements of all its levels.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ DEFAULT_BUDGET = 1_000_000
 
 
 def right_moves(gens):
-    """v -> v s for the labeled generators (label, s), in order."""
-    return lambda v: ((label, v * s) for label, s in gens)
+    """v -> v s for the labeled generators (label, s), in order, but for
+    the move back."""
+    return lambda v, back: ((label, v * s) for label, s in gens if label != back)
 
 
 def _check(held, budget, what, start):
@@ -29,17 +34,22 @@ def _check(held, budget, what, start):
 
 def closure(seeds, moves, budget, what, keep=None):
     """Breadth-first closure of `seeds` under `moves`, restricted to the
-    elements `keep` accepts; {key: element} in discovery order."""
+    elements `keep` accepts; {key: element} in discovery order.  Each
+    element's moves are asked with back the label that first reached it."""
     budget = DEFAULT_BUDGET if budget is None else budget
     elts = {w.key: w for w in seeds}
     queue = list(elts.values())
+    # backs[i] is the label that first reached queue[i]; a list beside the
+    # queue, since an (element, label) pair per element raised peak memory
+    backs = [None] * len(queue)
     start = queue[0] if queue else None
     _check(len(elts), budget, what, start)
-    for v in queue:
-        for _, v2 in moves(v):
+    for i, v in enumerate(queue):
+        for label, v2 in moves(v, backs[i]):
             if v2.key not in elts and (keep is None or keep(v2)):
                 elts[v2.key] = v2
                 queue.append(v2)
+                backs.append(label)
                 _check(len(elts), budget, what, start)
     return elts
 
@@ -50,8 +60,9 @@ def explore_level(start, moves, budget, what, want=1, held=0, origin=None):
 
     Returns (level, descents).  `level` maps each explored key to (element,
     via), via being the move (parent key, label) that first reached it, None
-    for `start`.  `descents` holds up to `want` triples (v, label, v2) with
-    l(v2) < l(start); it is empty only if the whole level was explored.
+    for `start`; v's moves are asked with back the label of its via.
+    `descents` holds up to `want` triples (v, label, v2) with l(v2) <
+    l(start); it is empty only if the whole level was explored.
     `held` counts what the caller already holds against `budget`, and
     `origin` is the element the caller's search began from (default `start`).
     """
@@ -62,18 +73,21 @@ def explore_level(start, moves, budget, what, want=1, held=0, origin=None):
     descents = []
     origin = start if origin is None else origin
     _check(held + 1, budget, what, origin)
+    room = budget - held  # the level may hold this many
     while heap:
         k = heapq.heappop(heap)
-        v = level[k][0]
-        for label, v2 in moves(v):
-            if v2.length < lcur:
+        v, via = level[k]
+        for label, v2 in moves(v, None if via is None else via[1]):
+            l2 = v2.length
+            if l2 < lcur:
                 descents.append((v, label, v2))
                 if len(descents) == want:
                     return level, descents
-            elif v2.length == lcur and v2.key not in level:
+            elif l2 == lcur and v2.key not in level:
                 level[v2.key] = (v2, (k, label))
                 heapq.heappush(heap, v2.key)
-                _check(held + len(level), budget, what, origin)
+                if len(level) > room:
+                    _check(held + len(level), budget, what, origin)
     return level, descents
 
 

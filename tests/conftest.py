@@ -1,3 +1,4 @@
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -158,6 +159,63 @@ def shift_witnesses(w, budget=None):
     return elts, [(v, refl[label]) for v, label, _ in descents]
 
 
+def reference_level(w, want):
+    """explore_level(w, low_shifts, ..., want) by affine products: pop the
+    smallest key, build s v s by products in label order, keep a move when
+    l(s v s) <= l(v), and skip nothing.  Returns (level, descents) in the
+    kernel's shapes: {key: (element, via)} in insertion order and (v,
+    label, s v s) triples."""
+    lw = w.length
+    level, heap, descents = {w.key: (w, None)}, [w.key], []
+    while heap:
+        k = heapq.heappop(heap)
+        v = level[k][0]
+        for label, s in simple_reflections(w.datum):
+            svs = s * v * s
+            if svs.length > v.length:
+                continue
+            if svs.length < lw:
+                descents.append((v, label, svs))
+                if len(descents) == want:
+                    return level, descents
+            elif svs.key not in level:
+                level[svs.key] = (svs, (k, label))
+                heapq.heappush(heap, svs.key)
+    return level, descents
+
+
+def reference_closure(w):
+    """approx_closure(w) by affine products: the keys of every element
+    joined to w by shifts s v s of length l(w), sorted."""
+    lw, seen = w.length, {w.key: w}
+    queue = [w]
+    for v in queue:
+        for _, s in simple_reflections(w.datum):
+            svs = s * v * s
+            if svs.length == lw and svs.key not in seen:
+                seen[svs.key] = svs
+                queue.append(svs)
+    return sorted(seen)
+
+
+def reference_reduction(w):
+    """reduce_to_min(w) by reference_level: (w_min key, the steps as (label,
+    before key, after key), and the count its levels held)."""
+    steps, held, current = [], 0, w
+    while True:
+        level, descents = reference_level(current, 1)
+        held += len(level)
+        if not descents:
+            return current.key, steps, held
+        v, label, current = descents[0]
+        chain, k = [(label, v.key, current.key)], v.key
+        while level[k][1] is not None:
+            pk, plabel = level[k][1]
+            chain.append((plabel, pk, k))
+            k = pk
+        steps.extend(reversed(chain))
+
+
 def reference_eta(w):
     """The eta decomposition by search: strip the smallest finite left
     descent with descend until the coset minimum m = t^mu y is reached, and
@@ -199,7 +257,7 @@ def matrix_generator_move(label, s, u, inverse_matrix):
     parts given by their matrices and inverse_matrix(m) the matrix of the
     inverse.  alpha is alpha_i for label i > 0 and -theta for an affine
     node; a right move adds u(mu), and a shift s w s is the right move of
-    s w."""
+    s w, whose constant k - <shift_root, s(lam)> is k2 + <beta2, lam>."""
     datum = u.datum
     if label > 0:
         alpha, k, coroot = datum.simple_roots[label - 1], 0, datum.simple_coroots[label - 1]
@@ -210,6 +268,7 @@ def matrix_generator_move(label, s, u, inverse_matrix):
     left = _matmul(sigma, m_u)
     root = _row_mat(alpha, inverse_matrix(m_u))
     shift_root = _row_mat(alpha, inverse_matrix(left))
+    pairing = sum(x * y for x, y in zip(shift_root, coroot))
     return {
         "alpha": alpha,
         "k": k,
@@ -222,7 +281,8 @@ def matrix_generator_move(label, s, u, inverse_matrix):
         "right_lam": _mat_vec(m_u, s.lam) if k else None,
         "shift_root": shift_root,
         "shift_positive": shift_root in datum.pos_roots,
-        "shift_pairing": sum(x * y for x, y in zip(shift_root, coroot)),
+        "beta2": tuple(pairing * a - r for a, r in zip(alpha, shift_root)),
+        "k2": k * (1 + pairing),
         "shift_lam": _mat_vec(left, s.lam) if k else None,
         "shifted": _matmul(left, sigma),
     }

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from conftest import enumerate_parabolic
 
+import weylcalc
 from weylcalc import (
+    DatumMismatch,
     ExplorationBudgetExceeded,
     NotMinimal,
+    NotRational,
     approx_closure,
     aw_identity,
     aw_inv,
@@ -263,6 +269,63 @@ def test_p_alcove_for_all_minimals(sl2, pgl2):
             w_min = reduce_to_min(w).w_min
             nu, _ = newton_point(w_min)
             assert p_alcove_test(w_min, nu)
+
+
+# -- nu coordinates: exact rationals, one per rank ------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, w: resolve_class(d, (0, 0), (True, False)),
+        lambda d, w: resolve_class(d, (0, 0), (1.0, -1.0)),
+        lambda d, w: p_alcove_test(w, (0.5, 0.5)),
+        lambda d, w: p_alcove_test(w, (True, False)),
+    ],
+    ids=["resolve-bool", "resolve-float", "p-alcove-float", "p-alcove-bool"],
+)
+def test_a_float_or_bool_nu_is_refused(sl3, call):
+    """(True, False) was read as nu_bar = (1, 1), (1.0, -1.0) as (1, -1),
+    and p_alcove_test tested floats."""
+    with pytest.raises(NotRational, match="expected an int or a Fraction"):
+        call(sl3, from_parts(sl3, (1, 0), [0]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, w: d.dominant_rep((1, 1, 1)),
+        lambda d, w: resolve_class(d, (0, 0), (1, 1, 1)),
+        lambda d, w: p_alcove_test(w, (1,)),
+        lambda d, w: p_alcove_test(w, (1, 1, 1)),
+    ],
+    ids=["dominant-rep-long", "resolve-long", "p-alcove-short", "p-alcove-long"],
+)
+def test_a_nu_of_the_wrong_length_is_refused(sl3, call):
+    """resolve_class ended in InternalAssertion on (1, 1, 1), and
+    p_alcove_test answered False on (1,): zip cut nu to the rank."""
+    with pytest.raises(DatumMismatch, match="nu has [13] coordinates, not 2"):
+        call(sl3, from_parts(sl3, (1, 0), [0]))
+
+
+def test_a_short_nu_is_refused_not_reflected_forever():
+    """dominant_rep((1,)) on SL3 reflected forever, zip cutting each pairing
+    short, and so did resolve_class.  Run in a child process with a
+    timeout, so that a regression fails instead of hanging the suite."""
+    code = "\n".join([
+        "from weylcalc import DatumMismatch, build_root_datum, resolve_class",
+        "d = build_root_datum('SL3')",
+        "for call in (lambda: d.dominant_rep((1,)), lambda: resolve_class(d, (0, 0), (1,))):",
+        "    try:",
+        "        call()",
+        "    except DatumMismatch:",
+        "        continue",
+        "    raise SystemExit('a short nu was accepted')",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylcalc.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 # -- class/datum hygiene --------------------------------------------------------

@@ -42,6 +42,8 @@ BAD_INPUTS = [
      "--class", '{"kappa":[0,0],"nu":[0,0]}', "--springer-dim", "0"),
     # an empty coordinate is refused, not dropped (test_empty_coordinate_is_named)
     ("dim", "x-gr", "--group", "SL2", "--mu", "2,", "--class", '{"kappa":[0],"nu":[0]}'),
+    # a negative budget is refused like a negative length bound
+    ("classes", "min", "--group", "SL2", "--w", W, "--budget", "-1"),
 ]
 
 

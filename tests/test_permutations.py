@@ -104,12 +104,12 @@ def test_every_construction_path_gives_the_matrix_of_the_permutation(name):
         datum = _datum(name)
         gens = [fw_simple(datum, i) for i in range(datum.n_simple)]
         if build == "left":
-            moves = lambda v: ((i, s * v) for i, s in enumerate(gens))
+            moves = lambda v, back: ((i, s * v) for i, s in enumerate(gens))
         elif build == "right":
-            moves = lambda v: ((i, v * s) for i, s in enumerate(gens))
+            moves = lambda v, back: ((i, v * s) for i, s in enumerate(gens))
         else:
             pairs = [a * b for a in gens for b in gens if a is not b]
-            moves = lambda v: ((i, v * p) for i, p in enumerate(pairs))
+            moves = lambda v, back: ((i, v * p) for i, p in enumerate(pairs))
         elts = list(closure([fw_identity(datum)], moves, None, "test closure").values())
         for u in elts:
             u.inverse()
@@ -123,7 +123,7 @@ def test_move_rows_match_the_matrix_reference(group):
     inverse_matrix = _inverse_matrix(w0)
     gens = simple_reflections(datum)
     fields = ("alpha", "k", "coroot", "left_positive", "root", "root_positive", "right_lam",
-              "shift_root", "shift_positive", "shift_pairing", "shift_lam")
+              "shift_root", "shift_positive", "beta2", "k2", "shift_lam")
     for u in w0:
         for m, (label, s) in zip(move_row(u), gens):
             ref = matrix_generator_move(label, s, u, inverse_matrix)

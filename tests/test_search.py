@@ -1,12 +1,21 @@
 """The search kernel (weylcalc.search): one closure, one level exploration
 and one descent behind every search of the library, with outputs frozen
-from the hand-written searches they replaced."""
+from the hand-written searches they replaced, and the shift walk checked
+against affine products."""
 
 import hashlib
 from dataclasses import dataclass
 
 import pytest
-from conftest import enumerate_parabolic
+from conftest import (
+    CARTAN_MATRICES,
+    cartan_config,
+    enumerate_parabolic,
+    reference_closure,
+    reference_level,
+    reference_reduction,
+)
+from test_moves import BALL_BOUND
 
 from weylcalc import (
     ExplorationBudgetExceeded,
@@ -25,10 +34,12 @@ from weylcalc import (
     straight_class_of,
     ux_decompose,
 )
+from weylcalc import classes, dims
+from weylcalc.affweyl import low_shifts
 from weylcalc.classes import _spherical_subsets
 from weylcalc.dims import _shift_descents
 from weylcalc.errors import GroupTooLarge
-from weylcalc.rootdata import DiagramAutomorphism
+from weylcalc.rootdata import PRESETS, DiagramAutomorphism
 from weylcalc.search import closure, descend, explore_level
 
 # SHA-256 of _search_digest(group, max_len), generated by the hand-written
@@ -114,6 +125,69 @@ def test_budget_overrun_names_the_search(search, what):
         search(w)
 
 
+# -- the shift kernel against affine products ---------------------------------
+
+SHIFT_DATA = sorted(PRESETS) + ["B3", "C3", "G2"]
+
+
+def _level_shape(level, descents):
+    """(key, via) in insertion order, and the descents by key."""
+    return ([(k, via) for k, (_, via) in level.items()],
+            [(v.key, label, v2.key) for v, label, v2 in descents])
+
+
+@pytest.mark.parametrize("name", SHIFT_DATA)
+def test_shift_kernel_matches_the_product_reference(name):
+    """explore_level over low_shifts, which leaves out the shift back and
+    tests each shift by two pairings, holds the level, vias and descents
+    that products give with nothing left out; so do approx_closure and
+    reduce_to_min's steps and held count."""
+    datum = build_root_datum(cartan_config(name) if name in CARTAN_MATRICES else name)
+    for w in length_ball(datum, BALL_BOUND[datum.rank]):
+        for want in (1, 2):
+            level, descents = explore_level(w, low_shifts, None, "shift-class exploration", want)
+            assert _level_shape(level, descents) == _level_shape(*reference_level(w, want)), (
+                w, want)
+        assert [v.key for v in approx_closure(w)] == reference_closure(w), w
+        r = reduce_to_min(w)
+        steps = [(st.label, st.before.key, st.after.key) for st in r.path]
+        assert (r.w_min.key, steps, r.held) == reference_reduction(w), w
+
+
+def test_no_shift_walk_yields_the_move_back(monkeypatch):
+    """Every element a shift walk asks for moves comes with back the label
+    that first reached it (None for a start), and its shifts are the low
+    shifts of the element less that one: s (s v s) s is the element the
+    walk came from, so the walk never builds it."""
+    asked = []  # (element, back, labels yielded)
+
+    def counted(v, back):
+        labels = []
+        asked.append((v, back, labels))
+        for label, v2 in low_shifts(v, back):
+            labels.append(label)
+            yield label, v2
+
+    monkeypatch.setattr(dims, "low_shifts", counted)
+    monkeypatch.setattr(classes, "low_shifts", counted)
+    datum = build_root_datum("SL4")
+    skipped = 0
+    for w in length_ball(datum, BALL_BOUND[datum.rank]):
+        asked.clear()
+        level, _ = _shift_descents(w)
+        assert [back for v, back, _ in asked] == [
+            None if level[v.key][1] is None else level[v.key][1][1] for v, _, _ in asked]
+        approx_closure(w)
+        reduce_to_min(w)
+        for v, back, labels in asked:
+            every = [label for label, _ in low_shifts(v)]
+            rest = [label for label in every if label != back]
+            assert labels == rest[:len(labels)], (v, back)
+            skipped += len(every) - len(rest)
+            assert len(every) - len(rest) == (back is not None), (v, back)
+    assert skipped > 0
+
+
 # -- the kernel on a toy: integers with length |n| and key n ------------------
 
 
@@ -133,7 +207,7 @@ class Toy:
 def test_explore_level_stops_pulling_moves_at_want():
     pulled = []
 
-    def moves(v):
+    def moves(v, back):
         for label, n in (("flip", -v.n), ("down", v.n // 2), ("up", 3 * v.n)):
             pulled.append((v.n, label))
             yield label, Toy(n)
@@ -151,7 +225,7 @@ def test_explore_level_stops_pulling_moves_at_want():
 
 def test_descend_counts_every_level_against_the_budget():
     # one element per level, descending 4 -> 3 -> 2 -> 1 -> 0: five held
-    def moves(v):
+    def moves(v, back):
         yield "s", Toy(v.n - 1) if v.n > 0 else Toy(1)
 
     w_min, steps, held = descend(Toy(4), moves, 5, "toy walk")
@@ -162,7 +236,7 @@ def test_descend_counts_every_level_against_the_budget():
 
 
 def test_closure_keeps_seeds_and_honours_keep():
-    def moves(v):
+    def moves(v, back):
         yield "+", Toy(v.n + 1)
         yield "-", Toy(v.n - 1)
 
