@@ -36,7 +36,6 @@ group are read off W_J and the Cartan matrix in integers, one J at a time
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul, sub
@@ -45,7 +44,6 @@ from . import linalg
 from .errors import DatumMismatch, DecompositionFailure, InfinitePi1, InternalAssertion
 from .finiteweyl import (
     W0_CAP,
-    FiniteWeylElt,
     enumerate_w0,
     fw_from_word,
     fw_identity,
@@ -54,6 +52,7 @@ from .finiteweyl import (
     product,
 )
 from .memo import memo, memoised
+from .record import Record, setfield
 from .search import closure, right_moves
 
 
@@ -151,7 +150,8 @@ def from_finite(u):
 
 
 def from_parts(datum, lam, word):
-    """Element with the given translation part and finite word (0-based)."""
+    """Element with the given translation part and finite word of 0-based
+    simple indices, each checked by fw_from_word."""
     return AffineWeylElt(datum, lam, fw_from_word(datum, word))
 
 
@@ -377,7 +377,7 @@ def _newton_data(w):
         for _ in range(n - 1):
             v = w.fw.act(v)
             total = linalg.vec_add(total, v)
-        w._newton = (n, total, w.datum.dominant_rep(total))
+        w._newton = (n, total, w.datum._dominant(total))
     return w._newton
 
 
@@ -424,14 +424,16 @@ def class_key(w):
     return kappa_w(w), tuple((x // g, n // g) for x, g in zip(dominant, gcds))
 
 
-@dataclass(frozen=True)
-class EtaDecomposition:
+class EtaDecomposition(Record):
     """w = x * t^mu * y with mu dominant and t^mu y minimal in W0 t^mu y."""
 
-    x: FiniteWeylElt
-    mu: tuple
-    y: FiniteWeylElt
-    eta: FiniteWeylElt
+    __slots__ = ("x", "mu", "y", "eta")
+
+    def __init__(self, x, mu, y, eta):
+        setfield(self, "x", x)
+        setfield(self, "mu", mu)
+        setfield(self, "y", y)
+        setfield(self, "eta", eta)
 
 
 def _finite_descent(datum, lam, u):

@@ -20,13 +20,15 @@ All searches run on the kernel in weylcalc.search and are deterministic:
 levels are explored smallest canonical key first and generators in label
 order, so reported witnesses and paths are reproducible.  Every search is
 budget-capped and raises instead of truncating silently.
+
+StraightClass and the search results (ConjugationStep, MinimizationResult,
+UxDecomposition) are frozen records (weylcalc.record); a StraightClass
+computes its pair_key once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 from .affweyl import (
@@ -54,24 +56,30 @@ from .errors import (
     UnknownClass,
 )
 from .memo import memo, memoised
+from .record import Record, setfield
 from .search import DEFAULT_BUDGET, closure, descend
 
 
-@dataclass(frozen=True)
-class StraightClass:
+class StraightClass(Record):
     """A straight conjugacy class, identified by (kappa, nu_bar).
 
     Doubles as the combinatorial stand-in for a Frobenius-twisted conjugacy
     class of the associated residually split group.  Equality and hashing
-    use only pair_key, the identifying pair in integers; length and defect
-    are derived invariants carried along for the dimension formulas, and
-    nu_bar stays a tuple of Fractions for printing and sorting.
+    use only pair_key, the identifying pair in integers: (kappa, nu_bar as
+    reduced (numerator, denominator) pairs), the value class_key gives for
+    every element of the class.  length and defect are derived invariants
+    carried along for the dimension formulas, and nu_bar stays a tuple of
+    Fractions for printing and sorting.
     """
 
-    kappa: tuple
-    nu_bar: tuple
-    length: int
-    defect: int
+    __slots__ = ("kappa", "nu_bar", "length", "defect", "pair_key")
+
+    def __init__(self, kappa, nu_bar, length, defect):
+        setfield(self, "kappa", kappa)
+        setfield(self, "nu_bar", nu_bar)
+        setfield(self, "length", length)
+        setfield(self, "defect", defect)
+        setfield(self, "pair_key", (kappa, tuple([(x.numerator, x.denominator) for x in nu_bar])))
 
     def __eq__(self, other):
         if not isinstance(other, StraightClass):
@@ -80,12 +88,6 @@ class StraightClass:
 
     def __hash__(self):
         return hash(self.pair_key)
-
-    @cached_property
-    def pair_key(self):
-        """(kappa, nu_bar as reduced (numerator, denominator) pairs), the
-        value class_key gives for every element of the class."""
-        return self.kappa, tuple((x.numerator, x.denominator) for x in self.nu_bar)
 
     def to_json(self):
         return {
@@ -100,38 +102,44 @@ class StraightClass:
         return f"StraightClass(kappa={list(self.kappa)}, nu=({nu}), l={self.length}, def={self.defect})"
 
 
-@dataclass(frozen=True)
-class ConjugationStep:
-    label: int
-    before: AffineWeylElt
-    after: AffineWeylElt
+class ConjugationStep(Record):
+    __slots__ = ("label", "before", "after")
+
+    def __init__(self, label, before, after):
+        setfield(self, "label", label)
+        setfield(self, "before", before)
+        setfield(self, "after", after)
 
     def to_json(self):
         return {"s": self.label, "before": self.before.to_json(), "after": self.after.to_json()}
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(Record):
     """w_min, the steps leading to it, and the count of elements the walk
     held against its budget."""
 
-    w_min: AffineWeylElt
-    path: tuple
-    held: int
+    __slots__ = ("w_min", "path", "held")
+
+    def __init__(self, w_min, path, held):
+        setfield(self, "w_min", w_min)
+        setfield(self, "path", path)
+        setfield(self, "held", held)
 
     def to_json(self):
         return {"w_min": self.w_min.to_json(), "path": [st.to_json() for st in self.path]}
 
 
-@dataclass(frozen=True)
-class UxDecomposition:
+class UxDecomposition(Record):
     """held, the largest count its searches held, is not printed."""
 
-    u: AffineWeylElt
-    x: AffineWeylElt
-    K: tuple
-    witness: AffineWeylElt
-    held: int
+    __slots__ = ("u", "x", "K", "witness", "held")
+
+    def __init__(self, u, x, K, witness, held):
+        setfield(self, "u", u)
+        setfield(self, "x", x)
+        setfield(self, "K", K)
+        setfield(self, "witness", witness)
+        setfield(self, "held", held)
 
     def to_json(self):
         return {
@@ -388,10 +396,11 @@ def resolve_class(datum, kappa, nu_bar):
     Only the Levi M_J of nu_bar is searched, J being where <alpha_j, nu_bar>
     vanishes.  lam is tried once per residue p_J of J: its pairings on K are
     those of nu_bar plus shift / den, and it must be integral with
-    kappa(lam) = kappa.  nu_bar's coordinates must be ints or Fractions
-    (NotRational), one per rank (DatumMismatch).
+    kappa(lam) = kappa.  kappa's coordinates must be integers (NotIntegral)
+    and nu_bar's ints or Fractions (NotRational), one per rank each
+    (DatumMismatch).
     """
-    kappa = tuple(map(linalg.as_int, kappa))
+    kappa = datum._coordinates(map(linalg.as_int, kappa), "kappa")
     nu_bar = datum.dominant_rep(tuple(map(linalg.as_rational, nu_bar)))
     length = linalg.vec_dot(datum.two_rho, nu_bar)
     if Fraction(length).denominator != 1 or length < 0:

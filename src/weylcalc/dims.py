@@ -18,7 +18,8 @@ and the fiber dimension are integers halved.  Fractions are built only for
 error messages and at the cache file's edge.
 
 The empty value is absorbing under +1 and max and is kept distinct from 0
-everywhere, including serialization.
+everywhere, including serialization.  DimValue and GammaDescriptor are
+frozen records (weylcalc.record).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -40,7 +40,6 @@ from .affweyl import (
     low_shifts,
     translation,
 )
-from .classes import StraightClass
 from .errors import (
     HypothesisViolated,
     InternalAssertion,
@@ -51,14 +50,26 @@ from .errors import (
 )
 from .finiteweyl import enumerate_w0, longest_element, supp
 from .memo import memo, memoised
+from .record import Record, setfield
 from .search import explore_level
 
 
-@dataclass(frozen=True)
-class DimValue:
+class DimValue(Record):
     """Either the empty value or a finite nonnegative dimension."""
 
-    dim: int | None
+    __slots__ = ("dim",)
+
+    def __init__(self, dim):
+        setfield(self, "dim", dim)
+
+    # Record's __eq__, with the field read directly: dimensions are
+    # compared in bulk by the verify suites
+    def __eq__(self, other):
+        if other.__class__ is DimValue:
+            return self.dim == other.dim
+        return NotImplemented
+
+    __hash__ = Record.__hash__
 
     @property
     def is_empty(self):
@@ -91,8 +102,7 @@ def finite(n):
     return DimValue(n)
 
 
-@dataclass(frozen=True)
-class GammaDescriptor:
+class GammaDescriptor(Record):
     """Class data of a regular semisimple loop-group element.
 
     Carries the straight class of the element together with the dimension of
@@ -100,18 +110,19 @@ class GammaDescriptor:
     (discriminant valuation, rank drop).
     """
 
-    straight_class: StraightClass
-    springer_dim: int | None = None
-    d_gamma: int | None = None
-    c_gamma: int | None = None
+    __slots__ = ("straight_class", "springer_dim", "d_gamma", "c_gamma")
 
-    def __post_init__(self):
-        if self.springer_dim is None and (self.d_gamma is None or self.c_gamma is None):
+    def __init__(self, straight_class, springer_dim=None, d_gamma=None, c_gamma=None):
+        if springer_dim is None and (d_gamma is None or c_gamma is None):
             raise ValueError(
                 "GammaDescriptor needs springer_dim or both d_gamma and c_gamma"
             )
-        if self.springer_dim is not None and self.springer_dim < 0:
+        if springer_dim is not None and springer_dim < 0:
             raise NegativeDimension("springer_dim must be nonnegative")
+        setfield(self, "straight_class", straight_class)
+        setfield(self, "springer_dim", springer_dim)
+        setfield(self, "d_gamma", d_gamma)
+        setfield(self, "c_gamma", c_gamma)
 
     def resolve_springer_dim(self, datum):
         if self.d_gamma is not None and self.c_gamma is not None:

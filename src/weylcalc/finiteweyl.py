@@ -189,8 +189,13 @@ def fw_simple(datum, i):
 
 
 def fw_from_word(datum, word):
+    """s_i1 ... s_ik for a word of 0-based simple indices.  A letter that is
+    not an integer raises NotIntegral, one out of range DatumMismatch."""
     elt = fw_identity(datum)
     for i in word:
+        i = linalg.as_int(i)
+        if not 0 <= i < datum.n_simple:
+            raise DatumMismatch(f"simple index {i} is not in 0..{datum.n_simple - 1}")
         elt = elt * fw_simple(datum, i)
     return elt
 

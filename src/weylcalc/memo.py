@@ -10,7 +10,6 @@ their reasons, in tests/test_memo.py (BUDGET_EXEMPT).
 """
 
 from functools import wraps
-from inspect import signature
 
 from .search import DEFAULT_BUDGET
 
@@ -55,7 +54,8 @@ def memoised(name, key=None, held=None):
     """
 
     def decorate(fn):
-        at = None if held is None else list(signature(fn).parameters).index("budget")
+        code = fn.__code__
+        at = None if held is None else code.co_varnames[:code.co_argcount].index("budget")
 
         @wraps(fn)
         def wrapper(*args, **kwargs):

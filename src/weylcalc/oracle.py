@@ -16,19 +16,18 @@ pairings off the one vector (<beta, lam>)_beta over Phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
 
 from . import linalg
 from .affweyl import aw_identity, omega_elements, simple_reflections
 from .errors import ExplorationBudgetExceeded, Inconclusive
 from .memo import memo, memoised
+from .record import Record, setfield
 
 BALL_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record):
     """The ball's elements and distances, its fibres by finite part, and
     their rows by the finite part of the conjugated element.
 
@@ -41,11 +40,14 @@ class Ball:
     oracle_vectors table.
     """
 
-    radius: int
-    elements: dict
-    distances: dict
-    fibres: tuple
-    rows: dict
+    __slots__ = ("radius", "elements", "distances", "fibres", "rows")
+
+    def __init__(self, radius, elements, distances, fibres, rows):
+        setfield(self, "radius", radius)
+        setfield(self, "elements", elements)
+        setfield(self, "distances", distances)
+        setfield(self, "fibres", fibres)
+        setfield(self, "rows", rows)
 
     def distance(self, w):
         return self.distances.get(w.key)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -28,6 +27,7 @@ from .errors import (
     NotDominant,
     NotFiniteType,
 )
+from .record import Record, setfield
 
 # Backstop against bad configs even if the positive-definiteness check is
 # bypassed: reflection closure refuses to generate more roots than this.
@@ -90,13 +90,15 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(Record):
     """A diagram automorphism: a permutation of the simple indices together
     with the lattice automorphism of X realizing it."""
 
-    perm: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("perm", "matrix")
+
+    def __init__(self, perm, matrix):
+        setfield(self, "perm", perm)
+        setfield(self, "matrix", matrix)
 
     @property
     def is_identity(self):
@@ -330,13 +332,26 @@ class RootDatum:
         c = linalg.vec_dot(self.simple_roots[i], v)
         return tuple(x - c * y for x, y in zip(v, self.simple_coroots[i]))
 
+    def _coordinates(self, v, name):
+        """v as a tuple of one coordinate per rank, else DatumMismatch."""
+        v = tuple(v)
+        if len(v) != self.rank:
+            raise DatumMismatch(f"{name} has {len(v)} coordinates, not {self.rank}")
+        return v
+
     def dominant_rep(self, nu):
         """The unique dominant representative of the W0-orbit of nu, in the
         number type of nu's entries (ints stay ints, Fractions stay Fractions).
-        A nu without one coordinate per rank is refused (DatumMismatch)."""
-        v = tuple(nu)
-        if len(v) != self.rank:
-            raise DatumMismatch(f"nu has {len(v)} coordinates, not {self.rank}")
+        A nu without one coordinate per rank is refused (DatumMismatch), as
+        is a coordinate that is not an int or a Fraction (NotRational)."""
+        v = self._coordinates(nu, "nu")
+        for x in v:
+            linalg.as_rational(x)  # only refuses: v keeps its number type
+        return self._dominant(v)
+
+    def _dominant(self, v):
+        """dominant_rep for a tuple v already checked, as the Newton data's
+        integer sums are."""
         while True:
             i = next(
                 (i for i in range(self.n_simple) if linalg.vec_dot(self.simple_roots[i], v) < 0),
@@ -351,15 +366,16 @@ class RootDatum:
 
     def dominance_leq(self, nu1, nu2):
         """nu1 <= nu2 iff nu2 - nu1 is a nonnegative rational combination of
-        the simple coroots.  Both arguments must already be dominant.
+        the simple coroots.  Both arguments must already be dominant, with
+        one int or Fraction coordinate per rank (NotRational, DatumMismatch).
 
         Decided in integers by the Smith form u C v = D of the coroot matrix
         C: with b = N (nu2 - nu1) for N clearing the denominators, C x = b
         is solvable iff (u b)_k = 0 for k >= n, and then x = v D^-1 (u b)_<n
         has the signs of v diag(d_n / d_i) (u b)_<n.
         """
-        v1 = tuple(Fraction(x) for x in nu1)
-        v2 = tuple(Fraction(x) for x in nu2)
+        v1 = tuple(map(linalg.as_rational, self._coordinates(nu1, "nu1")))
+        v2 = tuple(map(linalg.as_rational, self._coordinates(nu2, "nu2")))
         den = lcm(*(x.denominator for x in v1 + v2))
         b1, b2 = ([x.numerator * (den // x.denominator) for x in v] for v in (v1, v2))
         if not self.is_dominant(b1):
@@ -379,8 +395,11 @@ class RootDatum:
         The first n entries are reduced modulo the Smith invariant factors;
         any remaining entries are free Z-coordinates.  Equality of classes is
         equality of these tuples, and the map is additive componentwise.
+        lam's coordinates must be integers (NotIntegral), one per rank
+        (DatumMismatch).
         """
-        ulam = linalg.mat_vec(self._kappa_u, tuple(map(linalg.as_int, lam)))
+        lam = self._coordinates(map(linalg.as_int, lam), "lam")
+        ulam = linalg.mat_vec(self._kappa_u, lam)
         key = []
         for k in range(self.rank):
             if k < len(self._kappa_diag):

@@ -10,6 +10,7 @@ from weylcalc import (
     HypothesisViolated,
     NonIntegralHalf,
     NotDominant,
+    StraightClass,
     aw_identity,
     aw_mul,
     build_root_datum,
@@ -371,15 +372,13 @@ def test_cache_ignores_other_datum(tmp_path, sl2, pgl2):
 def test_class_with_a_wrong_length_is_refused_after_its_facts_are_memoised(sl3):
     """Class facts are memoised by (kappa, nu_bar, length); class equality
     ignores the length, so a twin carrying a wrong length must still raise."""
-    import dataclasses
-
     from weylcalc.errors import InternalAssertion
 
     w = from_parts(sl3, (1, 0), [0])
     cls = straight_class_of(w)
     virtual_dimension(w, cls)
     dim_X_flag(w, cls)
-    twin = dataclasses.replace(cls, length=cls.length + 2)
+    twin = StraightClass(cls.kappa, cls.nu_bar, length=cls.length + 2, defect=cls.defect)
     assert twin == cls
     for query in (
         lambda: virtual_dimension(w, twin),

@@ -3,7 +3,9 @@ import pytest
 from weylcalc import (
     DatumMismatch,
     DiagramAutomorphism,
+    NotIntegral,
     enumerate_w0,
+    from_parts,
     fw_from_word,
     fw_identity,
     fw_inverse,
@@ -185,3 +187,17 @@ def test_supp_reduced_word_independent(sp4):
         assert words, "every element has a reduced word of its own length"
         for word in words:
             assert frozenset(word) == target
+
+
+@pytest.mark.parametrize(
+    "letter, error",
+    [(-1, DatumMismatch), (True, NotIntegral), (2, DatumMismatch), (1.0, NotIntegral)],
+    ids=["negative", "bool", "past-the-last", "float"],
+)
+def test_a_bad_word_letter_is_refused(sl3, letter, error):
+    """A 0-based letter must be an integer in 0..n_simple-1: -1 is not read
+    as s_2 nor True as 1, and 2 and 1.0 raise no bare IndexError or
+    TypeError."""
+    for build in (lambda: fw_from_word(sl3, [0, letter]), lambda: from_parts(sl3, (0, 0), [letter])):
+        with pytest.raises(error):
+            build()

@@ -7,10 +7,14 @@ from hypothesis import given, strategies as st
 
 from weylcalc import (
     BadAutomorphism,
+    DatumMismatch,
     MalformedConfig,
     NotDominant,
     NotFiniteType,
+    NotIntegral,
+    NotRational,
     build_root_datum,
+    resolve_class,
 )
 from weylcalc.linalg import vec_dot
 from weylcalc.rootdata import PRESETS
@@ -272,3 +276,26 @@ def test_infinite_pi1_allowed_for_kappa():
     assert datum.pi1_order() is None
     assert datum.kappa_class((1, 0)) != (0, 0)
     assert datum.kappa_class((1, 1)) != datum.kappa_class((2, 2))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda d: d.dominance_leq((0.1, 0.1), (1, 1)), NotRational),
+        (lambda d: d.dominance_leq((1, 1), (True, 1)), NotRational),
+        (lambda d: d.dominance_leq((1,), (1, 1)), DatumMismatch),
+        (lambda d: d.dominant_rep((0.5, -1.5)), NotRational),
+        (lambda d: d.dominant_rep((True, False)), NotRational),
+        (lambda d: d.kappa_class((1,)), DatumMismatch),
+        (lambda d: d.kappa_class((1, 1, 1)), DatumMismatch),
+        (lambda d: d.kappa_class((True, 0)), NotIntegral),
+        (lambda d: resolve_class(d, (0,), (1, 1)), DatumMismatch),
+    ],
+    ids=["leq-float", "leq-bool", "leq-short", "rep-float", "rep-bool", "kappa-short",
+         "kappa-long", "kappa-bool", "resolve-short-kappa"],
+)
+def test_a_bad_coweight_is_refused(sl3, call, error):
+    """nu and lam at the public entries: a float or a bool is never read as
+    a number, and a wrong length is never cut by zip."""
+    with pytest.raises(error):
+        call(sl3)
