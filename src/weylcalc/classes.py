@@ -29,6 +29,7 @@ computes its pair_key once, when it is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .affweyl import (
@@ -48,7 +49,6 @@ from .affweyl import (
     simple_reflections,
 )
 from .errors import (
-    DatumMismatch,
     DecompositionNotFound,
     ExplorationBudgetExceeded,
     InternalAssertion,
@@ -440,9 +440,9 @@ def p_alcove_test(w, nu):
     (DatumMismatch).
     """
     datum = w.datum
-    nu = tuple(map(linalg.as_rational, nu))
-    if len(nu) != datum.rank:
-        raise DatumMismatch(f"nu has {len(nu)} coordinates, not {datum.rank}")
+    nu = datum._coordinates(map(linalg.as_rational, nu), "nu")
+    den = lcm(*(x.denominator for x in nu))  # a positive scale keeps signs and stabilizer
+    nu = tuple([x.numerator * (den // x.denominator) for x in nu])
     if w.fw.act(nu) != nu:
         return False
     winv, perm, half = w.inv(), w.fw.perm, len(datum.pos_roots)

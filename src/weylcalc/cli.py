@@ -299,7 +299,8 @@ def _with_cache(datum, args, fn):
     result = fn()
     cache = dims._dim_cache(datum)
     stats = {"loaded": loaded, "hits": cache.hits, "misses": cache.misses}
-    if cache_dir:
+    # a run that added no entry to what it loaded would write the same bytes
+    if cache_dir and not (loaded and len(cache.table) == loaded):
         # the answer is already out, and a memo never changes it, so a
         # failed save only warns, as a failed load does
         try:

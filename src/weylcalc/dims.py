@@ -286,8 +286,8 @@ def dim_X_flag(w, cls, budget=None):
 
 
 def _dominant(datum, mu):
-    """mu as a tuple of ints, refused unless it is dominant."""
-    mu = tuple(map(linalg.as_int, mu))
+    """mu as a tuple of ints, one per rank, refused unless it is dominant."""
+    mu = datum._coordinates(map(linalg.as_int, mu), "mu")
     if not datum.is_dominant(mu):
         raise NotDominant(f"{mu} is not dominant")
     return mu
@@ -347,8 +347,9 @@ def superregular_applies(datum, mu, cls):
     """Whether the superregular formula applies to mu and the class cls with
     Newton point nu_bar: raises HypothesisViolated unless mu is dominant
     with <alpha_i, mu> >= 2 for every simple root, and otherwise returns
-    whether nu_bar + 2 rho^vee is dominated by mu.  mu is a tuple of ints."""
-    if not datum.is_dominant(mu):
+    whether nu_bar + 2 rho^vee is dominated by mu.  mu is a tuple of ints,
+    one per rank."""
+    if not datum.is_dominant(datum._coordinates(mu, "mu")):
         raise HypothesisViolated(f"{mu} is not dominant")
     for i in range(datum.n_simple):
         c = linalg.vec_dot(datum.simple_roots[i], mu)
@@ -369,7 +370,7 @@ def dim_Y_superregular(x, mu, y, gd, budget=None):
     datum = x.datum
     cls = gd.straight_class
     _validate_class(datum, cls)
-    mu = tuple(map(linalg.as_int, mu))
+    mu = datum._coordinates(map(linalg.as_int, mu), "mu")
     if not superregular_applies(datum, mu, cls):
         raise HypothesisViolated("nu + 2 rho^vee is not dominated by mu")
     w = from_finite(x) * translation(datum, mu) * from_finite(y)

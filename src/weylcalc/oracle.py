@@ -8,15 +8,18 @@ backbone for the length formula, straightness, and minimal lengths.
 Conjugates are measured without affine products or moves: for g = t^mu v,
 w = t^lam u and x = v u v^-1, g w g^-1 = t^(mu + v(lam) - x(mu)) x, so its
 Iwahori-Matsumoto length is the sum over positive roots alpha of
-|<alpha, mu - x(mu)> + <alpha, v(lam)> - [x^-1 alpha < 0]|.  Everything
-but <alpha, v(lam)> = <v^-1 alpha, lam> depends on u alone, so the ball
-keeps one row per fibre for each finite part u, and each w reads its
-pairings off the one vector (<beta, lam>)_beta over Phi.
+|<alpha, mu - x(mu)> - [x^-1 alpha < 0] + <v^-1 alpha, lam>|.  The ball
+lays its elements out once as (v, mu) pairs, inner ones first, with one
+itemgetter for every pair's <v^-1 alpha, lam> out of lam's pairings with
+Phi, and keeps per finite part u one tuple of its pairs' offsets.  So
+each w costs one gather, one map over the chained offsets, and one sum
+per pair.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+from itertools import chain
+from operator import add, itemgetter, neg, sub
 
 from . import linalg
 from .affweyl import aw_identity, omega_elements, simple_reflections
@@ -28,25 +31,23 @@ BALL_CAP = 1_000_000
 
 
 class Ball(Record):
-    """The ball's elements and distances, its fibres by finite part, and
-    their rows by the finite part of the conjugated element.
-
-    A fibre is (v, mus, n_inner) for the elements t^mu v: mus lists their
-    translation parts, the n_inner of distance below the radius first.
-    rows maps u.idx to one row per fibre, filled by brute_min_length on the
-    first w with finite part u: (the indices of v^-1 alpha over alpha in
-    Phi^+, the neg_mask of x = v u v^-1, the vectors (<alpha, mu -
-    x(mu)>)_alpha of mus, n_inner), the vectors shared through the datum's
-    oracle_vectors table.
+    """The ball's elements and distances, and its layout for the minimum:
+    pairs lists the elements t^mu v as (v, mu), the n_inner of distance
+    below the radius first; gather maps (<beta, lam>)_beta over Phi to
+    (<v^-1 alpha, lam>)_alpha over Phi^+, pair after pair; rows maps u.idx
+    to one tuple with, per pair, the oracle_vectors entry (<alpha, mu -
+    x(mu)> - [x^-1 alpha < 0])_alpha of x = v u v^-1, filled on first use.
     """
 
-    __slots__ = ("radius", "elements", "distances", "fibres", "rows")
+    __slots__ = ("radius", "elements", "distances", "pairs", "n_inner", "gather", "rows")
 
-    def __init__(self, radius, elements, distances, fibres, rows):
+    def __init__(self, radius, elements, distances, pairs, n_inner, gather, rows):
         setfield(self, "radius", radius)
         setfield(self, "elements", elements)
         setfield(self, "distances", distances)
-        setfield(self, "fibres", fibres)
+        setfield(self, "pairs", pairs)
+        setfield(self, "n_inner", n_inner)
+        setfield(self, "gather", gather)
         setfield(self, "rows", rows)
 
     def distance(self, w):
@@ -59,7 +60,7 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
 
     Each class of length-zero elements contributes its translate of the
     ball, at the same distance as the untranslated element.  Balls are
-    memoised per datum and (radius, cap), with their fibres; callers must
+    memoised per datum and (radius, cap), with their layout; callers must
     treat the returned Ball as read-only.
     """
     refl = simple_reflections(datum)
@@ -88,60 +89,56 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
         if not tau.is_identity:
             for key, w in list(elems.items()):
                 add(tau * w, dist[key])
-    shells = {}  # v -> (inner mus, boundary mus)
-    for key, g in elems.items():
-        shells.setdefault(g.fw, ([], []))[dist[key] == radius].append(g.lam)
-    fibres = tuple((v, inner + boundary, len(inner)) for v, (inner, boundary) in shells.items())
-    return Ball(radius=radius, elements=elems, distances=dist, fibres=fibres, rows={})
+    inner = [(g.fw, g.lam) for key, g in elems.items() if dist[key] < radius]
+    pairs = tuple(inner + [(g.fw, g.lam) for key, g in elems.items() if dist[key] == radius])
+    n = len(datum.pos_roots)
+    index = [k for v, _ in pairs for k in v.inverse().perm[:n]]
+    # itemgetter of a single index returns the bare item
+    gather = itemgetter(*index) if len(index) > 1 else lambda p, k=index[0]: (p[k],)
+    return Ball(radius=radius, elements=elems, distances=dist, pairs=pairs,
+                n_inner=len(inner), gather=gather, rows={})
 
 
-def _rows(datum, fibres, u):
-    """One row per fibre for the finite part u (Ball), by two finite
-    products per fibre."""
-    pos, n = datum.pos_roots, len(datum.pos_roots)
+def _row(datum, pairs, u):
+    """The offsets of the finite part u (Ball), by two finite products per
+    finite part of the ball."""
+    pos = datum.pos_roots
     vectors = memo(datum, "oracle_vectors").table
-    rows = []
-    for v, mus, n_inner in fibres:
-        vinv = v.inverse()
-        x = v * u * vinv
-        d = []
-        for mu in mus:
-            # (<alpha, mu - x(mu)>)_alpha, interned by (x.idx, mu)
-            vec = vectors.get((x.idx, mu))
-            if vec is None:
-                vec = vectors[x.idx, mu] = linalg.mat_vec(pos, linalg.vec_sub(mu, x.act(mu)))
-            d.append(vec)
-        rows.append((vinv.perm[:n], x.neg_mask, d, n_inner))
-    return rows
+    conj, row = {}, []
+    for v, mu in pairs:
+        x = conj.get(v.idx)
+        if x is None:
+            x = conj[v.idx] = v * u * v.inverse()
+        vec = vectors.get((x.idx, mu))
+        if vec is None:
+            d = linalg.mat_vec(pos, linalg.vec_sub(mu, x.act(mu)))
+            vec = vectors[x.idx, mu] = tuple(map(sub, d, x.neg_mask))
+        row.append(vec)
+    return tuple(row)
 
 
 def brute_min_length(w, radius, cap=BALL_CAP):
     """Minimum length over conjugates g w g^-1 for g in the radius ball.
 
-    The ball's rows for w's finite part are built on first use; then per
-    fibre the vector (<alpha, v(lam)> - [x^-1 alpha < 0])_alpha is read off
-    (<beta, lam>)_beta, and one sum of absolute values is taken per mu
-    (module docstring).  Raises Inconclusive when the boundary shell still
-    improves the minimum, so an answer is never wrong, only possibly
-    refused.
+    The offsets of w's finite part are built on first use.  Then one gather
+    reads every pair's <v^-1 alpha, lam> off the pairings of lam with Phi,
+    the offsets are added term by term, and the absolute values are summed
+    per pair (module docstring).  Raises Inconclusive when the boundary
+    shell still improves on the inner shells.  That rule is a heuristic: a
+    conclusive answer can still be above the class minimum when the
+    shortest conjugates need a conjugator outside the ball.
     """
     datum, u = w.datum, w.fw
     ball = cayley_ball(datum, radius, cap)
-    rows = ball.rows.get(u.idx)
-    if rows is None:
-        rows = ball.rows[u.idx] = _rows(datum, ball.fibres, u)
-    pairings = linalg.mat_vec(datum.roots, w.lam)
-    lows, inner = [], []
-    for index, mask, d, n_inner in rows:
-        c = tuple(map(sub, map(pairings.__getitem__, index), mask))
-        vals = [sum(map(abs, map(add, dm, c))) for dm in d]
-        lows.append(min(vals))
-        inner += vals[:n_inner]
-    best = min(lows)
+    row = ball.rows.get(u.idx)
+    if row is None:
+        row = ball.rows[u.idx] = _row(datum, ball.pairs, u)
+    paired = linalg.mat_vec(datum.pos_roots, w.lam)
+    terms = map(add, ball.gather(paired + tuple(map(neg, paired))), chain.from_iterable(row))
+    lengths = list(map(sum, zip(*[map(abs, terms)] * len(paired))))
+    best, inner = min(lengths), lengths[:ball.n_inner]
     if not inner or best < min(inner):
-        raise Inconclusive(
-            f"minimum {best} still improves at the boundary of radius {radius}"
-        )
+        raise Inconclusive(f"minimum {best} still improves at the boundary of radius {radius}")
     return best
 
 

@@ -339,15 +339,20 @@ class RootDatum:
             raise DatumMismatch(f"{name} has {len(v)} coordinates, not {self.rank}")
         return v
 
+    def _rational_coordinates(self, nu):
+        """nu as a tuple of one int or Fraction per rank, in its own number
+        type, else DatumMismatch or NotRational."""
+        v = self._coordinates(nu, "nu")
+        for x in v:
+            linalg.as_rational(x)  # only refuses: v keeps its number type
+        return v
+
     def dominant_rep(self, nu):
         """The unique dominant representative of the W0-orbit of nu, in the
         number type of nu's entries (ints stay ints, Fractions stay Fractions).
         A nu without one coordinate per rank is refused (DatumMismatch), as
         is a coordinate that is not an int or a Fraction (NotRational)."""
-        v = self._coordinates(nu, "nu")
-        for x in v:
-            linalg.as_rational(x)  # only refuses: v keeps its number type
-        return self._dominant(v)
+        return self._dominant(self._rational_coordinates(nu))
 
     def _dominant(self, v):
         """dominant_rep for a tuple v already checked, as the Newton data's
@@ -362,7 +367,10 @@ class RootDatum:
             v = self.reflect_coweight(i, v)
 
     def is_dominant(self, nu):
-        return all(linalg.vec_dot(beta, nu) >= 0 for beta in self.simple_roots)
+        """Whether nu pairs nonnegatively with every simple root; nu is
+        refused as dominant_rep refuses it."""
+        v = self._rational_coordinates(nu)
+        return all(linalg.vec_dot(beta, v) >= 0 for beta in self.simple_roots)
 
     def dominance_leq(self, nu1, nu2):
         """nu1 <= nu2 iff nu2 - nu1 is a nonnegative rational combination of

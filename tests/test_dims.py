@@ -34,7 +34,15 @@ from weylcalc import (
     translation,
     virtual_dimension,
 )
-from weylcalc.dims import _coset_max, _dim_cache, dim_profile, load_cache, save_cache
+from weylcalc.dims import (
+    _coset_max,
+    _dim_cache,
+    dim_profile,
+    load_cache,
+    save_cache,
+    superregular_applies,
+)
+from weylcalc.errors import DatumMismatch
 from weylcalc.finiteweyl import enumerate_w0
 from weylcalc.verify import _dominant_box
 
@@ -201,6 +209,29 @@ def test_dim_x_grass_examples(sl2, pgl2):
 def test_dim_x_grass_requires_dominant(sl2):
     with pytest.raises(NotDominant):
         dim_X_grass(sl2, (-1,), _basic(sl2))
+
+
+def _gd(cls):
+    return GammaDescriptor(cls, springer_dim=0)
+
+
+@pytest.mark.parametrize("mu", [(1,), (3,), (3, 3, 3)], ids=["short-1", "short-3", "long"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, mu, cls: dim_X_grass(d, mu, cls),
+        lambda d, mu, cls: grass_fibration_max(d, mu, cls),
+        lambda d, mu, cls: dim_Y_grass(d, mu, _gd(cls)),
+        lambda d, mu, cls: superregular_applies(d, mu, cls),
+        lambda d, mu, cls: dim_Y_superregular(fw_identity(d), mu, fw_identity(d), _gd(cls)),
+    ],
+    ids=["x-grass", "grass-max", "y-grass", "superregular-applies", "y-superregular"],
+)
+def test_a_mu_of_the_wrong_length_is_refused(sl3, call, mu):
+    """mu at the Grassmannian and superregular entries: a wrong length is a
+    DatumMismatch, never cut by zip against the simple roots."""
+    with pytest.raises(DatumMismatch, match="mu has"):
+        call(sl3, mu, _basic(sl3))
 
 
 def test_grass_fibration_oracle(sl2, pgl2):

@@ -106,9 +106,32 @@ def test_sl3_cache_file_is_byte_identical(tmp_path, capsys):
         "table", "--group", "SL3", "--max-length", "10", "--class-length", "6",
         "--format", "csv", "--cache-dir", str(tmp_path),
     ]
-    for _ in range(2):  # written cold, then rewritten after a warm load
+    for _ in range(2):  # written cold, then left as it is after a warm load
         assert main(argv) == 0
         (name,) = os.listdir(tmp_path)
         with open(tmp_path / name, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == SL3_CACHE_SHA256
+    capsys.readouterr()
+
+
+def test_a_warm_run_leaves_an_unchanged_cache_file_in_place(tmp_path, capsys):
+    """A run that adds no entry to the cache it loaded does not rewrite the
+    file; a run that adds entries does."""
+    argv = [
+        "table", "--group", "SL3", "--max-length", "10", "--class-length", "6",
+        "--format", "csv", "--cache-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    cold = os.stat(path).st_ino
+    assert main(argv) == 0
+    assert os.stat(path).st_ino == cold
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SL3_CACHE_SHA256
+    argv[argv.index("--max-length") + 1] = "11"
+    assert main(argv) == 0
+    assert os.stat(path).st_ino != cold
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() != SL3_CACHE_SHA256
     capsys.readouterr()

@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 from conftest import cartan_config
 
@@ -11,6 +13,7 @@ from weylcalc import (
     simple_reflections,
     translation,
 )
+from weylcalc import oracle
 from weylcalc.finiteweyl import FiniteWeylElt
 from weylcalc.oracle import brute_min_length, brute_straight_check, cayley_ball
 from weylcalc.rootdata import PRESETS
@@ -98,11 +101,12 @@ def _reference_min(w, radius):
     return best
 
 
-@pytest.mark.parametrize("radius", [6, 3])
+@pytest.mark.parametrize("radius", [6, 3, 1, 0])
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["B3", "C3", "G2"])
 def test_brute_min_matches_products(name, radius):
-    """The per-fibre kernel gives the product reference's value, and refuses
-    exactly where the reference's inner-shell rule refuses."""
+    """The gather over the ball's layout gives the product reference's
+    value, and refuses exactly where the reference's inner-shell rule
+    refuses.  SL2 at radius 0 lays out a single pair of a single root."""
     datum = build_root_datum(name if name in PRESETS else cartan_config(name))
     want = []
     for w in length_ball(datum, W_BOUND[datum.rank]):
@@ -134,3 +138,19 @@ def test_a_finite_part_seen_before_makes_no_finite_product(sl3, monkeypatch):
     assert products == []
     brute_min_length(other, 4)  # a new finite part builds its rows
     assert products
+
+
+def test_the_oracle_imports_nothing_from_the_code_it_checks():
+    """The oracles stay independent of what they check: oracle.py imports
+    nothing from classes, dims or search."""
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert "affweyl" in imported  # the walk sees the relative imports
+    assert not imported & {"classes", "dims", "search"}

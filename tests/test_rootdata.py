@@ -290,9 +290,11 @@ def test_infinite_pi1_allowed_for_kappa():
         (lambda d: d.kappa_class((1, 1, 1)), DatumMismatch),
         (lambda d: d.kappa_class((True, 0)), NotIntegral),
         (lambda d: resolve_class(d, (0,), (1, 1)), DatumMismatch),
+        (lambda d: d.is_dominant((0.5, 0.5)), NotRational),
+        (lambda d: d.is_dominant((1,)), DatumMismatch),
     ],
     ids=["leq-float", "leq-bool", "leq-short", "rep-float", "rep-bool", "kappa-short",
-         "kappa-long", "kappa-bool", "resolve-short-kappa"],
+         "kappa-long", "kappa-bool", "resolve-short-kappa", "dominant-float", "dominant-short"],
 )
 def test_a_bad_coweight_is_refused(sl3, call, error):
     """nu and lam at the public entries: a float or a bool is never read as
