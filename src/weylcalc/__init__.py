@@ -13,7 +13,6 @@ from .errors import (
     DecompositionNotFound,
     ExplorationBudgetExceeded,
     HypothesisViolated,
-    Inconclusive,
     InfinitePi1,
     InternalAssertion,
     MalformedConfig,

@@ -6,8 +6,9 @@ emit it on stdout through `_emit` (`table` writes its rows through
 subcommand takes only the flags it reads.  Diagnostics go to stderr, one
 line, with the prefix and exit code of the first `_EXITS` row the error
 matches: 0 success, 1 usage or bad input, 2 hypothesis violation, 3 search
-budget exceeded, 4 internal assertion or failed verification.  A reader
-that closes stdout early ends the run quietly with exit 0.
+budget exceeded or out of memory (a MemoryError, caught here only, whose
+line names the command), 4 internal assertion or failed verification.  A
+reader that closes stdout early ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
     ExplorationBudgetExceeded,
     GroupTooLarge,
     HypothesisViolated,
-    Inconclusive,
     InfinitePi1,
     InternalAssertion,
     DecompositionNotFound,
@@ -73,7 +73,7 @@ _EXITS = (
     (HypothesisViolated, "hypothesis violated", 2),
     ((ExplorationBudgetExceeded, GroupTooLarge), "budget exceeded", 3),
     ((InternalAssertion, DecompositionNotFound, NonIntegralDimension), "internal assertion failed", 4),
-    (Inconclusive, "inconclusive", 3),
+    (MemoryError, "out of memory", 3),
     (WeylcalcError, "error", 1),
     (OSError, "error", 1),  # an unusable --cache-dir, --out or config path
 )
@@ -511,9 +511,10 @@ def _main(argv):
         return args.fn(args)
     except BrokenPipeError:
         raise  # a closed stdout is main's to handle
-    except (WeylcalcError, OSError) as exc:
+    except (WeylcalcError, OSError, MemoryError) as exc:
         prefix, code = next((p, c) for types, p, c in _EXITS if isinstance(exc, types))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        detail = f"weylcalc {args.command}" if isinstance(exc, MemoryError) else exc
+        print(f"{prefix}: {detail}", file=sys.stderr)
         return code
 
 

@@ -97,9 +97,5 @@ class UnknownClass(WeylcalcError):
     """No straight conjugacy class with the requested invariants exists."""
 
 
-class Inconclusive(WeylcalcError):
-    """A brute-force search cannot certify its answer at the given radius."""
-
-
 class InternalAssertion(WeylcalcError):
     """A structural self-check failed; indicates a bug, not bad input."""

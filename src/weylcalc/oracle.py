@@ -9,11 +9,10 @@ Conjugates are measured without affine products or moves: for g = t^mu v,
 w = t^lam u and x = v u v^-1, g w g^-1 = t^(mu + v(lam) - x(mu)) x, so its
 Iwahori-Matsumoto length is the sum over positive roots alpha of
 |<alpha, mu - x(mu)> - [x^-1 alpha < 0] + <v^-1 alpha, lam>|.  The ball
-lays its elements out once as (v, mu) pairs, inner ones first, with one
-itemgetter for every pair's <v^-1 alpha, lam> out of lam's pairings with
-Phi, and keeps per finite part u one tuple of its pairs' offsets.  So
-each w costs one gather, one map over the chained offsets, and one sum
-per pair.
+lays its elements out once as (v, mu) pairs, with one itemgetter for
+every pair's <v^-1 alpha, lam> out of lam's pairings with Phi, and keeps
+per finite part u one tuple of its pairs' offsets.  So each w costs one
+gather, one map over the chained offsets, and one sum per pair.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from operator import add, itemgetter, neg, sub
 
 from . import linalg
 from .affweyl import aw_identity, omega_elements, simple_reflections
-from .errors import ExplorationBudgetExceeded, Inconclusive
+from .errors import ExplorationBudgetExceeded
 from .memo import memo, memoised
 from .record import Record, setfield
 
@@ -32,21 +31,19 @@ BALL_CAP = 1_000_000
 
 class Ball(Record):
     """The ball's elements and distances, and its layout for the minimum:
-    pairs lists the elements t^mu v as (v, mu), the n_inner of distance
-    below the radius first; gather maps (<beta, lam>)_beta over Phi to
-    (<v^-1 alpha, lam>)_alpha over Phi^+, pair after pair; rows maps u.idx
-    to one tuple with, per pair, the oracle_vectors entry (<alpha, mu -
-    x(mu)> - [x^-1 alpha < 0])_alpha of x = v u v^-1, filled on first use.
-    """
+    pairs lists the elements t^mu v as (v, mu); gather maps (<beta,
+    lam>)_beta over Phi to (<v^-1 alpha, lam>)_alpha over Phi^+, pair after
+    pair; rows maps u.idx to one tuple with, per pair, the oracle_vectors
+    entry (<alpha, mu - x(mu)> - [x^-1 alpha < 0])_alpha of x = v u v^-1,
+    filled on first use."""
 
-    __slots__ = ("radius", "elements", "distances", "pairs", "n_inner", "gather", "rows")
+    __slots__ = ("radius", "elements", "distances", "pairs", "gather", "rows")
 
-    def __init__(self, radius, elements, distances, pairs, n_inner, gather, rows):
+    def __init__(self, radius, elements, distances, pairs, gather, rows):
         setfield(self, "radius", radius)
         setfield(self, "elements", elements)
         setfield(self, "distances", distances)
         setfield(self, "pairs", pairs)
-        setfield(self, "n_inner", n_inner)
         setfield(self, "gather", gather)
         setfield(self, "rows", rows)
 
@@ -89,14 +86,13 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
         if not tau.is_identity:
             for key, w in list(elems.items()):
                 add(tau * w, dist[key])
-    inner = [(g.fw, g.lam) for key, g in elems.items() if dist[key] < radius]
-    pairs = tuple(inner + [(g.fw, g.lam) for key, g in elems.items() if dist[key] == radius])
+    pairs = tuple((g.fw, g.lam) for g in elems.values())
     n = len(datum.pos_roots)
     index = [k for v, _ in pairs for k in v.inverse().perm[:n]]
     # itemgetter of a single index returns the bare item
     gather = itemgetter(*index) if len(index) > 1 else lambda p, k=index[0]: (p[k],)
     return Ball(radius=radius, elements=elems, distances=dist, pairs=pairs,
-                n_inner=len(inner), gather=gather, rows={})
+                gather=gather, rows={})
 
 
 def _row(datum, pairs, u):
@@ -117,29 +113,25 @@ def _row(datum, pairs, u):
     return tuple(row)
 
 
-def brute_min_length(w, radius, cap=BALL_CAP):
-    """Minimum length over conjugates g w g^-1 for g in the radius ball.
+def brute_min_length(w, radius):
+    """Minimum length over conjugates g w g^-1 for g in the radius ball,
+    boundary included: an upper bound on the minimum of w's class, never a
+    certificate of it, since the shortest conjugates may need a conjugator
+    outside the ball.
 
     The offsets of w's finite part are built on first use.  Then one gather
     reads every pair's <v^-1 alpha, lam> off the pairings of lam with Phi,
     the offsets are added term by term, and the absolute values are summed
-    per pair (module docstring).  Raises Inconclusive when the boundary
-    shell still improves on the inner shells.  That rule is a heuristic: a
-    conclusive answer can still be above the class minimum when the
-    shortest conjugates need a conjugator outside the ball.
+    per pair (module docstring).
     """
     datum, u = w.datum, w.fw
-    ball = cayley_ball(datum, radius, cap)
+    ball = cayley_ball(datum, radius)
     row = ball.rows.get(u.idx)
     if row is None:
         row = ball.rows[u.idx] = _row(datum, ball.pairs, u)
     paired = linalg.mat_vec(datum.pos_roots, w.lam)
     terms = map(add, ball.gather(paired + tuple(map(neg, paired))), chain.from_iterable(row))
-    lengths = list(map(sum, zip(*[map(abs, terms)] * len(paired))))
-    best, inner = min(lengths), lengths[:ball.n_inner]
-    if not inner or best < min(inner):
-        raise Inconclusive(f"minimum {best} still improves at the boundary of radius {radius}")
-    return best
+    return min(map(sum, zip(*[map(abs, terms)] * len(paired))))
 
 
 def brute_straight_check(w, n_max):

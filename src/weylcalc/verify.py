@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .affweyl import class_key, coweight, is_straight, newton_point
+from .affweyl import class_key, coweight, is_straight, newton_point, simple_reflections
 from .classes import (
     approx_closure,
     enumerate_straight_classes,
@@ -29,9 +29,9 @@ from .dims import (
     superregular_applies,
     virtual_dimension,
 )
-from .errors import Inconclusive, InternalAssertion, NonIntegralHalf
+from .errors import InternalAssertion, NonIntegralHalf
 from .finiteweyl import delta_reduce_to_min, enumerate_w0, twisted_conjugate
-from .oracle import brute_min_length, cayley_ball
+from .oracle import brute_min_length, brute_straight_check, cayley_ball
 from .rootdata import DiagramAutomorphism
 
 
@@ -63,8 +63,6 @@ def verify_straightness(datum, radius=5, n_max=12):
     """is_straight == the direct power test on every ball element."""
     ball = cayley_ball(datum, radius)
     failures = []
-    from .oracle import brute_straight_check
-
     for key in sorted(ball.elements):
         w = ball.elements[key]
         got = is_straight(w)
@@ -74,24 +72,36 @@ def verify_straightness(datum, radius=5, n_max=12):
     return _report("straightness", datum, failures, len(ball.elements))
 
 
+def min_failure(w, replayed, oracle_radius=6):
+    """What is wrong with r = reduce_to_min(w), as a failure record, or None.
+    r.path must chain from w to r.w_min, each step's after must be s *
+    before * s by affine products, and l(r.w_min) must be at most
+    brute_min_length(w, oracle_radius): w_min is then a conjugate of w, and
+    no conjugate by the oracle's ball is shorter.  `replayed` maps each step
+    (label, before.key) replayed so far to its product's key."""
+    reduced = reduce_to_min(w)
+    path = reduced.path
+    ends = [st.before.key for st in path] + [reduced.w_min.key]
+    if ends != [w.key] + [st.after.key for st in path]:
+        return {"w": w.to_json(), "reason": "the path is not a chain from w to w_min"}
+    for st in path:
+        step = (st.label, st.before.key)
+        if step not in replayed:
+            s = dict(simple_reflections(w.datum))[st.label]
+            replayed[step] = (s * st.before * s).key
+        if replayed[step] != st.after.key:
+            return {"w": w.to_json(), "reason": f"a step by {st.label} is not s v s"}
+    bound = brute_min_length(w, oracle_radius)
+    if reduced.w_min.length > bound:
+        return {"w": w.to_json(), "reduced": reduced.w_min.length, "oracle": bound}
+    return None
+
+
 def verify_min(datum, max_len=8, oracle_radius=6):
-    """reduce_to_min lands on the class minimum (oracle-conclusive cases)."""
-    failures = []
-    checked = 0
-    inconclusive = 0
-    for w in length_ball(datum, max_len):
-        reduced = reduce_to_min(w)
-        try:
-            want = brute_min_length(w, oracle_radius)
-        except Inconclusive:
-            inconclusive += 1
-            continue
-        checked += 1
-        if reduced.w_min.length != want:
-            failures.append(
-                {"w": w.to_json(), "reduced": reduced.w_min.length, "oracle": want}
-            )
-    return _report("min", datum, failures, checked, inconclusive=inconclusive)
+    """Every element of the length ball passes min_failure."""
+    replayed = {}
+    failures = [min_failure(w, replayed, oracle_radius) for w in length_ball(datum, max_len)]
+    return _report("min", datum, [f for f in failures if f], len(failures))
 
 
 def verify_straight_census(datum, max_len=2, expected=None):

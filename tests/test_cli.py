@@ -1,6 +1,7 @@
 import json
 import os
 
+from weylcalc import dims
 from weylcalc.cli import main
 
 
@@ -254,6 +255,18 @@ def test_table_with_a_huge_class_length_exits_on_the_census_budget(capsys):
     )
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("budget exceeded: straight-class census")
+
+
+def test_running_out_of_memory_is_one_line(capsys, monkeypatch):
+    """A MemoryError is caught at the CLI edge only: exit 3 and one stderr
+    line naming the command, with no traceback."""
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(dims, "dim_profile", exhausted)
+    code, out, err = run(capsys, "table", "--group", "SL2", "--max-length", "1")
+    assert (code, out, err) == (3, "", "out of memory: weylcalc table\n")
 
 
 def test_usage_errors(capsys):
