@@ -7,14 +7,14 @@ conjugacy classes keyed in integers by (kappa, dominant Newton point as
 reduced pairs), the class_key of each member, and the alcove sign test for
 Levi compatibility.
 
-The census of straight classes builds no length ball.  Straight classes
-are in bijection with B(G) (He, Ann. of Math. 179, 2014), and B(G) with
-the pairs (J, lam mod Z<alpha_j^vee : j in J>) whose nu = pr_J(lam) is
-dominant and positive off J (Kottwitz, Compositio Math. 109, 1997).  The
-census walks those pairs in integers, by the simple pairings of lam, and
-reads each class off the length-zero element of the Levi M_J's extended
-affine Weyl group in the coset of t^lam; resolve_class walks only the J of
-the nu_bar it is given.  length_ball still enumerates elements.
+The census of straight classes builds no length ball and runs no search.
+Straight classes are in bijection with B(G) (He, Ann. of Math. 179, 2014),
+and B(G) with the pairs (J, lam mod Z<alpha_j^vee : j in J>) whose nu =
+pr_J(lam) is dominant and positive off J (Kottwitz, Compositio Math. 109,
+1997).  The census walks those pairs by the simple pairings of lam and reads
+each class off the length-zero element of M_J's extended affine Weyl group
+in the coset of t^lam; resolve_class walks only the J of its nu_bar.
+length_ball still enumerates elements.
 
 All searches run on the kernel in weylcalc.search and are deterministic:
 levels are explored smallest canonical key first and generators in label
@@ -35,6 +35,7 @@ from . import linalg
 from .affweyl import (
     AffineWeylElt,
     _levi,
+    _newton_data,
     class_key,
     coweight,
     defect_of,
@@ -42,7 +43,6 @@ from .affweyl import (
     kappa_w,
     left_descents,
     low_shifts,
-    newton_point,
     omega_elements,
     right_ascents,
     right_move,
@@ -150,11 +150,15 @@ class UxDecomposition(Record):
         }
 
 
-def _class_of_straight(x):
-    """StraightClass populated from a straight representative."""
-    if not is_straight(x):
-        raise InternalAssertion("representative is not straight")
-    return StraightClass(kappa_w(x), newton_point(x)[1], length=x.length, defect=defect_of(x))
+def _class_of(w):
+    """[w]'s StraightClass read off w in integers: kappa(w), nu_bar from
+    _newton_data, length <2 rho, nu_bar> and defect_of(w), which is [w]'s
+    for w straight or of length zero in a Levi's extended affine Weyl group."""
+    n, _, dominant = _newton_data(w)
+    length = linalg.vec_dot(w.datum.two_rho, dominant)
+    if length % n:
+        raise InternalAssertion(f"<2 rho, nu_bar> = {Fraction(length, n)} is not an integer")
+    return StraightClass(kappa_w(w), tuple([Fraction(x, n) for x in dominant]), length // n, defect_of(w))
 
 
 @memoised("reduce_min", key=lambda w, budget=None: w.key, held=lambda r: r.held)
@@ -276,7 +280,7 @@ def straight_class_of(w, budget=None):
     """The straight conjugacy class whose closure contains w's class."""
     reduced = reduce_to_min(w, budget)
     dec = ux_decompose(reduced.w_min, budget, check_minimal=False)
-    cls = _class_of_straight(dec.x)
+    cls = _class_of(dec.x)
     if cls.pair_key != class_key(w):
         raise InternalAssertion("(kappa, nu_bar) of the straight part differs from that of w")
     return cls
@@ -308,18 +312,6 @@ def _lines(steps, room):
             yield (x,) + head, top
 
 
-@memoised("levi_classes", key=lambda w, budget=None: w.key)
-def _class_of_levi_rep(w, budget=None):
-    """The class of a length-zero element w of a Levi's extended affine Weyl
-    group, whose Newton point is dominant.  w is straight unless some
-    <beta, lam'>, beta in Phi^+ \\ Phi_J, is negative (one class each on G2
-    and B3 among the tested data); then its reduce_to_min, under budget, is
-    the straight representative."""
-    if not is_straight(w):
-        w = reduce_to_min(w, budget).w_min
-    return _class_of_straight(w)
-
-
 def enumerate_straight_classes(datum, max_len, budget=None):
     """All straight conjugacy classes with a representative of length
     <= max_len, sorted by (length, nu_bar, kappa).
@@ -330,12 +322,11 @@ def enumerate_straight_classes(datum, max_len, budget=None):
     walked by its simple pairings p, with p_J one per residue mod A_JJ Z^J
     and p_K bounded through the weights <2 rho, omega_k^vee>, and the class
     is read off the length-zero element of M_J's extended affine Weyl group
-    in the coset of t^lam (_class_of_levi_rep).
+    in the coset of t^lam (_class_of), straight or not, with no search.
 
     lam is integral or not with p modulo period, the denominator of A^-1,
     so a line of p_K's classes is counted from its first period points, and
-    a census over budget classes raises before building them.  budget also
-    bounds the reduce_to_min of a non-straight Levi representative.
+    a census over budget classes raises before building them.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     n = datum.n_simple
@@ -368,12 +359,7 @@ def enumerate_straight_classes(datum, max_len, budget=None):
                     for last in range(r, top + 1, period):
                         if last > r:
                             lam = coweight(datum, _spread(J, p_j, K, p_k(last)))
-                        rep = AffineWeylElt._from_ints(datum, lam, u)
-                        cls = _class_of_levi_rep(rep, budget)
-                        if cls.length < rep.length:
-                            # rep is not straight: its walk counts against budget,
-                            # also on a levi_classes hit, which skips the walk
-                            reduce_to_min(rep, budget)
+                        cls = _class_of(AffineWeylElt._from_ints(datum, lam, u))
                         nu = [Fraction(den * x - s, den) for x, s in zip(p_k(last), shift)]
                         if linalg.mat_vec(datum.simple_roots, cls.nu_bar) != _spread(J, zeros, K, nu):
                             raise InternalAssertion(
@@ -414,7 +400,7 @@ def resolve_class(datum, kappa, nu_bar):
         lam = coweight(datum, _spread(J, p_j, K, [int(x) for x in p_k]))
         if lam is None or datum.kappa_class(lam) != kappa:
             continue
-        cls = _class_of_levi_rep(AffineWeylElt._from_ints(datum, lam, u))
+        cls = _class_of(AffineWeylElt._from_ints(datum, lam, u))
         if (cls.kappa, cls.nu_bar) != (kappa, nu_bar):
             raise InternalAssertion("the Levi representative lies in another class")
         return cls

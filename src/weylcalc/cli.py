@@ -40,6 +40,7 @@ from .classes import (
 )
 from .dims import GammaDescriptor
 from .errors import (
+    DecompositionFailure,
     ExplorationBudgetExceeded,
     GroupTooLarge,
     HypothesisViolated,
@@ -72,7 +73,8 @@ _EXITS = (
     (UsageError, "usage error", 1),
     (HypothesisViolated, "hypothesis violated", 2),
     ((ExplorationBudgetExceeded, GroupTooLarge), "budget exceeded", 3),
-    ((InternalAssertion, DecompositionNotFound, NonIntegralDimension), "internal assertion failed", 4),
+    ((InternalAssertion, DecompositionFailure, DecompositionNotFound, NonIntegralDimension),
+     "internal assertion failed", 4),
     (MemoryError, "out of memory", 3),
     (WeylcalcError, "error", 1),
     (OSError, "error", 1),  # an unusable --cache-dir, --out or config path

@@ -509,8 +509,8 @@ def load_cache(datum, directory):
     return len(table)
 
 
-@memoised("grass_max", key=lambda datum, mu, budget=None: mu)
-def _coset_max(datum, mu, budget=None):
+@memoised("grass_max", key=lambda datum, mu: mu)
+def _coset_max(datum, mu):
     """Class-by-class max of the profiles over the double coset W0 t^mu W0."""
     w0 = enumerate_w0(datum)
     tmu = translation(datum, mu)
@@ -522,18 +522,18 @@ def _coset_max(datum, mu, budget=None):
             coset[w.key] = w
     best = {}
     for key in sorted(coset):
-        for cid, d in dim_profile(coset[key], budget).items():
+        for cid, d in dim_profile(coset[key]).items():
             if best.get(cid, -1) < d:
                 best[cid] = d
     return best
 
 
-def grass_fibration_max(datum, mu, cls, budget=None):
+def grass_fibration_max(datum, mu, cls):
     """Independent route to the Grassmannian dimension: the maximum of the
     flag dimensions over the double coset W0 t^mu W0, minus the dimension of
     the finite flag fiber.  The class-by-class maximum of the profiles of
     the coset is taken once per mu and answers every class."""
     mu = _dominant(datum, mu)
     cid = _validate_class(datum, cls)
-    dim = _coset_max(datum, mu, budget).get(cid)
+    dim = _coset_max(datum, mu).get(cid)
     return EMPTY if dim is None else DimValue(dim - longest_element(datum).length)

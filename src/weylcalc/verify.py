@@ -9,8 +9,9 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .affweyl import class_key, coweight, is_straight, newton_point, simple_reflections
+from .affweyl import class_key, coweight, defect_of, is_straight, newton_point, simple_reflections
 from .classes import (
+    StraightClass,
     approx_closure,
     enumerate_straight_classes,
     length_ball,
@@ -105,10 +106,21 @@ def verify_min(datum, max_len=8, oracle_radius=6):
 
 
 def verify_straight_census(datum, max_len=2, expected=None):
-    """enumerate_straight_classes against a frozen expected list."""
+    """enumerate_straight_classes against the straight classes met in the
+    length ball, each record (kappa, nu_bar, l(w), defect_of(w)) read off
+    every straight member w, and against a frozen expected list if given."""
     classes = enumerate_straight_classes(datum, max_len)
     got = [cls.to_json() for cls in classes]
-    failures = []
+    failures, ball = [], {}
+    for w in length_ball(datum, max_len):
+        if is_straight(w):
+            key = class_key(w)
+            row = StraightClass(key[0], newton_point(w)[1], w.length, defect_of(w)).to_json()
+            if ball.setdefault(key, row) != row:
+                failures.append({"w": w.to_json(), "member": row, "class": ball[key]})
+    census = {cls.pair_key: row for cls, row in zip(classes, got)}
+    failures += [{"census": census.get(key), "ball": ball.get(key)}
+                 for key in sorted(census.keys() | ball.keys()) if census.get(key) != ball.get(key)]
     if expected is not None and got != expected:
         failures.append({"got": got, "expected": expected})
     return _report("census", datum, failures, len(classes), classes=got)

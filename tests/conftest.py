@@ -54,11 +54,22 @@ CARTAN_MATRICES = {
     "SL5": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
 }
 
+# Rank 4 beyond type A, in the same convention.  Kept apart from
+# CARTAN_MATRICES, whose parametrized tests check every move row against
+# matrix products: on F4 that alone takes 17 s.
+RANK4_CARTAN_MATRICES = {
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+    "C4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+}
+
 
 def cartan_config(name):
-    """The config of CARTAN_MATRICES[name]: the Cartan matrix as the simple
-    roots and the identity as the coroots, so X is the coroot lattice."""
-    cartan = CARTAN_MATRICES[name]
+    """The config of CARTAN_MATRICES[name] or RANK4_CARTAN_MATRICES[name]:
+    the Cartan matrix as the simple roots and the identity as the coroots,
+    so X is the coroot lattice."""
+    cartan = CARTAN_MATRICES.get(name) or RANK4_CARTAN_MATRICES[name]
     n = len(cartan)
     return {
         "name": name,

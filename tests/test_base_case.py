@@ -11,7 +11,7 @@ from conftest import shift_witnesses
 
 import weylcalc
 from weylcalc import build_root_datum, class_key, length_ball, straight_class_of
-from weylcalc.classes import _class_of_straight, ux_decompose
+from weylcalc.classes import _class_of, ux_decompose
 from weylcalc.dims import _class_id, dim_profile
 from weylcalc.rootdata import PRESETS
 
@@ -28,7 +28,7 @@ def test_minimal_leaf_matches_the_ux_route(name):
             continue
         minimal += 1
         dec = ux_decompose(v, check_minimal=False)
-        expected = {_class_id(datum, _class_of_straight(dec.x).pair_key): dec.u.length}
+        expected = {_class_id(datum, _class_of(dec.x).pair_key): dec.u.length}
         assert dim_profile(v) == expected, v
     assert minimal > 0
 
@@ -45,4 +45,4 @@ def test_dims_never_calls_the_spherical_search():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert not names & {"ux_decompose", "_class_of_straight"}
+    assert not names & {"ux_decompose", "_class_of"}

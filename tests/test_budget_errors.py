@@ -130,7 +130,7 @@ def _ux(datum, budget=None):
         # the census keeps no memo: its stored count is what a fresh datum needs
         ("SL3", _census(40), lambda datum: _least_budget("SL3", _census(40)), False),
         # G2's census at 3 holds 2 classes, one read off a non-straight Levi
-        # representative whose walk holds more
+        # representative with no walk, so only the class count meets the budget
         ("G2", _census(3), lambda datum: _least_budget("G2", _census(3)), False),
         ("SL3", lambda datum, budget=None: reduce_to_min(from_parts(datum, (3, 3), []), budget),
          lambda datum: reduce_to_min(from_parts(datum, (3, 3), [])).held, True),

@@ -10,6 +10,7 @@ from conftest import cartan_config
 
 from weylcalc import (
     InfinitePi1,
+    StraightClass,
     UnknownClass,
     build_root_datum,
     class_key,
@@ -20,9 +21,9 @@ from weylcalc import (
     linalg,
     resolve_class,
 )
+from weylcalc import classes, cli, dims, finiteweyl, search
 from weylcalc import verify as vf
 from weylcalc.classes import enumerate_straight_classes, reduce_to_min
-from weylcalc.memo import memo
 from weylcalc.rootdata import PRESETS
 
 BOUNDS = {
@@ -62,18 +63,60 @@ def test_census_matches_the_ball_census(name):
         ("B3", (1, 1, 1), [0, 2], (Fraction(1, 2), Fraction(1), Fraction(1, 2)), 4),
     ],
 )
-def test_a_levi_representative_that_is_not_straight_is_reduced(name, lam, word, nu, length):
-    """The length-zero Levi element of this class is not straight; the
-    census takes its reduce_to_min, which is."""
+def test_a_levi_representative_that_is_not_straight_is_reduced(
+        name, lam, word, nu, length, monkeypatch):
+    """The length-zero Levi element of this class is not straight.  The
+    census reads the class off it with no walk, and its reduce_to_min, which
+    is straight, has the same length and defect."""
     datum = _datum(name)
     rep = from_parts(datum, lam, word)
     assert not is_straight(rep) and rep.length > length
     w_min = reduce_to_min(rep).w_min
-    assert is_straight(w_min) and w_min.length == length
+    assert is_straight(w_min) and class_key(w_min) == class_key(rep)
+    read = []
+    real = classes._class_of
+    monkeypatch.setattr(classes, "_class_of", lambda w: read.append(w.key) or real(w))
     cls = next(c for c in enumerate_straight_classes(datum, length) if c.nu_bar == nu)
-    assert rep.key in memo(datum, "levi_classes").table  # the census's own representative
-    assert (cls.length, cls.defect) == (length, defect_of(w_min))
+    assert rep.key in read  # the census's own representative
+    assert (cls.length, cls.defect) == (w_min.length, defect_of(w_min)) == (length, defect_of(rep))
     assert resolve_class(datum, cls.kappa, nu) == cls
+
+
+# the non-straight Levi representatives of the census at bound 10
+NOT_STRAIGHT = {"G2": 1, "B3": 1, "D4": 1, "B4": 2, "C4": 0, "F4": 4}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_STRAIGHT))
+def test_census_and_naming_run_no_search(name, monkeypatch):
+    """enumerate_straight_classes and resolve_class make no reduce_to_min,
+    explore_level or descend call; every census class at bound 10 is named
+    by resolve_class, and each non-straight Levi representative has the
+    length and defect of its reduce_to_min."""
+    datum = _datum(name)
+    reps = []
+    real = classes._class_of
+    monkeypatch.setattr(classes, "_class_of", lambda w: reps.append(w) or real(w))
+    for module in (classes, search, dims, finiteweyl, vf):
+        for fn in ("reduce_to_min", "explore_level", "descend"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, _refused(fn))
+    census = enumerate_straight_classes(datum, 10)
+    for cls in census:
+        got = resolve_class(datum, cls.kappa, cls.nu_bar)
+        assert (got.pair_key, got.length, got.defect) == (cls.pair_key, cls.length, cls.defect)
+    monkeypatch.undo()
+    crooked = [w for w in reps[:len(census)] if not is_straight(w)]  # the census's own
+    assert len(crooked) == NOT_STRAIGHT[name]
+    for w in crooked:
+        cls, w_min = real(w), reduce_to_min(w).w_min
+        assert cls in census and is_straight(w_min) and class_key(w_min) == cls.pair_key
+        assert (w_min.length, defect_of(w_min)) == (cls.length, cls.defect)
+
+
+def _refused(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refuse
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
@@ -82,6 +125,47 @@ def test_resolve_class_finds_every_census_class(name):
     for cls in enumerate_straight_classes(datum, min(BOUNDS[name], 8)):
         got = resolve_class(datum, cls.kappa, cls.nu_bar)
         assert (got.pair_key, got.length, got.defect) == (cls.pair_key, cls.length, cls.defect)
+
+
+@pytest.mark.parametrize("name", ["G2", "B3"])
+def test_the_census_suite_passes_at_bound_10(name):
+    report = vf.verify_straight_census(_datum(name), max_len=10)
+    assert report["passed"], report["failures"]
+    assert report["checked"] == len(report["classes"]) > 0
+
+
+def _bump_a_defect(census):
+    first = census[0]
+    return (StraightClass(first.kappa, first.nu_bar, first.length, first.defect + 1),) + census[1:]
+
+
+@pytest.mark.parametrize("mutate", [lambda census: census[1:], _bump_a_defect],
+                         ids=["dropped-class", "bumped-defect"])
+def test_a_wrong_census_fails_the_census_suite(mutate, monkeypatch, capsys):
+    """The suite compares the census with the classes of the length ball,
+    so it fails with no frozen list, and `verify --suite census` exits 4."""
+    real = vf.enumerate_straight_classes
+    monkeypatch.setattr(vf, "enumerate_straight_classes",
+                        lambda datum, max_len, budget=None: mutate(real(datum, max_len, budget)))
+    report = vf.verify_straight_census(build_root_datum("PGL2"))
+    assert not report["passed"] and len(report["failures"]) == 1
+    assert cli.main(["verify", "--suite", "census", "--group", "PGL2"]) == 4
+    assert '"passed": false' in capsys.readouterr().out
+
+
+def test_members_of_a_ball_class_must_agree(monkeypatch):
+    """A straight member whose defect differs from its class's first member
+    fails the suite, though the census agrees with that first member."""
+    datum = build_root_datum("PGL2")
+    members = {}
+    for w in length_ball(datum, 2):
+        if is_straight(w):
+            members.setdefault(class_key(w), []).append(w.key)
+    second = next(keys[1] for keys in members.values() if len(keys) > 1)
+    real = vf.defect_of
+    monkeypatch.setattr(vf, "defect_of", lambda w: real(w) + (w.key == second))
+    failures = vf.verify_straight_census(datum)["failures"]
+    assert len(failures) == 1 and failures[0]["member"]["defect"] == failures[0]["class"]["defect"] + 1
 
 
 def test_resolve_class_refusals(sl2, pgl2):

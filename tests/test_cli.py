@@ -1,8 +1,11 @@
 import json
 import os
 
+import pytest
+
 from weylcalc import dims
 from weylcalc.cli import main
+from weylcalc.errors import DecompositionFailure, InternalAssertion
 
 
 def run(capsys, *argv):
@@ -267,6 +270,20 @@ def test_running_out_of_memory_is_one_line(capsys, monkeypatch):
     monkeypatch.setattr(dims, "dim_profile", exhausted)
     code, out, err = run(capsys, "table", "--group", "SL2", "--max-length", "1")
     assert (code, out, err) == (3, "", "out of memory: weylcalc table\n")
+
+
+@pytest.mark.parametrize("error", [InternalAssertion, DecompositionFailure])
+def test_an_internal_error_exits_4_in_one_line(error, capsys, monkeypatch):
+    """A failed self-check, a decomposition step's included, exits 4 with
+    one stderr line and no traceback."""
+
+    def broken(w):
+        raise error("w is not x t^mu y")
+
+    monkeypatch.setattr(dims, "eta_decomposition", broken)
+    code, out, err = run(capsys, "dim", "x-flag", "--group", "SL2", "--w",
+                         '{"lambda":[0],"word":[1]}', "--class", '{"kappa":[0],"nu":[0]}')
+    assert (code, out, err) == (4, "", "internal assertion failed: w is not x t^mu y\n")
 
 
 def test_usage_errors(capsys):

@@ -16,19 +16,15 @@ from weylcalc.memo import Memo, memo, memoised
 # The functions that take a budget and keep or read a table without
 # memoised's held rule, each with its reason.
 BUDGET_EXEMPT = {
-    "classes.py:_class_of_levi_rep":
-        "the census re-checks a non-straight representative's walk by reduce_to_min",
     "classes.py:reduce_to_min":
         "its descend stop takes a held reduction only while the counts fit the budget",
-    "dims.py:_coset_max":
-        "profiles are shared, so a stored max holds no count (CHANGES FOUND)",
     "dims.py:dim_profile":
         "profiles are shared, so a stored profile holds no count (CHANGES FOUND)",
 }
 
 TABLES = {
     "fw_intern", "w0", "simple_reflections", "omega", "reduce_min", "ux", "length_ball",
-    "levis", "levi_classes", "superregular", "class_ids", "class_facts", "eta", "grass_max",
+    "levis", "superregular", "class_ids", "class_facts", "eta", "grass_max",
     "dim_x_flag", "oracle_ball", "oracle_vectors",
 }
 

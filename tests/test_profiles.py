@@ -24,7 +24,7 @@ from weylcalc import (
     virtual_dimension,
 )
 from weylcalc import dims
-from weylcalc.classes import _class_of_straight, ux_decompose
+from weylcalc.classes import _class_of, ux_decompose
 from weylcalc.affweyl import eta_decomposition
 from weylcalc.cli import UsageError, emit_table, main
 from weylcalc.dims import _dim_cache, dim_profile, load_cache, save_cache
@@ -113,7 +113,7 @@ def _reference_dim(w, cls, memo):
         result = dim_max(_reference_dim(s * v, cls, memo), _reference_dim(s * v * s, cls, memo)).plus(1)
     else:
         dec = ux_decompose(w, check_minimal=False)
-        result = finite(dec.u.length) if _class_of_straight(dec.x) == cls else EMPTY
+        result = finite(dec.u.length) if _class_of(dec.x) == cls else EMPTY
     memo[w.key] = result
     return result
 
@@ -259,8 +259,8 @@ def test_a_bad_table_format_is_refused_before_any_work(monkeypatch):
 
 
 def test_census_on_a_used_datum_equals_a_fresh_one(sl3):
-    """The census keeps no memo; a second run reads the levi_classes and
-    reduce_min tables the first one filled."""
+    """The census keeps no memo and reads none, so a second run on a used
+    datum equals the first and a run on a fresh one."""
     first = enumerate_straight_classes(sl3, 4)
     assert enumerate_straight_classes(sl3, 4) == first
     assert enumerate_straight_classes(build_root_datum("SL3"), 4) == first

@@ -2,7 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import CARTAN_MATRICES, cartan_config, in_coroot_lattice, kappa_add, solve_rational
+from conftest import (
+    CARTAN_MATRICES,
+    RANK4_CARTAN_MATRICES,
+    cartan_config,
+    in_coroot_lattice,
+    kappa_add,
+    solve_rational,
+)
 from hypothesis import given, strategies as st
 
 from weylcalc import (
@@ -16,6 +23,7 @@ from weylcalc import (
     build_root_datum,
     resolve_class,
 )
+from weylcalc.finiteweyl import enumerate_w0
 from weylcalc.linalg import vec_dot
 from weylcalc.rootdata import PRESETS
 
@@ -301,3 +309,19 @@ def test_a_bad_coweight_is_refused(sl3, call, error):
     a number, and a wrong length is never cut by zip."""
     with pytest.raises(error):
         call(sl3)
+
+
+@pytest.mark.parametrize("name, n_pos, order",
+                         [("D4", 12, 192), ("B4", 16, 384), ("C4", 16, 384), ("F4", 24, 1152)])
+def test_rank4_data_match_sympy(name, n_pos, order):
+    """The rank-4 test data against sympy.liealgebras: the Cartan matrix,
+    |Phi^+| and |W0|."""
+    pytest.importorskip("sympy.liealgebras")
+    from sympy.liealgebras.cartan_matrix import CartanMatrix
+    from sympy.liealgebras.root_system import RootSystem
+    from sympy.liealgebras.weyl_group import WeylGroup
+
+    datum = build_root_datum(cartan_config(name))
+    assert CartanMatrix(name).tolist() == RANK4_CARTAN_MATRICES[name]
+    assert len(RootSystem(name).all_roots()) == 2 * n_pos == 2 * len(datum.pos_roots)
+    assert WeylGroup(name).group_order() == order == len(enumerate_w0(datum))

@@ -2,14 +2,12 @@
 from w to w_min, each replayed by affine products, and l(w_min) is at most
 the oracle's ball minimum, which bounds the class minimum from above."""
 
+from conftest import cartan_config
+
 from weylcalc import build_root_datum, from_parts, reduce_to_min, simple_reflections, verify
 from weylcalc.classes import ConjugationStep, MinimizationResult
 from weylcalc.oracle import brute_min_length
 from weylcalc.verify import min_failure, verify_min
-
-# F4 with the identity as coroots (Bourbaki numbering); built here only,
-# since its move rows are slow to check against the matrix reference
-F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 # (lambda, 1-based word) of length 8: the radius-6 ball sees no conjugate
 # shorter than 6, while reduce_to_min reaches length 4
@@ -24,8 +22,7 @@ F4_DEEP = [
 def test_a_conjugator_outside_the_ball_is_no_failure():
     """The ball minimum is a bound, not the class minimum: on these F4
     elements reduce_to_min goes below it, and its path replays."""
-    datum = build_root_datum({"name": "F4", "rank": 4, "roots": F4,
-                              "coroots": [[int(i == j) for j in range(4)] for i in range(4)]})
+    datum = build_root_datum(cartan_config("F4"))
     for lam, word in F4_DEEP:
         w = from_parts(datum, lam, [i - 1 for i in word])
         assert w.length == 8
