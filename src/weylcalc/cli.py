@@ -424,7 +424,8 @@ def cmd_verify(args):
         kwargs = {}
         if name == "oracle" and args.radius is not None:
             kwargs["radius"] = args.radius
-        if name in ("min", "p-alcove", "dim-bound", "master") and args.max_length is not None:
+        if args.max_length is not None and name in (
+                "min", "census", "straight-cyclic", "p-alcove", "dim-bound", "master"):
             kwargs["max_len"] = args.max_length
         reports.append(verify.SUITES[name](datum, **kwargs))
     passed = all(r["passed"] for r in reports)

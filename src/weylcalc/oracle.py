@@ -8,43 +8,51 @@ backbone for the length formula, straightness, and minimal lengths.
 Conjugates are measured without affine products or moves: for g = t^mu v,
 w = t^lam u and x = v u v^-1, g w g^-1 = t^(mu + v(lam) - x(mu)) x, so its
 Iwahori-Matsumoto length is the sum over positive roots alpha of
-|<alpha, mu - x(mu)> - [x^-1 alpha < 0] + <v^-1 alpha, lam>|.  The ball
-lays its elements out once as (v, mu) pairs, with one itemgetter for
-every pair's <v^-1 alpha, lam> out of lam's pairings with Phi, and keeps
-per finite part u one tuple of its pairs' offsets.  So each w costs one
-gather, one map over the chained offsets, and one sum per pair.
+|<alpha, mu - x(mu)> + <v^-1 alpha, lam> - [x^-1 alpha < 0]|.  Each
+positive root beta_j has exactly one alpha in Phi^+ with v^-1 alpha =
+s beta_j, s = +-1.  With nu = v^-1 mu, s <alpha, mu - x(mu)> is
+<beta_j, nu - u(nu)> and s [x^-1 alpha < 0] is [v u^-1 beta_j < 0] -
+[v beta_j < 0], so that term is
+
+    |F(beta_j) - F(u^-1 beta_j) + <beta_j, lam>|,
+    F(gamma) = <gamma, nu> + [v gamma < 0] on Phi.
+
+F is g's level function, and the ball keeps one per element.  Per finite
+part u, the offsets o'_j = F(beta_j) - F(u^-1 beta_j) of every level
+function are one itemgetter of u^-1's permutation away, and each distinct
+o' is kept once.  So each w pairs lam with Phi^+ once and costs one sum
+per kept vector, with no finite product and no gather.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, sub
 
 from . import linalg
 from .affweyl import aw_identity, omega_elements, simple_reflections
 from .errors import ExplorationBudgetExceeded
-from .memo import memo, memoised
+from .memo import memoised
 from .record import Record, setfield
 
 BALL_CAP = 1_000_000
 
 
 class Ball(Record):
-    """The ball's elements and distances, and its layout for the minimum:
-    pairs lists the elements t^mu v as (v, mu); gather maps (<beta,
-    lam>)_beta over Phi to (<v^-1 alpha, lam>)_alpha over Phi^+, pair after
-    pair; rows maps u.idx to one tuple with, per pair, the oracle_vectors
-    entry (<alpha, mu - x(mu)> - [x^-1 alpha < 0])_alpha of x = v u v^-1,
-    filled on first use."""
+    """The ball's elements and distances, and what the minimum needs of
+    them: levels holds each element's level function F (module docstring)
+    as its values on Phi in root-index order; heads chains their values on
+    Phi^+; rows maps u.idx to the distinct offsets o' of the finite part u,
+    chained in first-seen order, filled on first use."""
 
-    __slots__ = ("radius", "elements", "distances", "pairs", "gather", "rows")
+    __slots__ = ("radius", "elements", "distances", "levels", "heads", "rows")
 
-    def __init__(self, radius, elements, distances, pairs, gather, rows):
+    def __init__(self, radius, elements, distances, levels, heads, rows):
         setfield(self, "radius", radius)
         setfield(self, "elements", elements)
         setfield(self, "distances", distances)
-        setfield(self, "pairs", pairs)
-        setfield(self, "gather", gather)
+        setfield(self, "levels", levels)
+        setfield(self, "heads", heads)
         setfield(self, "rows", rows)
 
     def distance(self, w):
@@ -57,8 +65,8 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
 
     Each class of length-zero elements contributes its translate of the
     ball, at the same distance as the untranslated element.  Balls are
-    memoised per datum and (radius, cap), with their layout; callers must
-    treat the returned Ball as read-only.
+    memoised per datum and (radius, cap), with their level functions;
+    callers must treat the returned Ball as read-only.
     """
     refl = simple_reflections(datum)
     ident = aw_identity(datum)
@@ -86,31 +94,23 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
         if not tau.is_identity:
             for key, w in list(elems.items()):
                 add(tau * w, dist[key])
-    pairs = tuple((g.fw, g.lam) for g in elems.values())
+    # F(beta_k) = <v beta_k, mu> + [v beta_k < 0] for g = t^mu v: the entry
+    # of (<beta, mu> + [beta < 0])_beta at v's image of index k
     n = len(datum.pos_roots)
-    index = [k for v, _ in pairs for k in v.inverse().perm[:n]]
+    shifted = {mu: tuple([p + (k >= n) for k, p in enumerate(linalg.mat_vec(datum.roots, mu))])
+               for mu in {g.lam for g in elems.values()}}
+    levels = tuple(tuple(map(shifted[g.lam].__getitem__, g.fw.perm)) for g in elems.values())
+    return Ball(radius=radius, elements=elems, distances=dist, levels=levels,
+                heads=tuple(chain.from_iterable(f[:n] for f in levels)), rows={})
+
+
+def _row(ball, u, n):
+    """The distinct offsets o'_j = F(beta_j) - F(u^-1 beta_j) over the
+    ball's level functions F, chained."""
+    moved = map(itemgetter(*u.inverse().perm[:n]), ball.levels)
     # itemgetter of a single index returns the bare item
-    gather = itemgetter(*index) if len(index) > 1 else lambda p, k=index[0]: (p[k],)
-    return Ball(radius=radius, elements=elems, distances=dist, pairs=pairs,
-                gather=gather, rows={})
-
-
-def _row(datum, pairs, u):
-    """The offsets of the finite part u (Ball), by two finite products per
-    finite part of the ball."""
-    pos = datum.pos_roots
-    vectors = memo(datum, "oracle_vectors").table
-    conj, row = {}, []
-    for v, mu in pairs:
-        x = conj.get(v.idx)
-        if x is None:
-            x = conj[v.idx] = v * u * v.inverse()
-        vec = vectors.get((x.idx, mu))
-        if vec is None:
-            d = linalg.mat_vec(pos, linalg.vec_sub(mu, x.act(mu)))
-            vec = vectors[x.idx, mu] = tuple(map(sub, d, x.neg_mask))
-        row.append(vec)
-    return tuple(row)
+    offsets = map(sub, ball.heads, chain.from_iterable(moved if n > 1 else zip(moved)))
+    return tuple(chain.from_iterable(dict.fromkeys(zip(*[offsets] * n))))
 
 
 def brute_min_length(w, radius):
@@ -119,19 +119,19 @@ def brute_min_length(w, radius):
     certificate of it, since the shortest conjugates may need a conjugator
     outside the ball.
 
-    The offsets of w's finite part are built on first use.  Then one gather
-    reads every pair's <v^-1 alpha, lam> off the pairings of lam with Phi,
-    the offsets are added term by term, and the absolute values are summed
-    per pair (module docstring).
+    The row of w's finite part is built on first use.  Then lam is paired
+    with Phi^+ once, added term by term to each kept o' of the row, and the
+    absolute values are summed per vector (module docstring).
     """
     datum, u = w.datum, w.fw
     ball = cayley_ball(datum, radius)
+    paired = linalg.mat_vec(datum.pos_roots, w.lam)
+    n = len(paired)
     row = ball.rows.get(u.idx)
     if row is None:
-        row = ball.rows[u.idx] = _row(datum, ball.pairs, u)
-    paired = linalg.mat_vec(datum.pos_roots, w.lam)
-    terms = map(add, ball.gather(paired + tuple(map(neg, paired))), chain.from_iterable(row))
-    return min(map(sum, zip(*[map(abs, terms)] * len(paired))))
+        row = ball.rows[u.idx] = _row(ball, u, n)
+    terms = map(add, paired * (len(row) // n), row)
+    return min(map(sum, zip(*[map(abs, terms)] * n)))
 
 
 def brute_straight_check(w, n_max):

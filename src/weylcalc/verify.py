@@ -9,7 +9,15 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .affweyl import class_key, coweight, defect_of, is_straight, newton_point, simple_reflections
+from .affweyl import (
+    _position,
+    class_key,
+    coweight,
+    defect_of,
+    is_straight,
+    newton_point,
+    simple_reflections,
+)
 from .classes import (
     StraightClass,
     approx_closure,
@@ -88,7 +96,7 @@ def min_failure(w, replayed, oracle_radius=6):
     for st in path:
         step = (st.label, st.before.key)
         if step not in replayed:
-            s = dict(simple_reflections(w.datum))[st.label]
+            s = simple_reflections(w.datum)[_position(w.datum, st.label)][1]
             replayed[step] = (s * st.before * s).key
         if replayed[step] != st.after.key:
             return {"w": w.to_json(), "reason": f"a step by {st.label} is not s v s"}

@@ -323,6 +323,17 @@ def test_verify_all_sl2(capsys):
     assert len(doc["suites"]) == 11
 
 
+@pytest.mark.parametrize("suite, default", [("census", 1), ("straight-cyclic", 6)])
+def test_verify_passes_max_length_to_census_and_straight_cyclic(capsys, suite, default):
+    """--max-length reaches the census and the straight-cyclic suite, as it
+    reaches min: on SL3 each checks 6 classes at 6 and 1 at 2, and without
+    the flag each keeps its own bound (the census 2, straight-cyclic 6)."""
+    for flags, checked in ((("--max-length", "6"), 6), (("--max-length", "2"), 1), ((), default)):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--group", "SL3", *flags)
+        assert code == 0
+        assert json.loads(out)["suites"][0]["checked"] == checked
+
+
 def test_table_empty_class_set(capsys):
     code, out, _ = run(
         capsys, "table", "--group", "SL2", "--max-length", "2", "--classes", "[]"

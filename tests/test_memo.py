@@ -25,7 +25,7 @@ BUDGET_EXEMPT = {
 TABLES = {
     "fw_intern", "w0", "simple_reflections", "omega", "reduce_min", "ux", "length_ball",
     "levis", "superregular", "class_ids", "class_facts", "eta", "grass_max",
-    "dim_x_flag", "oracle_ball", "oracle_vectors",
+    "dim_x_flag", "oracle_ball",
 }
 
 

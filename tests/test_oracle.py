@@ -18,7 +18,13 @@ from weylcalc.oracle import brute_min_length, brute_straight_check, cayley_ball
 from weylcalc.rootdata import PRESETS
 
 # the length bound of the elements w checked against the reference, by rank
-W_BOUND = {1: 8, 2: 8, 3: 6}
+W_BOUND = {1: 8, 2: 8, 3: 6, 4: 4}
+# (group, radius) of the reference check; D4 and F4 have many v sending
+# positive roots negative, and F4's roots have two lengths
+MIN_CASES = (
+    [(name, radius) for name in sorted(PRESETS) + ["B3", "C3", "G2"] for radius in (6, 3, 1, 0)]
+    + [(name, radius) for name in ("D4", "F4") for radius in (3, 1)]
+)
 
 
 def test_ball_radius_zero(pgl2):
@@ -82,35 +88,51 @@ def _reference_min(w, radius):
     return min((g * w * g.inv()).length for g in cayley_ball(w.datum, radius).elements.values())
 
 
-@pytest.mark.parametrize("radius", [6, 3, 1, 0])
-@pytest.mark.parametrize("name", sorted(PRESETS) + ["B3", "C3", "G2"])
+@pytest.mark.parametrize("name, radius", MIN_CASES)
 def test_brute_min_matches_products(name, radius):
-    """The gather over the ball's layout gives the product reference's
-    value, boundary shell included.  SL2 at radius 0 lays out a single pair
-    of a single root."""
+    """The offsets read off the ball's level functions give the product
+    reference's value, boundary shell included.  SL2 at radius 0 holds a
+    single level function of a single positive root."""
     datum = build_root_datum(name if name in PRESETS else cartan_config(name))
     for w in length_ball(datum, W_BOUND[datum.rank]):
         assert brute_min_length(w, radius) == _reference_min(w, radius), (w, radius)
 
 
 def test_a_finite_part_seen_before_makes_no_finite_product(sl3, monkeypatch):
-    """The rows of a finite part are built once per ball: a second w with
-    the same finite part reads them, with no product of finite parts."""
+    """The row of a finite part is built once per ball: a second w with
+    the same finite part reads it, with no product of finite parts, and a
+    new finite part builds one row."""
     first, second = from_parts(sl3, (1, 0), [0, 1]), from_parts(sl3, (0, 2), [0, 1])
     other = from_parts(sl3, (1, 0), [1, 0])
     brute_min_length(first, 4)
-    products = []
-    mul = FiniteWeylElt.__mul__
+    products, builds = [], []
+    mul, row = FiniteWeylElt.__mul__, oracle._row
 
     def counting(a, b):
         products.append((a, b))
         return mul(a, b)
 
+    def building(ball, u, n):
+        builds.append(u)
+        return row(ball, u, n)
+
     monkeypatch.setattr(FiniteWeylElt, "__mul__", counting)
+    monkeypatch.setattr(oracle, "_row", building)
     brute_min_length(second, 4)
-    assert products == []
-    brute_min_length(other, 4)  # a new finite part builds its rows
-    assert products
+    assert products == [] and builds == []
+    brute_min_length(other, 4)
+    assert builds == [other.fw]
+
+
+def test_the_identity_row_holds_one_vector(sl3, sp4):
+    """For u = 1 every offset F(beta_j) - F(beta_j) is 0: the row is one
+    zero vector, and every conjugate of t^lam has the length of t^lam."""
+    for datum in (sl3, sp4):
+        ball = cayley_ball(datum, 4)
+        for lam in ((1, 0), (2, -3), (0, 0)):
+            t = translation(datum, lam)
+            assert brute_min_length(t, 4) == t.length
+        assert ball.rows[t.fw.idx] == (0,) * len(datum.pos_roots)
 
 
 def test_the_oracle_imports_nothing_from_the_code_it_checks():

@@ -39,8 +39,7 @@ RECORDS = [
     (UxDecomposition, {"u": S1, "x": S2, "K": (1,), "witness": S2, "held": 4}),
     (DimValue, {"dim": 3}),
     (GammaDescriptor, {"straight_class": CLS, "springer_dim": None, "d_gamma": 2, "c_gamma": 1}),
-    (Ball, {"radius": 1, "elements": {}, "distances": {}, "pairs": (), "gather": None,
-            "rows": {}}),
+    (Ball, {"radius": 1, "elements": {}, "distances": {}, "levels": (), "heads": (), "rows": {}}),
     (EtaDecomposition, {"x": U1, "mu": (1, 0), "y": U1, "eta": U1 * U1}),
 ]
 

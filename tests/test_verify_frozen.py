@@ -62,3 +62,15 @@ def test_verify_min_counts_are_frozen(name):
     report = verify_min(build_root_datum(cartan_config(name)))
     assert report["passed"]
     assert report["checked"] == MIN_COUNTS[name]
+
+
+# checked of verify_min on the rank-4 configs at max_len 5, below the
+# default 8 so that the four run in under 2 s together
+RANK4_MIN_COUNTS = {"D4": 225, "B4": 211, "C4": 211, "F4": 197}
+
+
+@pytest.mark.parametrize("name", sorted(RANK4_MIN_COUNTS))
+def test_rank4_verify_min_counts_are_frozen(name):
+    report = verify_min(build_root_datum(cartan_config(name)), max_len=5)
+    assert report["passed"]
+    assert report["checked"] == RANK4_MIN_COUNTS[name]
