@@ -166,20 +166,29 @@ def reduce_to_min(w, budget=None):
     """Minimal-length element of the conjugacy class of w.
 
     Walks w via conjugation steps v -> s v s, s simple, never increasing
-    length: each length level is explored breadth-first and the walk descends
-    at the first strictly shorter conjugate found.  The returned path records
-    every step taken.  A descent that lands on an element whose reduction
-    the reduce_min table holds ends the walk with that reduction's steps,
-    when its count still fits the budget.
+    length: each length level is explored smallest key first and the walk
+    descends at the first strictly shorter conjugate found.  The returned
+    path records every step taken.  A descent that lands on an element whose
+    reduction the reduce_min table holds ends the walk with that reduction's
+    steps, when its count still fits the budget.
+
+    A walk that ends on its own final level has explored the whole
+    length-preserving shift class C of w_min, with no descent, and a walk
+    from any member v of C explores exactly C: the table records (v, (), |C|)
+    for every member, and the held rule serves it only within the budget.
     """
-    known = memo(w.datum, "reduce_min").table
+    table = memo(w.datum, "reduce_min")
+    known = table.table
 
     def stop(v):
         hit = known.get(v.key)
         if hit is not None:
             return hit.w_min, ((st.label, st.before, st.after) for st in hit.path), hit.held
 
-    w_min, steps, held = descend(w, low_shifts, budget, "cyclic-shift search", stop)
+    w_min, steps, held, level = descend(w, low_shifts, budget, "cyclic-shift search", stop)
+    if level is not None:
+        for key, (v, _) in level.items():
+            table.put(key, MinimizationResult(v, (), len(level)))
     return MinimizationResult(w_min, tuple(ConjugationStep(*step) for step in steps), held)
 
 
@@ -253,7 +262,8 @@ def _ux(w_min, budget=None):
             gens = [(l, refl[l]) for l in k_labels]
             # left multiplication changes length by one, so every level of
             # this walk is a single element and it strips K-descents greedily
-            x, steps, strip = descend(w2, left_descents(datum, k_labels), budget, "K-descent strip")
+            x, steps, strip, _ = descend(
+                w2, left_descents(datum, k_labels), budget, "K-descent strip")
             held = max(held, strip)
             if not is_straight(x):
                 continue

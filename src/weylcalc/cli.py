@@ -422,8 +422,8 @@ def cmd_verify(args):
     reports = []
     for name in names:
         kwargs = {}
-        if name == "oracle" and args.radius is not None:
-            kwargs["radius"] = args.radius
+        if args.radius is not None and name in ("oracle", "straightness", "min"):
+            kwargs["oracle_radius" if name == "min" else "radius"] = args.radius
         if args.max_length is not None and name in (
                 "min", "census", "straight-cyclic", "p-alcove", "dim-bound", "master"):
             kwargs["max_len"] = args.max_length

@@ -248,13 +248,13 @@ def delta_reduce_to_min(w, delta=None):
     """Walk w down to a minimal-length element of its twisted conjugacy class.
 
     Moves are w -> s * w * delta(s) and never increase length; the walk
-    explores each length level breadth-first (smallest canonical key first)
-    and descends at the first strictly shorter conjugate, leaving out the
-    move back (s_i (s_i v delta(s_i)) delta(s_i) = v).  Returns the landing
+    explores each length level smallest canonical key first and descends at
+    the first strictly shorter conjugate, leaving out the move back
+    (s_i (s_i v delta(s_i)) delta(s_i) = v).  Returns the landing
     element and the full list of (i, before, after) steps.
     """
     delta = _resolve_delta(w.datum, delta)
-    w_min, steps, _ = descend(
+    w_min, steps, _, _ = descend(
         w,
         lambda v, back: ((i, twisted_conjugate(v, i, delta))
                          for i in range(w.datum.n_simple) if i != back),

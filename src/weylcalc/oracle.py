@@ -40,10 +40,11 @@ BALL_CAP = 1_000_000
 
 class Ball(Record):
     """The ball's elements and distances, and what the minimum needs of
-    them: levels holds each element's level function F (module docstring)
-    as its values on Phi in root-index order; heads chains their values on
-    Phi^+; rows maps u.idx to the distinct offsets o' of the finite part u,
-    chained in first-seen order, filled on first use."""
+    them, filled on the first brute_min_length call of the ball: levels
+    holds each element's level function F (module docstring) as its values
+    on Phi in root-index order; heads chains their values on Phi^+; rows
+    maps u.idx to the distinct offsets o' of the finite part u, chained in
+    first-seen order, each on first use."""
 
     __slots__ = ("radius", "elements", "distances", "levels", "heads", "rows")
 
@@ -65,8 +66,8 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
 
     Each class of length-zero elements contributes its translate of the
     ball, at the same distance as the untranslated element.  Balls are
-    memoised per datum and (radius, cap), with their level functions;
-    callers must treat the returned Ball as read-only.
+    memoised per datum and (radius, cap), with their level functions once
+    built; callers must treat the returned Ball as read-only.
     """
     refl = simple_reflections(datum)
     ident = aw_identity(datum)
@@ -94,14 +95,21 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
         if not tau.is_identity:
             for key, w in list(elems.items()):
                 add(tau * w, dist[key])
+    return Ball(radius=radius, elements=elems, distances=dist, levels=[], heads=[], rows={})
+
+
+def _fill_levels(ball, datum):
+    """Build the ball's level functions and their heads (Ball)."""
     # F(beta_k) = <v beta_k, mu> + [v beta_k < 0] for g = t^mu v: the entry
     # of (<beta, mu> + [beta < 0])_beta at v's image of index k
+    elems = ball.elements.values()
     n = len(datum.pos_roots)
     shifted = {mu: tuple([p + (k >= n) for k, p in enumerate(linalg.mat_vec(datum.roots, mu))])
-               for mu in {g.lam for g in elems.values()}}
-    levels = tuple(tuple(map(shifted[g.lam].__getitem__, g.fw.perm)) for g in elems.values())
-    return Ball(radius=radius, elements=elems, distances=dist, levels=levels,
-                heads=tuple(chain.from_iterable(f[:n] for f in levels)), rows={})
+               for mu in {g.lam for g in elems}}
+    levels = [tuple(map(shifted[g.lam].__getitem__, g.fw.perm)) for g in elems]
+    # levels last, as brute_min_length reads it as the mark of a full build
+    ball.heads[:] = chain.from_iterable(f[:n] for f in levels)
+    ball.levels[:] = levels
 
 
 def _row(ball, u, n):
@@ -119,9 +127,10 @@ def brute_min_length(w, radius):
     certificate of it, since the shortest conjugates may need a conjugator
     outside the ball.
 
-    The row of w's finite part is built on first use.  Then lam is paired
-    with Phi^+ once, added term by term to each kept o' of the row, and the
-    absolute values are summed per vector (module docstring).
+    The ball's level functions, and the row of w's finite part, are built
+    on first use.  Then lam is paired with Phi^+ once, added term by term
+    to each kept o' of the row, and the absolute values are summed per
+    vector (module docstring).
     """
     datum, u = w.datum, w.fw
     ball = cayley_ball(datum, radius)
@@ -129,6 +138,8 @@ def brute_min_length(w, radius):
     n = len(paired)
     row = ball.rows.get(u.idx)
     if row is None:
+        if not ball.levels:
+            _fill_levels(ball, datum)
         row = ball.rows[u.idx] = _row(ball, u, n)
     terms = map(add, paired * (len(row) // n), row)
     return min(map(sum, zip(*[map(abs, terms)] * n)))

@@ -95,18 +95,22 @@ def descend(start, moves, budget, what, stop=None):
     """Walk `start` down, taking the first descent of each level, until a
     level has none.  Returns the landing element, the steps (label, before,
     after), including the level-preserving moves leading to each descent,
-    and the count of elements its levels held.
+    the count of elements its levels held, and the final level: the
+    explore_level map {key: (element, via)} of the level with no descent,
+    which holds every element the landing element's moves reach without
+    changing length.
 
     `stop(v)`, asked of each element a descent lands on, may give the walk
     from v as (landing element, steps, held); the walk then ends with it
     when the counts still fit the budget, and otherwise goes on from v,
-    as the walk from v is the same walk."""
+    as the walk from v is the same walk.  A walk a stop ends returns None
+    for its final level, as it never explores it."""
     budget = DEFAULT_BUDGET if budget is None else budget
     steps, held, current = [], 0, start
     while True:
         level, descents = explore_level(current, moves, budget, what, held=held, origin=start)
         if not descents:
-            return current, steps, held + len(level)
+            return current, steps, held + len(level), level
         held += len(level)
         v, label, current = descents[0]
         chain = [(label, v, current)]
@@ -118,4 +122,4 @@ def descend(start, moves, budget, what, stop=None):
         steps.extend(reversed(chain))
         known = None if stop is None else stop(current)
         if known is not None and held + known[2] <= budget:
-            return known[0], steps + list(known[1]), held + known[2]
+            return known[0], steps + list(known[1]), held + known[2], None

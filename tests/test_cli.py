@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from weylcalc import dims
+from weylcalc import build_root_datum, cli, dims
 from weylcalc.cli import main
 from weylcalc.errors import DecompositionFailure, InternalAssertion
+from weylcalc.memo import memo
 
 
 def run(capsys, *argv):
@@ -321,6 +322,25 @@ def test_verify_all_sl2(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert len(doc["suites"]) == 11
+
+
+def test_verify_passes_radius_to_straightness(capsys):
+    """--radius sizes the straightness ball: on SL3 it holds 10 elements
+    at radius 2, 85 at 7 and 46 at the suite's own radius 5."""
+    for flags, checked in ((("--radius", "2"), 10), (("--radius", "7"), 85), ((), 46)):
+        code, out, _ = run(capsys, "verify", "--suite", "straightness", "--group", "SL3", *flags)
+        assert code == 0
+        assert json.loads(out)["suites"][0]["checked"] == checked
+
+
+def test_verify_passes_radius_to_the_min_oracle(capsys, monkeypatch):
+    """--radius is the radius of the ball min's oracle bounds by: only the
+    radius-2 ball is built."""
+    datum = build_root_datum("SL3")
+    monkeypatch.setattr(cli, "_load_datum", lambda spec: datum)
+    code, out, _ = run(capsys, "verify", "--suite", "min", "--group", "SL3", "--radius", "2")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert [radius for radius, _ in memo(datum, "oracle_ball").table] == [2]
 
 
 @pytest.mark.parametrize("suite, default", [("census", 1), ("straight-cyclic", 6)])

@@ -17,7 +17,8 @@ from weylcalc.memo import Memo, memo, memoised
 # memoised's held rule, each with its reason.
 BUDGET_EXEMPT = {
     "classes.py:reduce_to_min":
-        "its descend stop takes a held reduction only while the counts fit the budget",
+        "its descend stop takes a held reduction only while the counts fit the budget, "
+        "and the members of the minimal class a walk ends on are stored with |C| as held",
     "dims.py:dim_profile":
         "profiles are shared, so a stored profile holds no count (CHANGES FOUND)",
 }

@@ -53,7 +53,7 @@ def test_reuse_walks_the_plain_descent(name, monkeypatch):
     taken = 0
     for w, v in zip(ball, plain_ball):
         assert w.key == v.key
-        w_min, steps, total = descend(v, low_shifts, None, WHAT)
+        w_min, steps, total, _ = descend(v, low_shifts, None, WHAT)
         assert _overrun(lambda: reduce_to_min(w, total - 1)) == _overrun(
             lambda: descend(v, low_shifts, total - 1, WHAT))
         got = reduce_to_min(w, total)

@@ -29,8 +29,8 @@ S1, S2 = from_parts(SL3, (0, 0), [0]), from_parts(SL3, (1, 0), [1])
 U1 = fw_simple(SL3, 0)
 CLS = StraightClass((0, 0), (Fraction(1, 2), Fraction(1, 2)), length=2, defect=0)
 
-# Each record with its fields in order; Ball's dicts make it unhashable, as
-# they made the dataclass.
+# Each record with its fields in order; Ball's dicts and lists make it
+# unhashable, as its dicts made the dataclass.
 RECORDS = [
     (DiagramAutomorphism, {"perm": (1, 0), "matrix": ((0, 1), (1, 0))}),
     (StraightClass, {"kappa": (0, 0), "nu_bar": (Fraction(1, 2), Fraction(1, 2)), "length": 2, "defect": 0}),
@@ -39,7 +39,7 @@ RECORDS = [
     (UxDecomposition, {"u": S1, "x": S2, "K": (1,), "witness": S2, "held": 4}),
     (DimValue, {"dim": 3}),
     (GammaDescriptor, {"straight_class": CLS, "springer_dim": None, "d_gamma": 2, "c_gamma": 1}),
-    (Ball, {"radius": 1, "elements": {}, "distances": {}, "levels": (), "heads": (), "rows": {}}),
+    (Ball, {"radius": 1, "elements": {}, "distances": {}, "levels": [], "heads": [], "rows": {}}),
     (EtaDecomposition, {"x": U1, "mu": (1, 0), "y": U1, "eta": U1 * U1}),
 ]
 

@@ -228,11 +228,18 @@ def test_descend_counts_every_level_against_the_budget():
     def moves(v, back):
         yield "s", Toy(v.n - 1) if v.n > 0 else Toy(1)
 
-    w_min, steps, held = descend(Toy(4), moves, 5, "toy walk")
+    w_min, steps, held, level = descend(Toy(4), moves, 5, "toy walk")
     assert w_min == Toy(0) and held == 5
+    assert level == {0: (Toy(0), None)}  # the final level, with no descent
     assert [(label, a.n, b.n) for label, a, b in steps] == [("s", 4 - k, 3 - k) for k in range(4)]
     with pytest.raises(ExplorationBudgetExceeded, match="toy walk"):
         descend(Toy(4), moves, 4, "toy walk")
+
+    def known(v):
+        return (Toy(0), [], 2) if v.n == 2 else None
+
+    # a walk a stop ends never explores its final level
+    assert descend(Toy(4), moves, 5, "toy walk", known)[2:] == (4, None)
 
 
 def test_closure_keeps_seeds_and_honours_keep():

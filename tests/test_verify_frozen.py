@@ -18,7 +18,7 @@ from conftest import cartan_config
 
 from weylcalc import build_root_datum
 from weylcalc.cli import main
-from weylcalc.verify import verify_min
+from weylcalc.verify import SUITES, verify_min
 
 FROZEN = {
     "SL2": "5e8c4ab02677e0afba1fb08199d7015ad47a49a92d29ab1b29ed95d05cf7c878",
@@ -74,3 +74,27 @@ def test_rank4_verify_min_counts_are_frozen(name):
     report = verify_min(build_root_datum(cartan_config(name)), max_len=5)
     assert report["passed"]
     assert report["checked"] == RANK4_MIN_COUNTS[name]
+
+
+# checked of the cheap search suites on the rank-4 configs at their default
+# sizes, each on a fresh datum, so p-alcove reads only the reduce_min
+# entries its own walks make; F4's finite-delta (|W0| = 1152) is left out,
+# as it alone takes about as long as all of these together
+RANK4_SEARCH_COUNTS = {
+    "D4": {"oracle": 404, "straightness": 225, "census": 1, "straight-cyclic": 5,
+           "p-alcove": 361, "dim-bound": 1321, "master": 4304},
+    "B4": {"oracle": 372, "straightness": 211, "census": 1, "straight-cyclic": 3,
+           "p-alcove": 276, "dim-bound": 1289, "master": 3864},
+    "C4": {"oracle": 372, "straightness": 211, "census": 1, "straight-cyclic": 3,
+           "p-alcove": 314, "dim-bound": 1214, "master": 3864},
+    "F4": {"oracle": 341, "straightness": 197, "census": 1, "straight-cyclic": 2,
+           "p-alcove": 203, "dim-bound": 1071, "master": 3440},
+}
+
+
+@pytest.mark.parametrize("name, suite", [
+    (name, suite) for name, counts in sorted(RANK4_SEARCH_COUNTS.items()) for suite in counts])
+def test_rank4_search_suite_counts_are_frozen(name, suite):
+    report = SUITES[suite](build_root_datum(cartan_config(name)))
+    assert report["passed"]
+    assert report["checked"] == RANK4_SEARCH_COUNTS[name][suite]
