@@ -11,17 +11,18 @@ Generator moves never multiply.  A generator s = t^mu sigma has the simple
 affine root a_s = (alpha, k): (alpha_i, 0) for a finite s_i, (-theta, 1)
 for the affine node of a component.  l(s w) > l(w) iff a_s o w is
 positive, l(w s) > l(w) iff a_s o w^-1 is (Humphreys, Reflection Groups
-and Coxeter Groups, 5.4); for w = t^lam u these are (u^-1 alpha, <alpha,
-lam> + k) and (u alpha, k - <u alpha, lam>).  The move row of u (move_row)
-reads these roots, u(mu) and the same data of sigma u for a shift s w s
-off u's root permutation, so a left, right or shift move costs O(rank) and
-sets the moved element's length.  A shift is told by two pairings with
-lam: c = <alpha, lam> + k for s w, and c2 = k2 + <beta2, lam> for the right
-move of s w, with beta2 and k2 kept in the row.  The finite parts sigma u,
-u sigma and sigma u sigma are built on first use, and low_shifts leaves out
-the shift back to the element a search came from.  Elements built by a
-product, and the oracle's Cayley ball, use the Iwahori-Matsumoto formula
-instead.  An element's key (lam, matrix) is built once, with the element.
+and Coxeter Groups, 5.4); for w = t^lam u the first is (u^-1 alpha,
+<alpha, lam> + k).  Elements move by s w and by the shift s w s, the two
+moves of the reduction (He, Ann. of Math. 179, 2014), never by w s alone.
+The move row of u (move_row) reads the roots of both off u's root
+permutation, so a left or shift move costs O(rank) and sets the moved
+element's length.  A shift is told by two pairings with lam: c = <alpha,
+lam> + k for s w, and c2 = k2 + <beta2, lam> for the right move of s w,
+with beta2 and k2 kept in the row.  The finite parts sigma u and sigma u
+sigma are built on first use, and low_shifts leaves out the shift back to
+the element a search came from.  Elements built by a product, and the
+oracle's Cayley ball, use the Iwahori-Matsumoto formula instead.  An
+element's key (lam, matrix) is built once, with the element.
 
 eta_decomposition runs no search: it walks (lam, u) in integers and reads
 shorter coset mates from the datum's eta table.
@@ -191,20 +192,18 @@ class GeneratorMove:
     """What a move of t^lam u by one generator s = t^mu sigma needs of u.
 
     a_s = (alpha, k) is the simple affine root of s and coroot the coroot of
-    alpha, so s(v) = v - a_s(v) coroot.  left = sigma u and right = u sigma
-    (both built on first use) are the finite parts of s t^lam u and t^lam u
-    s; left_positive is the sign of u^-1 alpha, root = u alpha and
-    root_positive its sign, and right_lam = u(mu) is what a right move adds
-    to lam (None when mu = 0).  s w s is the right move of s w: shift_root,
-    shift_positive and shift_lam are root, root_positive and right_lam of
-    sigma u, and shifted = sigma u sigma.  With p = <shift_root, coroot>,
-    beta2 = p alpha - shift_root and k2 = k (1 + p), the right move of s w
-    reads the constant c2 = k2 + <beta2, lam> off lam itself.
+    alpha, so s(v) = v - a_s(v) coroot.  left = sigma u (built on first use)
+    is the finite part of s t^lam u, and left_positive the sign of u^-1
+    alpha.  s w s is the right move of s w by s: shift_root = sigma u alpha
+    and shift_positive its sign, shift_lam = sigma u(mu) is what that move
+    adds to the translation part (None when mu = 0), and shifted = sigma u
+    sigma.  With p = <shift_root, coroot>, beta2 = p alpha - shift_root and
+    k2 = k (1 + p), the right move of s w reads the constant c2 = k2 +
+    <beta2, lam> off lam itself.
     """
 
-    __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left_positive", "root",
-                 "root_positive", "right_lam", "shift_root", "shift_positive", "beta2", "k2",
-                 "shift_lam", "_left", "_right", "_shifted")
+    __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left_positive", "shift_root",
+                 "shift_positive", "beta2", "k2", "shift_lam", "_left", "_shifted")
 
     def __init__(self, label, s, u):
         datum, perm, sigma, half = u.datum, u.perm, s.fw, len(u.perm) // 2
@@ -214,28 +213,20 @@ class GeneratorMove:
         self.alpha, self.coroot = datum.roots[a], datum.coroots[a]
         self.u, self.sigma = u, sigma
         self.left_positive = perm.index(a) < half
-        ua, sua = perm[a], sigma.perm[perm[a]]  # the indices of u alpha and sigma u alpha
-        self.root, self.root_positive = datum.roots[ua], ua < half
-        # u(theta^vee) = -(u alpha)^vee
-        self.right_lam = datum.coroots[ua - half] if self.k else None
+        sua = sigma.perm[perm[a]]  # the index of sigma u alpha
         self.shift_root, self.shift_positive = datum.roots[sua], sua < half
         p = linalg.vec_dot(self.shift_root, self.coroot)
         self.beta2 = tuple([p * x - y for x, y in zip(self.alpha, self.shift_root)])
         self.k2 = self.k * (1 + p)
+        # sigma u(theta^vee) = -(sigma u alpha)^vee
         self.shift_lam = datum.coroots[sua - half] if self.k else None
-        self._left = self._right = self._shifted = None
+        self._left = self._shifted = None
 
     @property
     def left(self):
         if self._left is None:
             self._left = product(self.sigma, self.u)
         return self._left
-
-    @property
-    def right(self):
-        if self._right is None:
-            self._right = product(self.u, self.sigma)
-        return self._right
 
     @property
     def shifted(self):
@@ -273,20 +264,9 @@ def _left_up(m, lam):
     return c, c > 0 or (c == 0 and m.left_positive)
 
 
-def _right_up(m, lam):
-    """l(w s) > l(w) for w = t^lam u and m = move_row(u)[s]."""
-    c = m.k - linalg.vec_dot(m.root, lam)
-    return c > 0 or (c == 0 and m.root_positive)
-
-
 def _left_lam(m, lam, c):
     """Translation part of s t^lam u: s(lam) = lam - c coroot."""
     return lam if c == 0 else tuple([x - c * y for x, y in zip(lam, m.coroot)])
-
-
-def _right_lam(m, lam):
-    """Translation part of t^lam u s: lam + u(mu)."""
-    return lam if m.right_lam is None else linalg.vec_add(lam, m.right_lam)
 
 
 def left_move(w, label):
@@ -295,15 +275,6 @@ def left_move(w, label):
     c, up = _left_up(m, w.lam)
     return AffineWeylElt._from_ints(
         w.datum, _left_lam(m, w.lam, c), m.left, w.length + (1 if up else -1)
-    )
-
-
-def right_move(w, label):
-    """w s for the generator s labelled label, of length l(w) +- 1."""
-    m = move_row(w.fw)[_position(w.datum, label)]
-    up = _right_up(m, w.lam)
-    return AffineWeylElt._from_ints(
-        w.datum, _right_lam(m, w.lam), m.right, w.length + (1 if up else -1)
     )
 
 
@@ -349,19 +320,20 @@ def left_descents(datum, labels):
     return moves
 
 
-def right_ascents(max_len):
-    """Search moves w -> w s, in label order, yielding only those that
+def left_ascents(max_len):
+    """Search moves w -> s w, in label order, yielding only those that
     lengthen w and stay within length max_len; the move back to a shorter
     element is never one of them, so back is not read."""
 
     def moves(w, back):
-        lw = w.length
+        lw, lam = w.length, w.lam
         if lw >= max_len:
             return
         for m in move_row(w.fw):
-            if _right_up(m, w.lam):
+            c, up = _left_up(m, lam)
+            if up:
                 yield m.label, AffineWeylElt._from_ints(
-                    w.datum, _right_lam(m, w.lam), m.right, lw + 1
+                    w.datum, _left_lam(m, lam, c), m.left, lw + 1
                 )
 
     return moves

@@ -41,11 +41,10 @@ from .affweyl import (
     defect_of,
     is_straight,
     kappa_w,
+    left_ascents,
     left_descents,
     low_shifts,
     omega_elements,
-    right_ascents,
-    right_move,
     simple_reflections,
 )
 from .errors import (
@@ -260,17 +259,17 @@ def _ux(w_min, budget=None):
     for w2 in shift_class:
         for k_labels in subsets:
             gens = [(l, refl[l]) for l in k_labels]
+            descents = left_descents(datum, k_labels)
             # left multiplication changes length by one, so every level of
             # this walk is a single element and it strips K-descents greedily
-            x, steps, strip, _ = descend(
-                w2, left_descents(datum, k_labels), budget, "K-descent strip")
+            x, steps, strip, _ = descend(w2, descents, budget, "K-descent strip")
             held = max(held, strip)
             if not is_straight(x):
                 continue
-            # x must be minimal on both sides of W_K
-            if any(right_move(x, l).length < x.length for l in k_labels):
-                continue
+            # x must be minimal on both sides of W_K: l(x s) = l(s x^-1)
             xinv = x.inv()
+            if any(descents(xinv, None)):
+                continue
             u = w2 * xinv
             if u.length != len(steps) or u.length + x.length != w2.length:
                 continue
@@ -300,12 +299,13 @@ def straight_class_of(w, budget=None):
 def length_ball(datum, max_len, budget=None):
     """All elements of length <= max_len, sorted by (length, key).
 
-    BFS closure under right moves by the generators, seeded with the
+    BFS closure under left moves by the generators, seeded with the
     length-zero elements; only the moves that lengthen an element and stay
-    inside the ball are built, since every element of the ball is reached
-    from a length-zero one by such moves along a reduced word.
+    inside the ball are built, since every element of the ball is s_i1 ...
+    s_ik tau, tau of length zero, and is reached from tau by such moves
+    along a reduced word.
     """
-    elts = closure(omega_elements(datum), right_ascents(max_len), budget, "length ball")
+    elts = closure(omega_elements(datum), left_ascents(max_len), budget, "length ball")
     return tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
 
 

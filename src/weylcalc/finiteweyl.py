@@ -244,23 +244,24 @@ def twisted_conjugate(w, i, delta):
     return fw_simple(w.datum, i) * w * fw_simple(w.datum, delta.perm[i])
 
 
+def twisted_shifts(datum, delta):
+    """Search moves v -> s_i v delta(s_i), in index order, leaving out the
+    move back: s_i (s_i v delta(s_i)) delta(s_i) = v."""
+    n = datum.n_simple
+    return lambda v, back: ((i, twisted_conjugate(v, i, delta)) for i in range(n) if i != back)
+
+
 def delta_reduce_to_min(w, delta=None):
     """Walk w down to a minimal-length element of its twisted conjugacy class.
 
-    Moves are w -> s * w * delta(s) and never increase length; the walk
+    Moves are the twisted_shifts and never increase length; the walk
     explores each length level smallest canonical key first and descends at
-    the first strictly shorter conjugate, leaving out the move back
-    (s_i (s_i v delta(s_i)) delta(s_i) = v).  Returns the landing
-    element and the full list of (i, before, after) steps.
+    the first strictly shorter conjugate.  Returns the landing element and
+    the full list of (i, before, after) steps.
     """
     delta = _resolve_delta(w.datum, delta)
     w_min, steps, _, _ = descend(
-        w,
-        lambda v, back: ((i, twisted_conjugate(v, i, delta))
-                         for i in range(w.datum.n_simple) if i != back),
-        W0_CAP,
-        "twisted cyclic-shift search",
-    )
+        w, twisted_shifts(w.datum, delta), W0_CAP, "twisted cyclic-shift search")
     return w_min, tuple(steps)
 
 

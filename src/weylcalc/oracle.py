@@ -32,7 +32,7 @@ from operator import add, itemgetter, sub
 from . import linalg
 from .affweyl import aw_identity, omega_elements, simple_reflections
 from .errors import ExplorationBudgetExceeded
-from .memo import memoised
+from .memo import memo, memoised
 from .record import Record, setfield
 
 BALL_CAP = 1_000_000
@@ -68,7 +68,19 @@ def cayley_ball(datum, radius, cap=BALL_CAP):
     ball, at the same distance as the untranslated element.  Balls are
     memoised per datum and (radius, cap), with their level functions once
     built; callers must treat the returned Ball as read-only.
+
+    When the table holds a larger ball of the same cap, this ball is its
+    part at distance <= radius, with the same elements: a translate keeps
+    its distance, so the smaller BFS and its translates are that part, in
+    the same insertion order.
     """
+    table = memo(datum, "oracle_ball")
+    larger = [r for r, c in table.table if c == cap and r > radius]
+    if larger:
+        big = table.get((min(larger), cap))
+        dist = {key: d for key, d in big.distances.items() if d <= radius}
+        elems = {key: big.elements[key] for key in dist}
+        return Ball(radius=radius, elements=elems, distances=dist, levels=[], heads=[], rows={})
     refl = simple_reflections(datum)
     ident = aw_identity(datum)
     dist = {ident.key: 0}

@@ -39,9 +39,10 @@ from .dims import (
     virtual_dimension,
 )
 from .errors import InternalAssertion, NonIntegralHalf
-from .finiteweyl import delta_reduce_to_min, enumerate_w0, twisted_conjugate
+from .finiteweyl import W0_CAP, delta_reduce_to_min, enumerate_w0, twisted_shifts
 from .oracle import brute_min_length, brute_straight_check, cayley_ball
 from .rootdata import DiagramAutomorphism
+from .search import closure
 
 
 def _report(suite, datum, failures, checked, **extra):
@@ -145,10 +146,10 @@ def verify_str_cyc(datum, max_len=6):
     checked = 0
     for key in sorted(by_class, key=str):
         members = sorted(by_class[key], key=lambda w: w.key)
-        closure = {w.key for w in approx_closure(members[0])}
+        reached = {w.key for w in approx_closure(members[0])}
         checked += 1
         for w in members[1:]:
-            if w.key not in closure:
+            if w.key not in reached:
                 failures.append({"class": str(key), "w": w.to_json()})
     return _report("straight-cyclic", datum, failures, checked)
 
@@ -298,36 +299,25 @@ def verify_master(datum, max_len=8, class_len=2, springer_dims=(0, 1, 2, 3)):
     return _report("master", datum, failures, checked)
 
 
-def _twisted_class(datum, w, delta):
-    """Full twisted conjugacy class by closure under all twisted conjugations."""
-    seen = {w.key: w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(datum.n_simple):
-                v2 = twisted_conjugate(v, i, delta)
-                if v2.key not in seen:
-                    seen[v2.key] = v2
-                    nxt.append(v2)
-        frontier = nxt
-    return list(seen.values())
-
-
 def verify_finite_delta(datum):
     """Exhaustive check that the twisted cyclic-shift walk reaches the true
     class minimum for every element of the finite Weyl group, untwisted and
-    twisted by the datum's delta when it has one."""
+    twisted by the datum's delta when it has one.  The twisted classes
+    partition W0, so each is closed once and read for every member."""
     deltas = [DiagramAutomorphism.identity(datum.n_simple, datum.rank)]
     if datum.delta is not None and not datum.delta.is_identity:
         deltas.append(datum.delta)
     failures = []
     checked = 0
     for delta in deltas:
+        moves, minima = twisted_shifts(datum, delta), {}
         for w in enumerate_w0(datum):
-            cls = _twisted_class(datum, w, delta)
-            true_min = min(v.length for v in cls)
-            o_min = {v.key for v in cls if v.length == true_min}
+            if w.key not in minima:
+                cls = closure([w], moves, W0_CAP, "twisted class").values()
+                true_min = min(v.length for v in cls)
+                o_min = {v.key for v in cls if v.length == true_min}
+                minima.update(dict.fromkeys((v.key for v in cls), (true_min, o_min)))
+            true_min, o_min = minima[w.key]
             w_min, path = delta_reduce_to_min(w, delta)
             checked += 1
             if w_min.length != true_min or w_min.key not in o_min:

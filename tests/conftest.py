@@ -46,12 +46,14 @@ def a3_twisted():
 
 
 # Simply connected groups beyond the presets, given by their Cartan
-# matrices A[i][j] = <alpha_i, alpha_j^vee> (Bourbaki numbering).
+# matrices A[i][j] = <alpha_i, alpha_j^vee> (Bourbaki numbering).  A2xA1 is
+# reducible, with two affine generators (labels 0 and -1).
 CARTAN_MATRICES = {
     "G2": [[2, -1], [-3, 2]],
     "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
     "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
     "SL5": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "A2xA1": [[2, -1, 0], [-1, 2, 0], [0, 0, 2]],
 }
 
 # Rank 4 beyond type A, in the same convention.  Kept apart from
@@ -267,8 +269,8 @@ def matrix_generator_move(label, s, u, inverse_matrix):
     labelled label and the finite part u, from matrices alone, with finite
     parts given by their matrices and inverse_matrix(m) the matrix of the
     inverse.  alpha is alpha_i for label i > 0 and -theta for an affine
-    node; a right move adds u(mu), and a shift s w s is the right move of
-    s w, whose constant k - <shift_root, s(lam)> is k2 + <beta2, lam>."""
+    node; a shift s w s is the right move of s w, which adds sigma u(mu) and
+    whose constant k - <shift_root, s(lam)> is k2 + <beta2, lam>."""
     datum = u.datum
     if label > 0:
         alpha, k, coroot = datum.simple_roots[label - 1], 0, datum.simple_coroots[label - 1]
@@ -277,7 +279,6 @@ def matrix_generator_move(label, s, u, inverse_matrix):
         alpha, k, coroot = tuple(-x for x in theta), 1, tuple(-x for x in thetavee)
     sigma, m_u = s.fw.matrix, u.matrix
     left = _matmul(sigma, m_u)
-    root = _row_mat(alpha, inverse_matrix(m_u))
     shift_root = _row_mat(alpha, inverse_matrix(left))
     pairing = sum(x * y for x, y in zip(shift_root, coroot))
     return {
@@ -286,10 +287,6 @@ def matrix_generator_move(label, s, u, inverse_matrix):
         "coroot": coroot,
         "left": left,
         "left_positive": _row_mat(alpha, m_u) in datum.pos_roots,
-        "right": _matmul(m_u, sigma),
-        "root": root,
-        "root_positive": root in datum.pos_roots,
-        "right_lam": _mat_vec(m_u, s.lam) if k else None,
         "shift_root": shift_root,
         "shift_positive": shift_root in datum.pos_roots,
         "beta2": tuple(pairing * a - r for a, r in zip(alpha, shift_root)),

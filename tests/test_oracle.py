@@ -45,6 +45,24 @@ def test_ball_sl2_radius_3(sl2):
     assert by_level == {0: 1, 1: 2, 2: 2, 3: 2}
 
 
+@pytest.mark.parametrize("name", ["PGL3", "Sp4", "A2-twisted"])
+def test_a_smaller_ball_is_read_off_a_larger_one(name):
+    """A ball asked for after a larger one of the same cap is its part at
+    distance <= radius: the keys in the order, and the distances, of a ball
+    walked on a fresh datum, sharing the larger ball's elements."""
+    datum, fresh = build_root_datum(name), build_root_datum(name)
+    big = cayley_ball(datum, 5)
+    brute_min_length(aw_identity(datum), 5)  # fills the larger ball's levels
+    for radius in (3, 1):
+        ball, walked = cayley_ball(datum, radius), cayley_ball(fresh, radius)
+        assert list(ball.distances.items()) == list(walked.distances.items())
+        assert list(ball.elements) == list(walked.elements)
+        assert all(w is big.elements[k] for k, w in ball.elements.items())
+        assert (ball.radius, ball.levels, ball.heads, ball.rows) == (radius, [], [], {})
+    other = cayley_ball(datum, 2, cap=10**5)  # another cap walks its own ball
+    assert not any(w is big.elements[k] for k, w in other.elements.items())
+
+
 def test_ball_distances_match_length(sl2, pgl2, sl3, sp4):
     for datum in (sl2, pgl2, sl3, sp4):
         ball = cayley_ball(datum, 4)

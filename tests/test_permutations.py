@@ -3,7 +3,7 @@
 Every product, inverse, order and inversion pattern read off a root
 permutation, every field of a move row, and every fused shift agrees with
 what the matrices of the elements give, on every preset and on the
-G2/B3/C3/SL5 configs.  The matrices are multiplied by local loops that
+G2/B3/C3/SL5/A2xA1 configs.  The matrices are multiplied by local loops that
 share no code with weylcalc.linalg.  A counting test keeps matrix products
 off the hot path.
 """
@@ -18,10 +18,8 @@ from conftest import CARTAN_MATRICES, cartan_config, matrix_generator_move
 from weylcalc import build_root_datum, length_ball, linalg
 from weylcalc.affweyl import (
     from_parts,
-    left_move,
     low_shifts,
     move_row,
-    right_move,
     simple_reflections,
 )
 from weylcalc.classes import reduce_to_min, straight_class_of, ux_decompose
@@ -122,15 +120,14 @@ def test_move_rows_match_the_matrix_reference(group):
     datum, w0 = group
     inverse_matrix = _inverse_matrix(w0)
     gens = simple_reflections(datum)
-    fields = ("alpha", "k", "coroot", "left_positive", "root", "root_positive", "right_lam",
-              "shift_root", "shift_positive", "beta2", "k2", "shift_lam")
+    fields = ("alpha", "k", "coroot", "left_positive", "shift_root", "shift_positive", "beta2",
+              "k2", "shift_lam")
     for u in w0:
         for m, (label, s) in zip(move_row(u), gens):
             ref = matrix_generator_move(label, s, u, inverse_matrix)
             assert m.label == label
             assert {f: getattr(m, f) for f in fields} == {f: ref[f] for f in fields}, (u, label)
-            assert (m.left.matrix, m.right.matrix, m.shifted.matrix) == (
-                ref["left"], ref["right"], ref["shifted"])
+            assert (m.left.matrix, m.shifted.matrix) == (ref["left"], ref["shifted"])
 
 
 def test_permutations_past_256_roots_are_tuples():
@@ -154,10 +151,9 @@ def test_permutations_past_256_roots_are_tuples():
     inverses.update({_matmul(s.fw.matrix, u.matrix): _matmul(inv, s.fw.matrix) for _, s in gens})
     for m, (label, s) in zip(move_row(u), gens):
         ref = matrix_generator_move(label, s, u, inverses.__getitem__)
-        assert (m.root, m.left_positive, m.shift_root, m.right_lam, m.shift_lam) == (
-            ref["root"], ref["left_positive"], ref["shift_root"], ref["right_lam"], ref["shift_lam"])
-        assert (m.left.matrix, m.right.matrix, m.shifted.matrix) == (
-            ref["left"], ref["right"], ref["shifted"])
+        assert (m.left_positive, m.shift_root, m.shift_lam) == (
+            ref["left_positive"], ref["shift_root"], ref["shift_lam"])
+        assert (m.left.matrix, m.shifted.matrix) == (ref["left"], ref["shifted"])
 
 
 @pytest.mark.parametrize("name", DATA)
@@ -165,10 +161,11 @@ def test_low_shifts_are_a_left_then_a_right_move(name):
     datum = _datum(name)
     for v in length_ball(datum, BALL_BOUND[datum.rank]):
         low = dict(low_shifts(v))
-        for label, _ in simple_reflections(datum):
-            svs = right_move(left_move(v, label), label)
+        for label, s in simple_reflections(datum):
+            svs = s * v * s
             if svs.length <= v.length:
-                assert low.pop(label).key == svs.key and svs._length is not None
+                shift = low.pop(label)
+                assert shift.key == svs.key and shift._length == svs.length
         assert low == {}
 
 

@@ -22,6 +22,7 @@ from weylcalc import (
     NotRational,
     build_root_datum,
     resolve_class,
+    simple_reflections,
 )
 from weylcalc.finiteweyl import enumerate_w0
 from weylcalc.linalg import vec_dot
@@ -325,3 +326,25 @@ def test_rank4_data_match_sympy(name, n_pos, order):
     assert CartanMatrix(name).tolist() == RANK4_CARTAN_MATRICES[name]
     assert len(RootSystem(name).all_roots()) == 2 * n_pos == 2 * len(datum.pos_roots)
     assert WeylGroup(name).group_order() == order == len(enumerate_w0(datum))
+
+
+def test_the_reducible_datum_matches_sympy():
+    """A2xA1's Cartan matrix is the block sum of sympy's A2 and A1, and the
+    datum has one affine generator per component.  sympy's CartanMatrix
+    fails on rank 1, so each block is also read off the simple roots as
+    2 (alpha_i, alpha_j) / (alpha_j, alpha_j)."""
+    pytest.importorskip("sympy.liealgebras")
+    from sympy import diag
+    from sympy.liealgebras.cartan_matrix import CartanMatrix
+    from sympy.liealgebras.root_system import RootSystem
+
+    def from_roots(name):
+        simple = list(RootSystem(name).simple_roots().values())
+        dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+        return [[2 * dot(a, b) // dot(b, b) for b in simple] for a in simple]
+
+    assert from_roots("A2") == CartanMatrix("A2").tolist()
+    assert diag(from_roots("A2"), from_roots("A1")).tolist() == CARTAN_MATRICES["A2xA1"]
+    datum = build_root_datum(cartan_config("A2xA1"))
+    assert len(datum.pos_roots) == 4 and len(enumerate_w0(datum)) == 12
+    assert [label for label, _ in simple_reflections(datum)] == [-1, 0, 1, 2, 3]

@@ -78,17 +78,16 @@ def test_rank4_verify_min_counts_are_frozen(name):
 
 # checked of the cheap search suites on the rank-4 configs at their default
 # sizes, each on a fresh datum, so p-alcove reads only the reduce_min
-# entries its own walks make; F4's finite-delta (|W0| = 1152) is left out,
-# as it alone takes about as long as all of these together
+# entries its own walks make
 RANK4_SEARCH_COUNTS = {
     "D4": {"oracle": 404, "straightness": 225, "census": 1, "straight-cyclic": 5,
-           "p-alcove": 361, "dim-bound": 1321, "master": 4304},
+           "p-alcove": 361, "dim-bound": 1321, "master": 4304, "finite-delta": 192},
     "B4": {"oracle": 372, "straightness": 211, "census": 1, "straight-cyclic": 3,
-           "p-alcove": 276, "dim-bound": 1289, "master": 3864},
+           "p-alcove": 276, "dim-bound": 1289, "master": 3864, "finite-delta": 384},
     "C4": {"oracle": 372, "straightness": 211, "census": 1, "straight-cyclic": 3,
-           "p-alcove": 314, "dim-bound": 1214, "master": 3864},
+           "p-alcove": 314, "dim-bound": 1214, "master": 3864, "finite-delta": 384},
     "F4": {"oracle": 341, "straightness": 197, "census": 1, "straight-cyclic": 2,
-           "p-alcove": 203, "dim-bound": 1071, "master": 3440},
+           "p-alcove": 203, "dim-bound": 1071, "master": 3440, "finite-delta": 1152},
 }
 
 
@@ -98,3 +97,19 @@ def test_rank4_search_suite_counts_are_frozen(name, suite):
     report = SUITES[suite](build_root_datum(cartan_config(name)))
     assert report["passed"]
     assert report["checked"] == RANK4_SEARCH_COUNTS[name][suite]
+
+
+# checked of every suite on the reducible config at its default sizes, each
+# on a fresh datum
+REDUCIBLE_COUNTS = {
+    "oracle": 286, "straightness": 176, "min": 629, "census": 2, "straight-cyclic": 12,
+    "p-alcove": 248, "dim-bound": 1269, "grass": 1035, "superregular": 144, "master": 5032,
+    "finite-delta": 12,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REDUCIBLE_COUNTS))
+def test_reducible_suite_counts_are_frozen(suite):
+    report = SUITES[suite](build_root_datum(cartan_config("A2xA1")))
+    assert report["passed"]
+    assert report["checked"] == REDUCIBLE_COUNTS[suite]
