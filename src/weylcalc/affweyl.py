@@ -197,13 +197,18 @@ class GeneratorMove:
     alpha.  s w s is the right move of s w by s: shift_root = sigma u alpha
     and shift_positive its sign, shift_lam = sigma u(mu) is what that move
     adds to the translation part (None when mu = 0), and shifted = sigma u
-    sigma.  With p = <shift_root, coroot>, beta2 = p alpha - shift_root and
-    k2 = k (1 + p), the right move of s w reads the constant c2 = k2 +
-    <beta2, lam> off lam itself.
+    sigma.  The right move of s w reads the constant c2 = k2 + <beta2, lam>
+    off lam itself, with beta2 = -u(alpha) and k2 = k (1 - <u alpha,
+    alpha^vee>): sigma = s_alpha gives shift_root = u alpha - <u alpha,
+    alpha^vee> alpha, so p = <shift_root, alpha^vee> = -<u alpha, alpha^vee>,
+    and beta2 = p alpha - shift_root, k2 = k (1 + p).  Every root is read
+    off root indices: -beta has the index of beta shifted by |Phi^+|.
+    test holds (label, alpha, k, left_positive, beta2, k2, shift_positive),
+    what low_shifts reads of every generator.
     """
 
     __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left_positive", "shift_root",
-                 "shift_positive", "beta2", "k2", "shift_lam", "_left", "_shifted")
+                 "shift_positive", "beta2", "k2", "shift_lam", "test", "_left", "_shifted")
 
     def __init__(self, label, s, u):
         datum, perm, sigma, half = u.datum, u.perm, s.fw, len(u.perm) // 2
@@ -213,13 +218,15 @@ class GeneratorMove:
         self.alpha, self.coroot = datum.roots[a], datum.coroots[a]
         self.u, self.sigma = u, sigma
         self.left_positive = perm.index(a) < half
-        sua = sigma.perm[perm[a]]  # the index of sigma u alpha
+        ua = perm[a]  # the index of u alpha
+        sua = sigma.perm[ua]  # the index of sigma u alpha
         self.shift_root, self.shift_positive = datum.roots[sua], sua < half
-        p = linalg.vec_dot(self.shift_root, self.coroot)
-        self.beta2 = tuple([p * x - y for x, y in zip(self.alpha, self.shift_root)])
-        self.k2 = self.k * (1 + p)
+        self.beta2 = datum.roots[(ua + half) % (2 * half)]
+        self.k2 = self.k - linalg.vec_dot(datum.roots[ua], self.coroot) if self.k else 0
         # sigma u(theta^vee) = -(sigma u alpha)^vee
         self.shift_lam = datum.coroots[sua - half] if self.k else None
+        self.test = (label, self.alpha, self.k, self.left_positive, self.beta2, self.k2,
+                     self.shift_positive)
         self._left = self._shifted = None
 
     @property
@@ -287,18 +294,19 @@ def low_shifts(w, back=None):
     raises the length is never built."""
     datum, lw, lam = w.datum, w.length, w.lam
     for m in move_row(w.fw):
-        if m.label == back:
+        label, alpha, k, left_positive, beta2, k2, shift_positive = m.test
+        if label == back:
             continue
-        c = sum(map(mul, m.alpha, lam)) + m.k
-        c2 = sum(map(mul, m.beta2, lam)) + m.k2
-        step = (1 if c > 0 or (c == 0 and m.left_positive) else -1) + (
-            1 if c2 > 0 or (c2 == 0 and m.shift_positive) else -1)
+        c = sum(map(mul, alpha, lam)) + k
+        c2 = sum(map(mul, beta2, lam)) + k2
+        step = (1 if c > 0 or (c == 0 and left_positive) else -1) + (
+            1 if c2 > 0 or (c2 == 0 and shift_positive) else -1)
         if step <= 0:
-            if m.shift_lam is not None:
+            if k:
                 lam2 = tuple([x - c * y + z for x, y, z in zip(lam, m.coroot, m.shift_lam)])
             else:
                 lam2 = lam if c == 0 else tuple([x - c * y for x, y in zip(lam, m.coroot)])
-            yield m.label, AffineWeylElt._from_ints(datum, lam2, m.shifted, lw + step)
+            yield label, AffineWeylElt._from_ints(datum, lam2, m.shifted, lw + step)
 
 
 def left_descents(datum, labels):

@@ -202,33 +202,31 @@ def approx_closure(w, budget=None):
 
 
 def _spherical_subsets(datum):
-    """Spherical subsets of the generator labels, smallest first."""
+    """Spherical subsets of the generator labels, smallest first.
+
+    The affine diagram of a component c of the finite diagram is that
+    component plus its affine node -c, and it is connected, so labels
+    generate a finite group iff they hold no component's whole affine
+    diagram: with one bit per label, iff their mask m has m & f != f for
+    the mask f of -c and c's finite labels, for every c.
+    """
     labels = [label for label, _ in simple_reflections(datum)]
-    subsets = []
-    for mask in range(1 << len(labels)):
-        k = tuple(labels[i] for i in range(len(labels)) if mask & (1 << i))
-        if is_spherical(datum, k):
-            subsets.append(k)
+    bit = {label: 1 << j for j, label in enumerate(labels)}
+    diagrams = [bit[-c] | sum(bit[i + 1] for i in comp) for c, comp in enumerate(datum.components)]
+    subsets = [tuple(label for label in labels if m & bit[label])
+               for m in range(1 << len(labels)) if all(m & f != f for f in diagrams)]
     subsets.sort(key=lambda k: (len(k), k))
     return tuple(subsets)
 
 
 def is_spherical(datum, labels):
-    """True iff the subgroup the labels generate is finite.
-
-    The affine diagram of a component c of the finite diagram is that
-    component plus its affine node -c, and it is connected, so the labels
-    generate a finite group iff no component has both -c and all of its
-    finite labels among them.
-    """
-    labels = frozenset(labels)
-    known = {-c for c in range(len(datum.components))} | set(range(1, datum.n_simple + 1))
+    """True iff the subgroup the labels generate is finite: their set is one
+    of the spherical subsets."""
+    labels = set(labels)
+    known = {label for label, _ in simple_reflections(datum)}
     if not labels <= known:
         raise InternalAssertion(f"unknown generator labels: {sorted(labels - known)}")
-    return not any(
-        -c in labels and all(i + 1 in labels for i in comp)
-        for c, comp in enumerate(datum.components)
-    )
+    return tuple(sorted(labels)) in _spherical_subsets(datum)
 
 
 def ux_decompose(w_min, budget=None, check_minimal=True):
@@ -266,14 +264,13 @@ def _ux(w_min, budget=None):
             held = max(held, strip)
             if not is_straight(x):
                 continue
-            # x must be minimal on both sides of W_K: l(x s) = l(s x^-1)
             xinv = x.inv()
-            if any(descents(xinv, None)):
-                continue
             u = w2 * xinv
             if u.length != len(steps) or u.length + x.length != w2.length:
                 continue
-            # conjugation by x must permute the chosen generators
+            # conjugation by x must permute the chosen generators; this also
+            # makes x minimal on the right of W_K, as x s = s' x for s' in K
+            # and x has no left K-descent after the strip
             conjugates = [x * s * xinv for _, s in gens]
             images = [next((l for l, g in gens if g == c), None) for c in conjugates]
             if None in images or sorted(images) != sorted(k_labels):

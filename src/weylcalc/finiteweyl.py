@@ -4,10 +4,14 @@ An element is stored as the integer matrix of its action on X, its key
 (reduced words are not unique), and as its permutation of the root indices
 (Phi^+ then -Phi^+): W0 acts faithfully on the roots (Humphreys, Reflection
 Groups and Coxeter Groups, 1.4-1.6), so the elements of a datum are
-interned by permutation.  Products compose permutations; the inverse, the
-order and the inversion pattern are read off them.  A new element's matrix
-is one rank-one update M - c (x) r when a factor is a reflection, else one
-product.  The canonical reduced word strips the smallest left descent.
+interned by permutation.  Products compose permutations, a bytes one (at
+most 256 roots) by one translate through a 256-byte translation table
+built once per element, a tuple one by a map; the inverse, the order (by
+repeated composition) and the inversion pattern are read off them.  A new
+element's matrix is one rank-one update M - c (x) r when a factor is a
+reflection, else one product.  The canonical reduced word strips the
+smallest left descent on the permutation itself, by the simple
+reflections' translation tables, so spelling an element builds none.
 
 Each element carries a small integer index and a product row: a * b reads
 a's row at b's index, filled on first use.  Next to it sits the move row
@@ -18,7 +22,6 @@ each affine generator needs to know of u.
 from __future__ import annotations
 
 from itertools import count
-from math import lcm
 
 from . import linalg
 from .errors import DatumMismatch, ExplorationBudgetExceeded, GroupTooLarge, InternalAssertion
@@ -28,14 +31,16 @@ from .search import closure, descend, right_moves
 
 W0_CAP = 10_000_000
 
+_BYTES = bytes(range(256))
+
 # Element indices are unique across every datum of the process, so a row
 # entry can never be read for the wrong element.
 _next_index = count().__next__
 
 
 class FiniteWeylElt:
-    __slots__ = ("datum", "matrix", "perm", "refl", "idx", "_row", "_moves", "_word", "_length",
-                 "_inverse", "_neg_mask", "_order")
+    __slots__ = ("datum", "matrix", "perm", "refl", "idx", "_row", "_moves", "_table", "_word",
+                 "_length", "_inverse", "_neg_mask", "_order")
 
     def __init__(self, datum, matrix, perm):
         self.datum = datum
@@ -45,6 +50,7 @@ class FiniteWeylElt:
         self.idx = _next_index()
         self._row = {}  # other.idx -> self * other
         self._moves = None  # GeneratorMove per affine generator, in label order
+        self._table = None  # bytes permutations: the translation table of perm, see _after
         self._word = self._length = self._inverse = self._neg_mask = self._order = None
 
     @property
@@ -65,15 +71,17 @@ class FiniteWeylElt:
     @property
     def word(self):
         """Canonical reduced word: repeatedly strip the smallest left descent,
-        s_i u being shorter than u iff u^-1 alpha_i is a negative root."""
+        s_i u being shorter than u iff u^-1 alpha_i is a negative root, i.e.
+        alpha_i sits in the second half of u's permutation.  The strip works
+        on the permutation alone, so spelling multiplies and interns nothing."""
         if self._word is None:
-            d, u, word = self.datum, self, []
+            d, perm, word, half = self.datum, self.perm, [], len(self.perm) // 2
             while True:
-                i = next((i for i, k in enumerate(d.simple_index) if u.neg_mask[k]), None)
+                i = next((i for i, k in enumerate(d.simple_index) if perm.index(k) >= half), None)
                 if i is None:
                     break
                 word.append(i)
-                u = fw_simple(d, i) * u
+                perm = _after(fw_simple(d, i), perm)
             self._word = tuple(word)
             if len(self._word) != self.length:
                 raise AssertionError("canonical word length disagrees with inversion count")
@@ -99,15 +107,13 @@ class FiniteWeylElt:
         return self._inverse
 
     def order(self):
-        """The lcm of the cycle lengths of the permutation."""
+        """The least n > 0 with u^n = 1, by composing the permutation with
+        itself until it is the identity."""
         if self._order is None:
-            perm, seen, self._order = self.perm, set(), 1
-            for k in perm:
-                size = 0
-                while k not in seen:
-                    seen.add(k)
-                    k, size = perm[k], size + 1
-                self._order = lcm(self._order, size or 1)
+            perm, ident, n = self.perm, self.datum.perm_type(range(len(self.perm))), 1
+            while perm != ident:
+                perm, n = _after(self, perm), n + 1
+            self._order = n
         return self._order
 
     def act(self, v):
@@ -165,6 +171,18 @@ def _rank_one(m, c, r):
     return tuple(tuple([x - ci * y for x, y in zip(row, r)]) for row, ci in zip(m, c))
 
 
+def _after(a, perm):
+    """The permutation of a * b for b of permutation perm: a's after b's.
+    A bytes permutation is translated by a's 256-byte table, built once per
+    element; a tuple (past 256 roots) is mapped through a's permutation."""
+    if type(perm) is tuple:
+        return tuple(map(a.perm.__getitem__, perm))
+    table = a._table
+    if table is None:
+        table = a._table = bytes.maketrans(_BYTES[:len(perm)], a.perm)
+    return perm.translate(table)
+
+
 def product(a, b):
     """a * b by composing permutations, with no product row.  For a
     reflection factor s_beta, M_a s_beta = M_a - (a beta)^vee (x) beta and
@@ -176,7 +194,7 @@ def product(a, b):
         matrix_of = lambda: _rank_one(b.matrix, d.coroots[a.refl], d.roots[b.perm.index(a.refl)])
     else:
         matrix_of = lambda: linalg.mat_mul(a.matrix, b.matrix)
-    return _intern(d, d.perm_type(map(a.perm.__getitem__, b.perm)), matrix_of)
+    return _intern(d, _after(a, b.perm), matrix_of)
 
 
 def fw_identity(datum):

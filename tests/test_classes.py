@@ -16,6 +16,7 @@ from weylcalc import (
     aw_identity,
     aw_inv,
     aw_mul,
+    build_root_datum,
     enumerate_straight_classes,
     from_parts,
     is_spherical,
@@ -32,6 +33,7 @@ from weylcalc import (
     UnknownClass,
 )
 from weylcalc.oracle import brute_min_length
+from weylcalc.rootdata import PRESETS
 
 
 def test_reduce_descent_example(sl2):
@@ -135,19 +137,24 @@ def test_ux_requires_minimal(sl2):
         ux_decompose(w)
 
 
-def test_ux_structure_on_ball(pgl3):
-    for w in length_ball(pgl3, 5):
-        m = reduce_to_min(w).w_min
-        dec = ux_decompose(m, check_minimal=False)
-        assert dec.u.length + dec.x.length == m.length
-        assert is_straight(dec.x)
-        refl = dict(simple_reflections(pgl3))
-        for label in dec.K:
-            s = refl[label]
-            assert aw_mul(s, dec.x).length > dec.x.length
-            assert aw_mul(dec.x, s).length > dec.x.length
-            conj = aw_mul(aw_mul(dec.x, s), aw_inv(dec.x))
-            assert any(conj == refl[l] for l in dec.K)
+def test_ux_structure_on_ball():
+    """On every preset, each decomposition of a reduced element of the
+    length-6 ball is length-additive, x is straight, x has no K-descent on
+    either side (by affine products), and conjugation by x permutes K."""
+    for name in sorted(PRESETS):
+        datum = build_root_datum(name)
+        refl = dict(simple_reflections(datum))
+        for w in length_ball(datum, 6):
+            m = reduce_to_min(w).w_min
+            dec = ux_decompose(m, check_minimal=False)
+            assert dec.u.length + dec.x.length == m.length
+            assert is_straight(dec.x)
+            for label in dec.K:
+                s = refl[label]
+                assert aw_mul(s, dec.x).length > dec.x.length
+                assert aw_mul(dec.x, s).length > dec.x.length
+                conj = aw_mul(aw_mul(dec.x, s), aw_inv(dec.x))
+                assert any(conj == refl[l] for l in dec.K)
 
 
 # -- straight classes ---------------------------------------------------------

@@ -1,11 +1,12 @@
 """Finite Weyl elements as root permutations, against matrices.
 
-Every product, inverse, order and inversion pattern read off a root
-permutation, every field of a move row, and every fused shift agrees with
-what the matrices of the elements give, on every preset and on the
-G2/B3/C3/SL5/A2xA1 configs.  The matrices are multiplied by local loops that
-share no code with weylcalc.linalg.  A counting test keeps matrix products
-off the hot path.
+Every product, inverse, order, canonical word and inversion pattern read
+off a root permutation, every field of a move row, and every fused shift
+agrees with what the matrices of the elements give, on every preset and on
+the G2/B3/C3/SL5/A2xA1 configs, and for tuple permutations on A16.  The
+matrices are multiplied by local loops that share no code with
+weylcalc.linalg.  Counting tests keep matrix products off the hot path and
+products off the spelling of a word.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CARTAN_MATRICES, cartan_config, matrix_generator_move
-from weylcalc import build_root_datum, length_ball, linalg
+from weylcalc import build_root_datum, finiteweyl, length_ball, linalg
 from weylcalc.affweyl import (
     from_parts,
     low_shifts,
@@ -67,6 +68,27 @@ def _agrees_with_its_matrix(u):
     )
 
 
+def _matrix_word(datum, m):
+    """The canonical word of the element of matrix m, by matrices alone:
+    strip the smallest i with u^-1 alpha_i = alpha_i o M_u negative."""
+    neg = {tuple(-x for x in beta) for beta in datum.pos_roots}
+    simples = [fw_simple(datum, i).matrix for i in range(datum.n_simple)]
+    word = []
+    while True:
+        i = next((i for i, a in enumerate(datum.simple_roots) if _row_mat(a, m) in neg), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        m = _matmul(simples[i], m)
+
+
+def _matrix_order(m):
+    ident, power, k = _identity(len(m)), m, 1
+    while power != ident:
+        power, k = _matmul(power, m), k + 1
+    return k
+
+
 @pytest.fixture(scope="module", params=DATA)
 def group(request):
     datum = _datum(request.param)
@@ -84,12 +106,11 @@ def test_products_inverses_orders_and_masks_match_the_matrices(group):
         for s in gens:
             assert (u * s) is by_matrix[_matmul(u.matrix, s.matrix)]
             assert (s * u) is by_matrix[_matmul(s.matrix, u.matrix)]
+        assert (u * u) is by_matrix[_matmul(u.matrix, u.matrix)]
         inv = u.inverse()
         assert _matmul(u.matrix, inv.matrix) == ident and inv.inverse() is u
-        power, k = u.matrix, 1
-        while power != ident:
-            power, k = _matmul(power, u.matrix), k + 1
-        assert u.order() == k
+        assert u.order() == _matrix_order(u.matrix)
+        assert u.word == _matrix_word(datum, u.matrix) and len(u.word) == u.length
         assert u.neg_mask == tuple(_row_mat(beta, u.matrix) in neg for beta in datum.pos_roots)
 
 
@@ -132,7 +153,8 @@ def test_move_rows_match_the_matrix_reference(group):
 
 def test_permutations_past_256_roots_are_tuples():
     """A16 has 272 roots, too many for bytes: its permutations are tuples,
-    and a product, an inverse and a move row still match the matrices."""
+    and products, an inverse, an order, a canonical word and a move row
+    still match the matrices."""
     n = 16
     cartan = [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
     datum = build_root_datum({"name": "A16", "rank": n, "roots": cartan,
@@ -146,6 +168,14 @@ def test_permutations_past_256_roots_are_tuples():
     for i in word:
         inv = _matmul(fw_simple(datum, i).matrix, inv)
     assert u.inverse().matrix == inv
+    v = fw_from_word(datum, [3, 15, 14, 0, 9, 8])
+    for a, b in ((u, v), (v, u), (u, u)):
+        prod = a * b
+        assert type(prod.perm) is tuple and _agrees_with_its_matrix(prod)
+        assert prod.matrix == _matmul(a.matrix, b.matrix)
+        assert prod.word == _matrix_word(datum, prod.matrix)
+        assert fw_from_word(datum, prod.word) is prod
+        assert prod.order() == _matrix_order(prod.matrix)
     gens = simple_reflections(datum)
     inverses = {u.matrix: inv}
     inverses.update({_matmul(s.fw.matrix, u.matrix): _matmul(inv, s.fw.matrix) for _, s in gens})
@@ -154,6 +184,33 @@ def test_permutations_past_256_roots_are_tuples():
         assert (m.left_positive, m.shift_root, m.shift_lam) == (
             ref["left_positive"], ref["shift_root"], ref["shift_lam"])
         assert (m.left.matrix, m.shifted.matrix) == (ref["left"], ref["shifted"])
+
+
+@pytest.mark.parametrize("name", ["SL4", "G2"])
+def test_spelling_a_word_multiplies_and_interns_nothing(name, monkeypatch):
+    """On a fresh datum, the canonical words of s_theta, the finite part of
+    the affine generator, and of an element built by products are read off
+    their permutations: no FiniteWeylElt.__mul__ or product call, and no new
+    fw_intern entry."""
+    datum = _datum(name)
+    elts = [dict(simple_reflections(datum))[0].fw, fw_from_word(datum, [1, 0, 1])]
+    assert all(u._word is None for u in elts)
+    table = memo(datum, "fw_intern").table
+    before = len(table)
+    calls = {"__mul__": 0, "product": 0}
+    for owner, name in ((finiteweyl.FiniteWeylElt, "__mul__"), (finiteweyl, "product")):
+        orig = getattr(owner, name)
+
+        def counted(*args, name=name, orig=orig):
+            calls[name] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    words = [u.word for u in elts]
+    assert calls == {"__mul__": 0, "product": 0} and len(table) == before
+    monkeypatch.undo()
+    for u, word in zip(elts, words):
+        assert len(word) == u.length and fw_from_word(datum, word) is u
 
 
 @pytest.mark.parametrize("name", DATA)
