@@ -210,23 +210,13 @@ class GeneratorMove:
     __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left_positive", "shift_root",
                  "shift_positive", "beta2", "k2", "shift_lam", "test", "_left", "_shifted")
 
-    def __init__(self, label, s, u):
-        datum, perm, sigma, half = u.datum, u.perm, s.fw, len(u.perm) // 2
-        # index of alpha in Phi: alpha_i, or -theta for an affine node
-        a = sigma.refl + (half if label <= 0 else 0)
-        self.label, self.k = label, int(label <= 0)
-        self.alpha, self.coroot = datum.roots[a], datum.coroots[a]
-        self.u, self.sigma = u, sigma
-        self.left_positive = perm.index(a) < half
-        ua = perm[a]  # the index of u alpha
-        sua = sigma.perm[ua]  # the index of sigma u alpha
-        self.shift_root, self.shift_positive = datum.roots[sua], sua < half
-        self.beta2 = datum.roots[(ua + half) % (2 * half)]
-        self.k2 = self.k - linalg.vec_dot(datum.roots[ua], self.coroot) if self.k else 0
-        # sigma u(theta^vee) = -(sigma u alpha)^vee
-        self.shift_lam = datum.coroots[sua - half] if self.k else None
-        self.test = (label, self.alpha, self.k, self.left_positive, self.beta2, self.k2,
-                     self.shift_positive)
+    def __init__(self, label, alpha, k, coroot, u, sigma, left_positive, shift_root,
+                 shift_positive, beta2, k2, shift_lam):
+        self.label, self.alpha, self.k, self.coroot = label, alpha, k, coroot
+        self.u, self.sigma, self.left_positive = u, sigma, left_positive
+        self.shift_root, self.shift_positive = shift_root, shift_positive
+        self.beta2, self.k2, self.shift_lam = beta2, k2, shift_lam
+        self.test = (label, alpha, k, left_positive, beta2, k2, shift_positive)
         self._left = self._shifted = None
 
     @property
@@ -245,12 +235,27 @@ class GeneratorMove:
 def move_row(u):
     """The move row of the finite part u: one GeneratorMove per generator,
     in the label order of simple_reflections, built on first use and kept
-    on u itself."""
+    on u itself.  One pass over the generators, with u's permutation,
+    |Phi^+| and the datum's roots and coroots read once for the row."""
     row = u._moves
     if row is None:
-        row = u._moves = tuple(
-            GeneratorMove(label, s, u) for label, s in simple_reflections(u.datum)
-        )
+        datum, perm = u.datum, u.perm
+        half, roots, coroots = len(perm) // 2, datum.roots, datum.coroots
+        row = []
+        for label, s in simple_reflections(datum):
+            sigma = s.fw
+            k = int(label <= 0)
+            a = sigma.refl + half * k  # index of alpha: alpha_i, or -theta for an affine node
+            ua = perm[a]  # the index of u alpha
+            sua = sigma.perm[ua]  # the index of sigma u alpha
+            coroot = coroots[a]
+            row.append(GeneratorMove(
+                label, roots[a], k, coroot, u, sigma, perm.index(a) < half, roots[sua], sua < half,
+                roots[(ua + half) % (2 * half)],
+                k - sum(map(mul, roots[ua], coroot)) if k else 0,
+                # sigma u(theta^vee) = -(sigma u alpha)^vee
+                coroots[sua - half] if k else None))
+        row = u._moves = tuple(row)
     return row
 
 
@@ -523,11 +528,22 @@ def _levi(datum, mask):
     return J, K, weights, den, inv, tuple(cosets)
 
 
+@memoised("cartan_inverse")
+def cartan_inverse(datum):
+    """(inv, den) with A^-1 = inv / den, den least, A the Cartan matrix: the
+    A_JJ^-1 of the J = S Levi, read without building W0.  Refuses an
+    infinite X / Z<coroots> (require_finite_pi1), where the simple pairings
+    do not determine a coweight."""
+    require_finite_pi1(datum)
+    inv, den, _ = linalg.scaled_inverse(datum.cartan)
+    return inv, den
+
+
 def coweight(datum, p):
     """The integral coweight with simple pairings p, or None.  It is C A^-1 p
-    for C the coroot matrix, with A^-1 read off the J = S Levi.  The pairings
-    determine it only when X / Z<coroots> is finite, else InfinitePi1."""
-    _, _, _, den, inv, _ = _levi(datum, (1 << datum.n_simple) - 1)
+    for C the coroot matrix.  The pairings determine it only when X /
+    Z<coroots> is finite, else InfinitePi1."""
+    inv, den = cartan_inverse(datum)
     num = linalg.mat_vec(datum.coroot_matrix, linalg.mat_vec(inv, p))
     if any(x % den for x in num):
         return None

@@ -36,6 +36,7 @@ from .affweyl import (
     AffineWeylElt,
     _levi,
     _newton_data,
+    cartan_inverse,
     class_key,
     coweight,
     defect_of,
@@ -249,11 +250,19 @@ def ux_decompose(w_min, budget=None, check_minimal=True):
 
 @memoised("ux", key=lambda w_min, budget=None: w_min.key, held=lambda dec: dec.held)
 def _ux(w_min, budget=None):
+    """The search of ux_decompose.  A stripped x whose length is not
+    <2 rho, nu_bar(w_min)> is rejected before its Newton data, u or the
+    conjugates are built: an accepted x permutes K by conjugation, so
+    (u x)^N = x^N for a suitable N, nu_x = nu_{w_min}, and a straight x
+    has exactly that length.  The strip still runs, so held is unchanged."""
     datum = w_min.datum
     refl = dict(simple_reflections(datum))
     shift_class = approx_closure(w_min, budget)
     subsets = _spherical_subsets(datum)
     held = len(shift_class)
+    # n <2 rho, nu_bar(w_min)>, compared with n l(x)
+    n, _, dominant = _newton_data(w_min)
+    straight_length = linalg.vec_dot(datum.two_rho, dominant)
     for w2 in shift_class:
         for k_labels in subsets:
             gens = [(l, refl[l]) for l in k_labels]
@@ -262,7 +271,7 @@ def _ux(w_min, budget=None):
             # this walk is a single element and it strips K-descents greedily
             x, steps, strip, _ = descend(w2, descents, budget, "K-descent strip")
             held = max(held, strip)
-            if not is_straight(x):
+            if n * x.length != straight_length or not is_straight(x):
                 continue
             xinv = x.inv()
             u = w2 * xinv
@@ -337,7 +346,7 @@ def enumerate_straight_classes(datum, max_len, budget=None):
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     n = datum.n_simple
-    period = _levi(datum, (1 << n) - 1)[3]
+    period = cartan_inverse(datum)[1]
     held, classes = 0, []
     for mask in range(1 << n):
         J, K, weights, den, _, cosets = _levi(datum, mask)

@@ -7,9 +7,11 @@ Groups and Coxeter Groups, 1.4-1.6), so the elements of a datum are
 interned by permutation.  Products compose permutations, a bytes one (at
 most 256 roots) by one translate through a 256-byte translation table
 built once per element, a tuple one by a map; the inverse, the order (by
-repeated composition) and the inversion pattern are read off them.  A new
-element's matrix is one rank-one update M - c (x) r when a factor is a
-reflection, else one product.  The canonical reduced word strips the
+repeated composition) and the inversion pattern are read off them.  A
+product probes the intern table once, and a hit (most products on a fresh
+datum) is returned with no other work.  Only a new element's matrix is
+built: one rank-one update M - c (x) r when a factor is a reflection,
+else one product.  The canonical reduced word strips the
 smallest left descent on the permutation itself, by the simple
 reflections' translation tables, so spelling an element builds none.
 
@@ -155,20 +157,25 @@ def _intern(datum, perm, matrix_of):
 
 def _reflection(datum, perm, refl):
     """The reflection s_beta, of matrix 1 - beta^vee (x) beta, with permutation
-    perm and beta of index refl, marked as a reflection for product."""
-    matrix_of = lambda: _rank_one(linalg.identity_matrix(datum.rank), datum.coroots[refl],
-                                  datum.roots[refl])
-    elt = _intern(datum, perm, matrix_of)
-    if elt.refl is None:
-        if elt.matrix != matrix_of():
-            raise InternalAssertion("one root permutation has two matrices")
-        elt.refl = refl
+    perm and beta of index refl, marked as a reflection for product.  One
+    probe of the intern table; an element already marked is returned as it is."""
+    table = memo(datum, "fw_intern")
+    elt = table.get(perm)
+    if elt is not None and elt.refl is not None:
+        return elt
+    matrix = _rank_one(linalg.identity_matrix(datum.rank), datum.coroots[refl], datum.roots[refl])
+    if elt is None:
+        elt = table.put(perm, FiniteWeylElt(datum, matrix, perm))
+    elif elt.matrix != matrix:
+        raise InternalAssertion("one root permutation has two matrices")
+    elt.refl = refl
     return elt
 
 
 def _rank_one(m, c, r):
-    """m - c (x) r."""
-    return tuple(tuple([x - ci * y for x, y in zip(row, r)]) for row, ci in zip(m, c))
+    """m - c (x) r; a row whose coefficient is 0 is kept as it is."""
+    return tuple([row if ci == 0 else tuple([x - ci * y for x, y in zip(row, r)])
+                  for row, ci in zip(m, c)])
 
 
 def _after(a, perm):
@@ -184,17 +191,23 @@ def _after(a, perm):
 
 
 def product(a, b):
-    """a * b by composing permutations, with no product row.  For a
+    """a * b by composing permutations, with no product row: one probe of
+    the intern table, and a matrix only for a new element.  For a
     reflection factor s_beta, M_a s_beta = M_a - (a beta)^vee (x) beta and
     s_beta M_b = M_b - beta^vee (x) b^-1 beta."""
     d = a.datum
-    if b.refl is not None:
-        matrix_of = lambda: _rank_one(a.matrix, d.coroots[a.perm[b.refl]], d.roots[b.refl])
-    elif a.refl is not None:
-        matrix_of = lambda: _rank_one(b.matrix, d.coroots[a.refl], d.roots[b.perm.index(a.refl)])
-    else:
-        matrix_of = lambda: linalg.mat_mul(a.matrix, b.matrix)
-    return _intern(d, _after(a, b.perm), matrix_of)
+    perm = _after(a, b.perm)
+    table = memo(d, "fw_intern")
+    elt = table.get(perm)
+    if elt is None:
+        if b.refl is not None:
+            matrix = _rank_one(a.matrix, d.coroots[a.perm[b.refl]], d.roots[b.refl])
+        elif a.refl is not None:
+            matrix = _rank_one(b.matrix, d.coroots[a.refl], d.roots[b.perm.index(a.refl)])
+        else:
+            matrix = linalg.mat_mul(a.matrix, b.matrix)
+        elt = table.put(perm, FiniteWeylElt(d, matrix, perm))
+    return elt
 
 
 def fw_identity(datum):

@@ -74,8 +74,9 @@ def explore_level(start, moves, budget, what, want=1, held=0, origin=None):
     origin = start if origin is None else origin
     _check(held + 1, budget, what, origin)
     room = budget - held  # the level may hold this many
+    heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        k = heapq.heappop(heap)
+        k = heappop(heap)
         v, via = level[k]
         for label, v2 in moves(v, None if via is None else via[1]):
             l2 = v2.length
@@ -83,11 +84,13 @@ def explore_level(start, moves, budget, what, want=1, held=0, origin=None):
                 descents.append((v, label, v2))
                 if len(descents) == want:
                     return level, descents
-            elif l2 == lcur and v2.key not in level:
-                level[v2.key] = (v2, (k, label))
-                heapq.heappush(heap, v2.key)
-                if len(level) > room:
-                    _check(held + len(level), budget, what, origin)
+            elif l2 == lcur:
+                k2 = v2.key
+                if k2 not in level:
+                    level[k2] = (v2, (k, label))
+                    heappush(heap, k2)
+                    if len(level) > room:
+                        _check(held + len(level), budget, what, origin)
     return level, descents
 
 

@@ -195,6 +195,21 @@ def test_grass_superregular_and_naming_build_no_length_ball():
     assert _no_ball(b3)
 
 
+@pytest.mark.parametrize("name", ["SL4", "Sp4", "B3"])
+def test_naming_a_non_basic_class_builds_no_w0(name):
+    """The Levi of a non-basic class is proper, and resolve_class reads A^-1
+    off the Cartan matrix, so on a fresh datum it enumerates no W0."""
+    census = _datum(name)
+    non_basic = [cls for cls in enumerate_straight_classes(census, 4)
+                 if any(linalg.mat_vec(census.simple_roots, cls.nu_bar))]
+    assert non_basic
+    for cls in non_basic:
+        datum = _datum(name)
+        assert resolve_class(datum, cls.kappa, cls.nu_bar) == cls
+        table = datum._cache.get("w0")
+        assert table is None or not table.table
+
+
 GL2_ISH = {"name": "GL2-ish", "rank": 2, "roots": [[1, -1]], "coroots": [[1], [-1]]}
 
 

@@ -22,6 +22,7 @@ from weylcalc import (
     is_spherical,
     is_straight,
     length_ball,
+    linalg,
     newton_point,
     p_alcove_test,
     reduce_to_min,
@@ -139,8 +140,9 @@ def test_ux_requires_minimal(sl2):
 
 def test_ux_structure_on_ball():
     """On every preset, each decomposition of a reduced element of the
-    length-6 ball is length-additive, x is straight, x has no K-descent on
-    either side (by affine products), and conjugation by x permutes K."""
+    length-6 ball is length-additive, x is straight of length <2 rho,
+    nu_bar(m)>, x has no K-descent on either side (by affine products), and
+    conjugation by x permutes K."""
     for name in sorted(PRESETS):
         datum = build_root_datum(name)
         refl = dict(simple_reflections(datum))
@@ -149,6 +151,7 @@ def test_ux_structure_on_ball():
             dec = ux_decompose(m, check_minimal=False)
             assert dec.u.length + dec.x.length == m.length
             assert is_straight(dec.x)
+            assert dec.x.length == linalg.vec_dot(datum.two_rho, newton_point(m)[1])
             for label in dec.K:
                 s = refl[label]
                 assert aw_mul(s, dec.x).length > dec.x.length

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import weylcalc
-from weylcalc import build_root_datum, cli
+from weylcalc import affweyl, build_root_datum, cli, finiteweyl
 from weylcalc.memo import Memo, memo, memoised
 
 
@@ -26,7 +26,7 @@ BUDGET_EXEMPT = {
 TABLES = {
     "fw_intern", "w0", "simple_reflections", "omega", "reduce_min", "ux", "length_ball",
     "levis", "superregular", "class_ids", "class_facts", "eta", "grass_max",
-    "dim_x_flag", "oracle_ball",
+    "dim_x_flag", "oracle_ball", "cartan_inverse",
 }
 
 
@@ -92,6 +92,27 @@ def test_memoised_counts_hits_and_misses_on_the_datum_of_an_element():
     assert (table.hits, table.misses) == (3, 3)
     assert table.table == {1: 2, 2: 4, 3: 6}
     assert double.__name__ == "double" and double.__doc__ == "Twice the key."
+
+
+# fw_intern (hits, misses) after enumerate_w0, then after every move row's
+# left and shifted, on a fresh datum
+FW_INTERN_COUNTS = {"SL4": ((29, 24), (225, 24)), "Sp4": ((4, 8), (55, 8))}
+
+
+@pytest.mark.parametrize("name", sorted(FW_INTERN_COUNTS))
+def test_fw_intern_counts_every_probe(name):
+    """Each product and each reflection probes the intern table once and
+    counts a hit or a miss; the move rows' products all hit."""
+    datum = build_root_datum(name)
+    w0 = finiteweyl.enumerate_w0(datum)
+    table = memo(datum, "fw_intern")
+    counts = [(table.hits, table.misses)]
+    for u in w0:
+        for m in affweyl.move_row(u):
+            m.left, m.shifted
+    counts.append((table.hits, table.misses))
+    assert tuple(counts) == FW_INTERN_COUNTS[name]
+    assert len(table.table) == len(w0)
 
 
 def test_memoised_without_key_keeps_one_value_per_datum():
