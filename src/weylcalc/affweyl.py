@@ -194,27 +194,27 @@ class GeneratorMove:
     a_s = (alpha, k) is the simple affine root of s and coroot the coroot of
     alpha, so s(v) = v - a_s(v) coroot.  left = sigma u (built on first use)
     is the finite part of s t^lam u, and left_positive the sign of u^-1
-    alpha.  s w s is the right move of s w by s: shift_root = sigma u alpha
-    and shift_positive its sign, shift_lam = sigma u(mu) is what that move
-    adds to the translation part (None when mu = 0), and shifted = sigma u
-    sigma.  The right move of s w reads the constant c2 = k2 + <beta2, lam>
-    off lam itself, with beta2 = -u(alpha) and k2 = k (1 - <u alpha,
-    alpha^vee>): sigma = s_alpha gives shift_root = u alpha - <u alpha,
-    alpha^vee> alpha, so p = <shift_root, alpha^vee> = -<u alpha, alpha^vee>,
-    and beta2 = p alpha - shift_root, k2 = k (1 + p).  Every root is read
+    alpha.  s w s is the right move of s w by s: shift_positive is the sign
+    of sigma u alpha, shift_lam = sigma u(mu) is what that move adds to the
+    translation part (None when mu = 0), and shifted = sigma u sigma.  The
+    right move of s w reads the constant c2 = k2 + <beta2, lam> off lam
+    itself, with beta2 = -u(alpha) and k2 = k (1 - <u alpha, alpha^vee>):
+    sigma = s_alpha gives sigma u alpha = u alpha - <u alpha, alpha^vee>
+    alpha, so p = <sigma u alpha, alpha^vee> = -<u alpha, alpha^vee>, and
+    beta2 = p alpha - sigma u alpha, k2 = k (1 + p).  Every root is read
     off root indices: -beta has the index of beta shifted by |Phi^+|.
     test holds (label, alpha, k, left_positive, beta2, k2, shift_positive),
     what low_shifts reads of every generator.
     """
 
-    __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left_positive", "shift_root",
+    __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left_positive",
                  "shift_positive", "beta2", "k2", "shift_lam", "test", "_left", "_shifted")
 
-    def __init__(self, label, alpha, k, coroot, u, sigma, left_positive, shift_root,
-                 shift_positive, beta2, k2, shift_lam):
+    def __init__(self, label, alpha, k, coroot, u, sigma, left_positive, shift_positive,
+                 beta2, k2, shift_lam):
         self.label, self.alpha, self.k, self.coroot = label, alpha, k, coroot
         self.u, self.sigma, self.left_positive = u, sigma, left_positive
-        self.shift_root, self.shift_positive = shift_root, shift_positive
+        self.shift_positive = shift_positive
         self.beta2, self.k2, self.shift_lam = beta2, k2, shift_lam
         self.test = (label, alpha, k, left_positive, beta2, k2, shift_positive)
         self._left = self._shifted = None
@@ -250,7 +250,7 @@ def move_row(u):
             sua = sigma.perm[ua]  # the index of sigma u alpha
             coroot = coroots[a]
             row.append(GeneratorMove(
-                label, roots[a], k, coroot, u, sigma, perm.index(a) < half, roots[sua], sua < half,
+                label, roots[a], k, coroot, u, sigma, perm.index(a) < half, sua < half,
                 roots[(ua + half) % (2 * half)],
                 k - sum(map(mul, roots[ua], coroot)) if k else 0,
                 # sigma u(theta^vee) = -(sigma u alpha)^vee
@@ -295,7 +295,7 @@ def low_shifts(w, back=None):
     l(s w s) <= l(w), in label order: s (s w s) s = w, so a search leaves
     out the shift back to the element that reached w.  s w = t^lam' (sigma
     u) with lam' = lam - c coroot, c = <alpha, lam> + k, so the right move
-    reads k - <shift_root, lam'> = k2 + <beta2, lam>, and a shift that
+    reads k - <sigma u alpha, lam'> = k2 + <beta2, lam>, and a shift that
     raises the length is never built."""
     datum, lw, lam = w.datum, w.length, w.lam
     for m in move_row(w.fw):

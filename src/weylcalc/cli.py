@@ -21,13 +21,12 @@ import time
 
 from . import dims, verify
 from .affweyl import (
-    from_finite,
+    AffineWeylElt,
     from_parts,
     kappa_w,
     newton_point,
     omega_elements,
     simple_reflections,
-    translation,
 )
 from .classes import (
     enumerate_straight_classes,
@@ -351,7 +350,7 @@ def cmd_dim(args):
             value, extra["cache"] = _with_cache(
                 datum, args, lambda: dims.dim_Y_superregular(x, mu, y, gd, args.budget)
             )
-            w = from_finite(x) * translation(datum, mu) * from_finite(y)
+            w = AffineWeylElt(datum, x.act(mu), x * y)
             extra.update(w=w.to_json(), virtual_dim=_virtual_dim(w, cls))
     doc = value.to_json()
     doc.update(extra, query=query)

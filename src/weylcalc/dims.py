@@ -32,13 +32,12 @@ from math import lcm
 
 from . import linalg
 from .affweyl import (
+    AffineWeylElt,
     _newton_data,
     class_key,
     eta_decomposition,
-    from_finite,
     left_move,
     low_shifts,
-    translation,
 )
 from .errors import (
     HypothesisViolated,
@@ -365,7 +364,9 @@ def dim_Y_superregular(x, mu, y, gd, budget=None):
     nonempty iff kappa matches and supp(y x) is the full finite diagram, in
     which case the dimension is the virtual dimension plus the fiber
     dimension.  The result is always compared with the reduction recursion
-    (dim_Y_flag), and a disagreement raises InternalAssertion.
+    (dim_Y_flag), and a disagreement raises InternalAssertion.  w is built
+    as t^{x(mu)} (xy), by one finite product; reading its eta decomposition
+    back tests that x t^mu y is the canonical one the formula assumes.
     """
     datum = x.datum
     cls = gd.straight_class
@@ -373,7 +374,7 @@ def dim_Y_superregular(x, mu, y, gd, budget=None):
     mu = datum._coordinates(map(linalg.as_int, mu), "mu")
     if not superregular_applies(datum, mu, cls):
         raise HypothesisViolated("nu + 2 rho^vee is not dominated by mu")
-    w = from_finite(x) * translation(datum, mu) * from_finite(y)
+    w = AffineWeylElt._from_ints(datum, x.act(mu), x * y)
     eta = _eta(w)
     if eta.x != x or eta.mu != mu or eta.y != y:
         raise HypothesisViolated(
@@ -511,20 +512,18 @@ def load_cache(datum, directory):
 
 @memoised("grass_max", key=lambda datum, mu: mu)
 def _coset_max(datum, mu):
-    """Class-by-class max of the profiles over the double coset W0 t^mu W0."""
-    w0 = enumerate_w0(datum)
-    tmu = translation(datum, mu)
-    coset = {}
-    for a in w0:
-        left = from_finite(a) * tmu
-        for b in w0:
-            w = left * from_finite(b)
-            coset[w.key] = w
+    """Class-by-class max of the profiles over the double coset W0 t^mu W0,
+    which is {t^lam u : lam in W0 mu, u in W0} since a t^mu b = t^{a(mu)}
+    (ab): each element is built from its parts, with no affine product.
+    lam sorted, then u by key, walks the keys (lam, u.key) in sorted order,
+    the order that groups the profile table's frames and the cache file."""
+    w0 = sorted(enumerate_w0(datum), key=lambda u: u.key)
     best = {}
-    for key in sorted(coset):
-        for cid, d in dim_profile(coset[key]).items():
-            if best.get(cid, -1) < d:
-                best[cid] = d
+    for lam in sorted({a.act(mu) for a in w0}):
+        for u in w0:
+            for cid, d in dim_profile(AffineWeylElt._from_ints(datum, lam, u)).items():
+                if best.get(cid, -1) < d:
+                    best[cid] = d
     return best
 
 

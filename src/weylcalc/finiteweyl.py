@@ -86,7 +86,7 @@ class FiniteWeylElt:
                 perm = _after(fw_simple(d, i), perm)
             self._word = tuple(word)
             if len(self._word) != self.length:
-                raise AssertionError("canonical word length disagrees with inversion count")
+                raise InternalAssertion("canonical word length disagrees with inversion count")
         return self._word
 
     @property

@@ -270,7 +270,7 @@ def matrix_generator_move(label, s, u, inverse_matrix):
     parts given by their matrices and inverse_matrix(m) the matrix of the
     inverse.  alpha is alpha_i for label i > 0 and -theta for an affine
     node; a shift s w s is the right move of s w, which adds sigma u(mu) and
-    whose constant k - <shift_root, s(lam)> is k2 + <beta2, lam>."""
+    whose constant k - <sigma u alpha, s(lam)> is k2 + <beta2, lam>."""
     datum = u.datum
     if label > 0:
         alpha, k, coroot = datum.simple_roots[label - 1], 0, datum.simple_coroots[label - 1]
@@ -287,7 +287,6 @@ def matrix_generator_move(label, s, u, inverse_matrix):
         "coroot": coroot,
         "left": left,
         "left_positive": _row_mat(alpha, m_u) in datum.pos_roots,
-        "shift_root": shift_root,
         "shift_positive": shift_root in datum.pos_roots,
         "beta2": tuple(pairing * a - r for a, r in zip(alpha, shift_root)),
         "k2": k * (1 + pairing),

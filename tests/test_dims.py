@@ -1,3 +1,4 @@
+import json
 import os
 from fractions import Fraction
 
@@ -452,12 +453,25 @@ def test_the_class_key_and_the_dimension_formulas_build_no_fraction(monkeypatch)
     assert made
 
 
-@pytest.mark.parametrize("name, cap", [("SL3", 3), ("Sp4", 3), ("PGL3", 2), ("SL4", 2), ("G2", 2)])
-def test_coset_max_is_the_profile_of_the_longest_element(name, cap):
+@pytest.mark.parametrize(
+    "name, cap", [("SL3", 3), ("Sp4", 3), ("PGL3", 2), ("SL4", 2), ("G2", 2), ("B3", 1)])
+def test_coset_max_is_the_profile_of_the_longest_element(name, cap, monkeypatch):
     """The class-by-class max over W0 t^mu W0 equals the profile of the
     coset's longest element, on every mu of the grass suite's box.  No
-    source proves this yet, so it is a check here and not a shortcut."""
-    datum = build_root_datum(cartan_config(name) if name == "G2" else name)
+    source proves this yet, so it is a check here and not a shortcut.  The
+    coset is built here by affine products, as the reference: _coset_max
+    builds it from its parts, and the keys it walks are the coset's keys in
+    sorted order, each once."""
+    from weylcalc import dims
+
+    datum = build_root_datum(cartan_config(name) if name in ("G2", "B3") else name)
+    walked = []
+
+    def recording(w, budget=None):
+        walked.append(w.key)
+        return dim_profile(w, budget)
+
+    monkeypatch.setattr(dims, "dim_profile", recording)
     w0 = enumerate_w0(datum)
     mus = _dominant_box(datum, cap)
     assert mus
@@ -467,4 +481,32 @@ def test_coset_max_is_the_profile_of_the_longest_element(name, cap):
                  for w in [from_finite(a) * tmu * from_finite(b)]}
         top = max(w.length for w in coset.values())
         (longest,) = [w for w in coset.values() if w.length == top]
+        walked.clear()
         assert _coset_max(datum, mu) == dim_profile(longest), mu
+        assert walked == sorted(coset), mu
+
+
+def test_cosets_and_superregular_products_make_no_affine_product(monkeypatch, capsys):
+    """W0 t^mu W0 and x t^mu y are built as t^lam u from their parts, so
+    the grass and superregular suites and a y-super query on fresh datums
+    make no AffineWeylElt product."""
+    from weylcalc import affweyl, verify
+    from weylcalc.cli import main
+
+    calls = []
+    product = affweyl.AffineWeylElt.__mul__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(affweyl.AffineWeylElt, "__mul__", counting)
+    assert verify.verify_grass(build_root_datum("Sp4"))["checked"]
+    assert verify.verify_superregular(build_root_datum("SL4"))["checked"]
+    assert main(["dim", "y-super", "--group", "SL4", "--mu", "3,4,3", "--x-word", "1,2,3",
+                 "--class", '{"kappa":[0,0,0],"nu":[0,0,0]}', "--springer-dim", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 13
+    assert calls == []
+    sl2 = build_root_datum("SL2")
+    aw_identity(sl2) * aw_identity(sl2)
+    assert calls  # the patch does see a product

@@ -3,7 +3,9 @@ import pytest
 from weylcalc import (
     DatumMismatch,
     DiagramAutomorphism,
+    InternalAssertion,
     NotIntegral,
+    build_root_datum,
     enumerate_w0,
     from_parts,
     fw_from_word,
@@ -71,6 +73,17 @@ def test_length_equals_word_length_and_inversions(sp4):
         )
         assert inversions == w.length
         assert fw_from_word(sp4, w.word) == w
+
+
+def test_a_word_that_disagrees_with_the_length_is_an_internal_assertion():
+    """The canonical word checks its length against the inversion count: an
+    element whose cached length is corrupted raises InternalAssertion, which
+    the CLI reports as exit 4 with one line, not a bare AssertionError."""
+    datum = build_root_datum("SL3")  # fresh, so no shared element is corrupted
+    u = fw_simple(datum, 0) * fw_simple(datum, 1)
+    u._length, u._word = 3, None
+    with pytest.raises(InternalAssertion, match="canonical word length"):
+        u.word
 
 
 # -- twisted conjugation -----------------------------------------------------

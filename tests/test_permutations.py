@@ -141,8 +141,8 @@ def test_move_rows_match_the_matrix_reference(group):
     datum, w0 = group
     inverse_matrix = _inverse_matrix(w0)
     gens = simple_reflections(datum)
-    fields = ("alpha", "k", "coroot", "left_positive", "shift_root", "shift_positive", "beta2",
-              "k2", "shift_lam")
+    fields = ("alpha", "k", "coroot", "left_positive", "shift_positive", "beta2", "k2",
+              "shift_lam")
     for u in w0:
         for m, (label, s) in zip(move_row(u), gens):
             ref = matrix_generator_move(label, s, u, inverse_matrix)
@@ -181,8 +181,8 @@ def test_permutations_past_256_roots_are_tuples():
     inverses.update({_matmul(s.fw.matrix, u.matrix): _matmul(inv, s.fw.matrix) for _, s in gens})
     for m, (label, s) in zip(move_row(u), gens):
         ref = matrix_generator_move(label, s, u, inverses.__getitem__)
-        assert (m.left_positive, m.shift_root, m.shift_lam) == (
-            ref["left_positive"], ref["shift_root"], ref["shift_lam"])
+        assert (m.left_positive, m.shift_positive, m.beta2, m.k2, m.shift_lam) == (
+            ref["left_positive"], ref["shift_positive"], ref["beta2"], ref["k2"], ref["shift_lam"])
         assert (m.left.matrix, m.shifted.matrix) == (ref["left"], ref["shifted"])
 
 

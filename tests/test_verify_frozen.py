@@ -113,3 +113,25 @@ def test_reducible_suite_counts_are_frozen(suite):
     report = SUITES[suite](build_root_datum(cartan_config("A2xA1")))
     assert report["passed"]
     assert report["checked"] == REDUCIBLE_COUNTS[suite]
+
+
+# passed and checked of the suites that build the double coset W0 t^mu W0
+# (grass) or x t^mu y (superregular), on groups whose `--suite all` report
+# is not frozen above, each on a fresh datum; grass at a cap that keeps the
+# six cases under a second together
+COSET_COUNTS = [
+    ("grass", "G2", 4, 620),
+    ("grass", "SL4", 2, 128),
+    ("grass", "B3", 1, 42),
+    ("grass", "C3", 1, 25),
+    ("superregular", "G2", None, 144),
+    ("superregular", "SL4", None, 576),
+]
+
+
+@pytest.mark.parametrize("suite, name, cap, checked", COSET_COUNTS)
+def test_coset_suite_counts_are_frozen(suite, name, cap, checked):
+    datum = build_root_datum(name if name == "SL4" else cartan_config(name))
+    report = SUITES[suite](datum) if cap is None else SUITES[suite](datum, cap)
+    assert report["passed"]
+    assert report["checked"] == checked
