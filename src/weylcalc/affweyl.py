@@ -19,13 +19,14 @@ permutation, so a left or shift move costs O(rank) and sets the moved
 element's length.  A shift is told by two pairings with lam: c = <alpha,
 lam> + k for s w, and c2 = k2 + <beta2, lam> for the right move of s w,
 with beta2 and k2 kept in the row.  The finite parts sigma u and sigma u
-sigma are built on first use, and low_shifts leaves out the shift back to
+sigma are built with the row, and low_shifts leaves out the shift back to
 the element a search came from.  Elements built by a product, and the
 oracle's Cayley ball, use the Iwahori-Matsumoto formula instead.  An
 element's key (lam, matrix) is built once, with the element.
 
-eta_decomposition runs no search: it walks (lam, u) in integers and reads
-shorter coset mates from the datum's eta table.
+eta_decomposition runs no search: it walks (lam, u) in integers, reads
+shorter coset mates from the datum's eta table and stores its own result
+there.
 
 Newton data are kept in integers: n nu_w = sum_{i<n} u^i(lam) for n the
 order of u is integral, and Fractions are built only when newton_point
@@ -180,55 +181,28 @@ def simple_reflections(datum):
     return tuple(gens)
 
 
-class GeneratorMove:
-    """What a move of t^lam u by one generator s = t^mu sigma needs of u.
-
-    a_s = (alpha, k) is the simple affine root of s and coroot the coroot of
-    alpha, so s(v) = v - a_s(v) coroot.  left = sigma u (built on first use)
-    is the finite part of s t^lam u, and left_positive the sign of u^-1
-    alpha.  s w s is the right move of s w by s: shift_positive is the sign
-    of sigma u alpha, shift_lam = sigma u(mu) is what that move adds to the
-    translation part (None when mu = 0), and shifted = sigma u sigma.  The
-    right move of s w reads the constant c2 = k2 + <beta2, lam> off lam
-    itself, with beta2 = -u(alpha) and k2 = k (1 - <u alpha, alpha^vee>):
-    sigma = s_alpha gives sigma u alpha = u alpha - <u alpha, alpha^vee>
-    alpha, so p = <sigma u alpha, alpha^vee> = -<u alpha, alpha^vee>, and
-    beta2 = p alpha - sigma u alpha, k2 = k (1 + p).  Every root is read
-    off root indices: -beta has the index of beta shifted by |Phi^+|.
-    test holds (label, alpha, k, left_positive, beta2, k2, shift_positive),
-    what low_shifts reads of every generator.
-    """
-
-    __slots__ = ("label", "alpha", "k", "coroot", "u", "sigma", "left_positive",
-                 "shift_positive", "beta2", "k2", "shift_lam", "test", "_left", "_shifted")
-
-    def __init__(self, label, alpha, k, coroot, u, sigma, left_positive, shift_positive,
-                 beta2, k2, shift_lam):
-        self.label, self.alpha, self.k, self.coroot = label, alpha, k, coroot
-        self.u, self.sigma, self.left_positive = u, sigma, left_positive
-        self.shift_positive = shift_positive
-        self.beta2, self.k2, self.shift_lam = beta2, k2, shift_lam
-        self.test = (label, alpha, k, left_positive, beta2, k2, shift_positive)
-        self._left = self._shifted = None
-
-    @property
-    def left(self):
-        if self._left is None:
-            self._left = product(self.sigma, self.u)
-        return self._left
-
-    @property
-    def shifted(self):
-        if self._shifted is None:
-            self._shifted = product(self.left, self.sigma)
-        return self._shifted
-
-
 def move_row(u):
-    """The move row of the finite part u: one GeneratorMove per generator,
-    in the label order of simple_reflections, built on first use and kept
-    on u itself.  One pass over the generators, with u's permutation,
-    |Phi^+| and the datum's roots and coroots read once for the row."""
+    """The move row of the finite part u: one entry per generator s = t^mu
+    sigma, in the label order of simple_reflections, built on first use and
+    kept on u itself.  An entry is the tuple
+
+        (label, alpha, k, coroot, left_positive, left,
+         beta2, k2, shift_positive, shift_lam, shifted)
+
+    of which a left move s w reads the first six.  a_s = (alpha, k) is the
+    simple affine root of s and coroot the coroot of alpha, so s(v) = v -
+    a_s(v) coroot.  left = sigma u is the finite part of s t^lam u, and
+    left_positive the sign of u^-1 alpha.  s w s is the right move of s w by
+    s: shift_positive is the sign of sigma u alpha, shift_lam = sigma u(mu)
+    is what that move adds to the translation part (None when mu = 0), and
+    shifted = sigma u sigma.  The right move of s w reads the constant c2 =
+    k2 + <beta2, lam> off lam itself, with beta2 = -u(alpha) and k2 = k (1 -
+    <u alpha, alpha^vee>): sigma = s_alpha gives sigma u alpha = u alpha -
+    <u alpha, alpha^vee> alpha, so p = <sigma u alpha, alpha^vee> = -<u
+    alpha, alpha^vee>, and beta2 = p alpha - sigma u alpha, k2 = k (1 + p).
+    Every root is read off root indices: -beta has the index of beta shifted
+    by |Phi^+|.  One pass over the generators, with u's permutation, |Phi^+|
+    and the datum's roots and coroots read once for the row."""
     row = u._moves
     if row is None:
         datum, perm = u.datum, u.perm
@@ -241,12 +215,15 @@ def move_row(u):
             ua = perm[a]  # the index of u alpha
             sua = sigma.perm[ua]  # the index of sigma u alpha
             coroot = coroots[a]
-            row.append(GeneratorMove(
-                label, roots[a], k, coroot, u, sigma, perm.index(a) < half, sua < half,
+            left = product(sigma, u)
+            row.append((
+                label, roots[a], k, coroot, perm.index(a) < half, left,
                 roots[(ua + half) % (2 * half)],
                 k - sum(map(mul, roots[ua], coroot)) if k else 0,
+                sua < half,
                 # sigma u(theta^vee) = -(sigma u alpha)^vee
-                coroots[sua - half] if k else None))
+                coroots[sua - half] if k else None,
+                product(left, sigma)))
         row = u._moves = tuple(row)
     return row
 
@@ -263,23 +240,23 @@ def _position(datum, label):
 
 def _left_up(m, lam):
     """(c, l(s w) > l(w)) for w = t^lam u and m = move_row(u)[s], with
-    c = <alpha, lam> + k the constant of a_s o w."""
-    c = linalg.vec_dot(m.alpha, lam) + m.k
-    return c, c > 0 or (c == 0 and m.left_positive)
+    c = <alpha, lam> + k the constant of a_s o w; m[1], m[2] and m[4] are
+    alpha, k and left_positive."""
+    c = linalg.vec_dot(m[1], lam) + m[2]
+    return c, c > 0 or (c == 0 and m[4])
 
 
 def _left_lam(m, lam, c):
-    """Translation part of s t^lam u: s(lam) = lam - c coroot."""
-    return lam if c == 0 else tuple([x - c * y for x, y in zip(lam, m.coroot)])
+    """Translation part of s t^lam u: s(lam) = lam - c coroot, m[3]."""
+    return lam if c == 0 else tuple([x - c * y for x, y in zip(lam, m[3])])
 
 
 def left_move(w, label):
     """s w for the generator s labelled label, of length l(w) +- 1."""
     m = move_row(w.fw)[_position(w.datum, label)]
     c, up = _left_up(m, w.lam)
-    return AffineWeylElt._from_ints(
-        w.datum, _left_lam(m, w.lam, c), m.left, w.length + (1 if up else -1)
-    )
+    return AffineWeylElt._from_ints(w.datum, _left_lam(m, w.lam, c), m[5],
+                                    w.length + (1 if up else -1))
 
 
 def low_shifts(w, back=None):
@@ -290,8 +267,8 @@ def low_shifts(w, back=None):
     reads k - <sigma u alpha, lam'> = k2 + <beta2, lam>, and a shift that
     raises the length is never built."""
     datum, lw, lam = w.datum, w.length, w.lam
-    for m in move_row(w.fw):
-        label, alpha, k, left_positive, beta2, k2, shift_positive = m.test
+    for (label, alpha, k, coroot, left_positive, _,
+         beta2, k2, shift_positive, shift_lam, shifted) in move_row(w.fw):
         if label == back:
             continue
         c = sum(map(mul, alpha, lam)) + k
@@ -300,10 +277,10 @@ def low_shifts(w, back=None):
             1 if c2 > 0 or (c2 == 0 and shift_positive) else -1)
         if step <= 0:
             if k:
-                lam2 = tuple([x - c * y + z for x, y, z in zip(lam, m.coroot, m.shift_lam)])
+                lam2 = tuple([x - c * y + z for x, y, z in zip(lam, coroot, shift_lam)])
             else:
-                lam2 = lam if c == 0 else tuple([x - c * y for x, y in zip(lam, m.coroot)])
-            yield label, AffineWeylElt._from_ints(datum, lam2, m.shifted, lw + step)
+                lam2 = lam if c == 0 else tuple([x - c * y for x, y in zip(lam, coroot)])
+            yield label, AffineWeylElt._from_ints(datum, lam2, shifted, lw + step)
 
 
 def left_descents(datum, labels):
@@ -318,9 +295,8 @@ def left_descents(datum, labels):
             m = row[j]
             c, up = _left_up(m, lam)
             if not up:
-                yield m.label, AffineWeylElt._from_ints(
-                    datum, _left_lam(m, lam, c), m.left, w.length - 1
-                )
+                yield m[0], AffineWeylElt._from_ints(datum, _left_lam(m, lam, c), m[5],
+                                                     w.length - 1)
 
     return moves
 
@@ -337,9 +313,7 @@ def left_ascents(max_len):
         for m in move_row(w.fw):
             c, up = _left_up(m, lam)
             if up:
-                yield m.label, AffineWeylElt._from_ints(
-                    w.datum, _left_lam(m, lam, c), m.left, lw + 1
-                )
+                yield m[0], AffineWeylElt._from_ints(w.datum, _left_lam(m, lam, c), m[5], lw + 1)
 
     return moves
 
@@ -424,15 +398,16 @@ def _finite_descent(datum, lam, u):
     return None
 
 
+@memoised("eta", key=lambda w: w.key)
 def eta_decomposition(w):
     """Unique decomposition w = x t^mu y with mu dominant and t^mu y of
-    minimal length in its W0-coset; eta(w) = y x.
+    minimal length in its W0-coset; eta(w) = y x, memoised per element.
 
     The walk strips the smallest finite left descent s_i of t^lam u until
-    none is left, or until the eta table (written by dims._eta) holds the
-    stripped element, whose mu and y are those of w.  Checked exactly: x =
-    u y^-1 has x(mu) = lam, mu is dominant, t^mu y has no finite left
-    descent, and l(w) = l(x) + l(t^mu y).
+    none is left, or until the eta table holds the stripped element, whose
+    mu and y are those of w.  Checked exactly: x = u y^-1 has x(mu) = lam,
+    mu is dominant, t^mu y has no finite left descent, and l(w) = l(x) +
+    l(t^mu y).
     """
     datum, lw = w.datum, w.length
     known = memo(datum, "eta").table

@@ -21,9 +21,10 @@ levels are explored smallest canonical key first and generators in label
 order, so reported witnesses and paths are reproducible.  Every search is
 budget-capped and raises instead of truncating silently.
 
-StraightClass and the search results (ConjugationStep, MinimizationResult,
-UxDecomposition) are frozen records (weylcalc.record); a StraightClass
-computes its pair_key once, when it is built.
+StraightClass and the search results (MinimizationResult, UxDecomposition)
+are frozen records (weylcalc.record); a StraightClass computes its pair_key
+once, when it is built.  A conjugation path is a tuple of the (label,
+before, after) steps that the search kernel returns.
 """
 
 from __future__ import annotations
@@ -102,21 +103,9 @@ class StraightClass(Record):
         return f"StraightClass(kappa={list(self.kappa)}, nu=({nu}), l={self.length}, def={self.defect})"
 
 
-class ConjugationStep(Record):
-    __slots__ = ("label", "before", "after")
-
-    def __init__(self, label, before, after):
-        setfield(self, "label", label)
-        setfield(self, "before", before)
-        setfield(self, "after", after)
-
-    def to_json(self):
-        return {"s": self.label, "before": self.before.to_json(), "after": self.after.to_json()}
-
-
 class MinimizationResult(Record):
-    """w_min, the steps leading to it, and the count of elements the walk
-    held against its budget."""
+    """w_min, the (label, before, after) steps leading to it, and the count
+    of elements the walk held against its budget."""
 
     __slots__ = ("w_min", "path", "held")
 
@@ -126,7 +115,8 @@ class MinimizationResult(Record):
         setfield(self, "held", held)
 
     def to_json(self):
-        return {"w_min": self.w_min.to_json(), "path": [st.to_json() for st in self.path]}
+        path = [{"s": s, "before": v.to_json(), "after": v2.to_json()} for s, v, v2 in self.path]
+        return {"w_min": self.w_min.to_json(), "path": path}
 
 
 class UxDecomposition(Record):
@@ -183,13 +173,13 @@ def reduce_to_min(w, budget=None):
     def stop(v):
         hit = known.get(v.key)
         if hit is not None:
-            return hit.w_min, ((st.label, st.before, st.after) for st in hit.path), hit.held
+            return hit.w_min, hit.path, hit.held
 
     w_min, steps, held, level = descend(w, low_shifts, budget, "cyclic-shift search", stop)
     if level is not None:
         for key, (v, _) in level.items():
             table.put(key, MinimizationResult(v, (), len(level)))
-    return MinimizationResult(w_min, tuple(ConjugationStep(*step) for step in steps), held)
+    return MinimizationResult(w_min, tuple(steps), held)
 
 
 def approx_closure(w, budget=None):

@@ -67,6 +67,13 @@ class UsageError(WeylcalcError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its errors, and its subparsers', raise UsageError: one stderr line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # (exception types, stderr prefix, exit code); the first row that matches wins.
 _EXITS = (
     (UsageError, "usage error", 1),
@@ -422,7 +429,7 @@ def cmd_verify(args):
     for name in names:
         kwargs = {}
         if args.radius is not None and name in ("oracle", "straightness", "min"):
-            kwargs["oracle_radius" if name == "min" else "radius"] = args.radius
+            kwargs["radius"] = args.radius
         if args.max_length is not None and name in (
                 "min", "census", "straight-cyclic", "p-alcove", "dim-bound", "master"):
             kwargs["max_len"] = args.max_length
@@ -446,7 +453,7 @@ def main(argv=None):
 
 
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylcalc",
         description="Exact affine Weyl group combinatorics and cell-dimension calculator",
     )
@@ -500,11 +507,12 @@ def _parser():
 
 
 def _main(argv):
+    args = None
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit:  # only -h exits: a bad command line raises UsageError
+            return 0
         # a negative length bound, radius or budget has no meaning; a ball
         # would keep its seeds, and a search would name a budget of -1
         for flag in ("max_length", "class_length", "radius", "budget"):
@@ -515,7 +523,7 @@ def _main(argv):
         raise  # a closed stdout is main's to handle
     except (WeylcalcError, OSError, MemoryError) as exc:
         prefix, code = next((p, c) for types, p, c in _EXITS if isinstance(exc, types))
-        detail = f"weylcalc {args.command}" if isinstance(exc, MemoryError) else exc
+        detail = f"weylcalc {args.command}" if isinstance(exc, MemoryError) and args else exc
         print(f"{prefix}: {detail}", file=sys.stderr)
         return code
 

@@ -172,15 +172,9 @@ def _validate_class(datum, cls):
     return cid
 
 
-@memoised("eta", key=lambda w: w.key)
-def _eta(w):
-    """eta_decomposition(w), memoised per element on the datum."""
-    return eta_decomposition(w)
-
-
 def element_part(w):
     """l(w) + l(eta(w)), the part of the virtual dimension that is w's alone."""
-    return w.length + _eta(w).eta.length
+    return w.length + eta_decomposition(w).eta.length
 
 
 def virtual_dimension(w, cls):
@@ -375,7 +369,7 @@ def dim_Y_superregular(x, mu, y, gd, budget=None):
     if not superregular_applies(datum, mu, cls):
         raise HypothesisViolated("nu + 2 rho^vee is not dominated by mu")
     w = AffineWeylElt._from_ints(datum, x.act(mu), x * y)
-    eta = _eta(w)
+    eta = eta_decomposition(w)
     if eta.x != x or eta.mu != mu or eta.y != y:
         raise HypothesisViolated(
             "x t^mu y is not the canonical dominant decomposition of the product"

@@ -51,7 +51,7 @@ class FiniteWeylElt:
         self.refl = None  # the index of beta once this is known as the reflection s_beta
         self.idx = _next_index()
         self._row = {}  # other.idx -> self * other
-        self._moves = None  # GeneratorMove per affine generator, in label order
+        self._moves = None  # move_row's tuple per affine generator, in label order
         self._table = None  # bytes permutations: the translation table of perm, see _after
         self._word = self._length = self._inverse = self._neg_mask = self._order = None
 

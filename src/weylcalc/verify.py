@@ -89,35 +89,35 @@ def verify_straightness(datum, radius=5):
     return _report("straightness", datum, failures, len(ball.elements))
 
 
-def min_failure(w, replayed, oracle_radius=6):
+def min_failure(w, replayed, radius=6):
     """What is wrong with r = reduce_to_min(w), as a failure record, or None.
     r.path must chain from w to r.w_min, each step's after must be s *
     before * s by affine products, and l(r.w_min) must be at most
-    brute_min_length(w, oracle_radius): w_min is then a conjugate of w, and
-    no conjugate by the oracle's ball is shorter.  `replayed` maps each step
+    brute_min_length(w, radius): w_min is then a conjugate of w, and no
+    conjugate by the oracle's ball is shorter.  `replayed` maps each step
     (label, before.key) replayed so far to its product's key."""
     reduced = reduce_to_min(w)
     path = reduced.path
-    ends = [st.before.key for st in path] + [reduced.w_min.key]
-    if ends != [w.key] + [st.after.key for st in path]:
+    ends = [before.key for _, before, _ in path] + [reduced.w_min.key]
+    if ends != [w.key] + [after.key for _, _, after in path]:
         return {"w": w.to_json(), "reason": "the path is not a chain from w to w_min"}
-    for st in path:
-        step = (st.label, st.before.key)
+    for label, before, after in path:
+        step = (label, before.key)
         if step not in replayed:
-            s = simple_reflections(w.datum)[_position(w.datum, st.label)][1]
-            replayed[step] = (s * st.before * s).key
-        if replayed[step] != st.after.key:
-            return {"w": w.to_json(), "reason": f"a step by {st.label} is not s v s"}
-    bound = brute_min_length(w, oracle_radius)
+            s = simple_reflections(w.datum)[_position(w.datum, label)][1]
+            replayed[step] = (s * before * s).key
+        if replayed[step] != after.key:
+            return {"w": w.to_json(), "reason": f"a step by {label} is not s v s"}
+    bound = brute_min_length(w, radius)
     if reduced.w_min.length > bound:
         return {"w": w.to_json(), "reduced": reduced.w_min.length, "oracle": bound}
     return None
 
 
-def verify_min(datum, max_len=8, oracle_radius=6):
+def verify_min(datum, max_len=8, radius=6):
     """Every element of the length ball passes min_failure."""
     replayed = {}
-    failures = [min_failure(w, replayed, oracle_radius) for w in length_ball(datum, max_len)]
+    failures = [min_failure(w, replayed, radius) for w in length_ball(datum, max_len)]
     return _report("min", datum, [f for f in failures if f], len(failures))
 
 

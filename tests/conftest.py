@@ -265,7 +265,7 @@ def _mat_vec(m, v):
 
 
 def matrix_generator_move(label, s, u, inverse_matrix):
-    """The fields of affweyl.GeneratorMove for the generator s = t^mu sigma
+    """The fields of an affweyl.move_row entry for the generator s = t^mu sigma
     labelled label and the finite part u, from matrices alone, with finite
     parts given by their matrices and inverse_matrix(m) the matrix of the
     inverse.  alpha is alpha_i for label i > 0 and -theta for an affine

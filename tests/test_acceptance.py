@@ -41,7 +41,7 @@ def test_criterion_1_length_oracle():
 def test_criterion_2_minimal_length_reduction():
     started = time.perf_counter()
     reports = [
-        vf.verify_min(_datum(name), max_len=8, oracle_radius=6)
+        vf.verify_min(_datum(name), max_len=8, radius=6)
         for name in ("SL2", "PGL2", "SL3", "PGL3")
     ]
     # the oracle must actually certify the overwhelming majority

@@ -45,14 +45,14 @@ def test_reduce_descent_example(sl2):
     assert result.w_min.length == 1
     # one conjugation step by s0 suffices
     assert len(result.path) == 1
-    assert result.path[0].label == 0
+    assert result.path[0][0] == 0
     # path is consistent: replaying the conjugations lands on w_min
     current = w
-    for step in result.path:
-        s = refl[step.label]
-        assert step.before == current
+    for label, before, after in result.path:
+        s = refl[label]
+        assert before == current
         current = s * current * s
-        assert step.after == current
+        assert after == current
     assert current == result.w_min
 
 

@@ -45,6 +45,12 @@ BAD_INPUTS = [
     ("dim", "x-gr", "--group", "SL2", "--mu", "2,", "--class", '{"kappa":[0],"nu":[0]}'),
     # a negative budget is refused like a negative length bound
     ("classes", "min", "--group", "SL2", "--w", W, "--budget", "-1"),
+    # argparse's own errors: a missing required flag, a bad int, an unknown
+    # command, and a vector starting with a minus sign read as a flag
+    ("dim", "x-flag", "--group", "SL2", "--w", W),
+    ("table", "--group", "SL2", "--max-length", "x"),
+    ("frob",),
+    ("dim", "x-gr", "--group", "SL3", "--mu", "-1,2", "--class", '{"kappa":[0,0],"nu":[0,0]}'),
 ]
 
 
@@ -61,6 +67,14 @@ def test_bad_input_is_one_usage_line(argv):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_an_argparse_error_is_its_message_on_one_line():
+    code, out, err = _run(("dim", "x-flag", "--group", "SL2", "--w", W))
+    assert (code, out, err) == (
+        1, "", "usage error: the following arguments are required: --class\n")
+    code, out, err = _run(("dim", "-h"))
+    assert code == 0 and out.startswith("usage: weylcalc dim") and err == ""
 
 
 def test_empty_coordinate_is_named():

@@ -30,7 +30,7 @@ def _walk(name):
 
 
 def _result(r):
-    return r.w_min.key, [(st.label, st.before.key, st.after.key) for st in r.path], r.held
+    return r.w_min.key, [(label, before.key, after.key) for label, before, after in r.path], r.held
 
 
 def _overrun(call):

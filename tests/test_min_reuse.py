@@ -8,6 +8,7 @@ from conftest import cartan_config
 from weylcalc import build_root_datum, classes, length_ball, reduce_to_min
 from weylcalc.affweyl import low_shifts
 from weylcalc.errors import ExplorationBudgetExceeded
+from weylcalc.memo import memo
 from weylcalc.rootdata import PRESETS
 from weylcalc.search import descend
 
@@ -59,6 +60,35 @@ def test_reuse_walks_the_plain_descent(name, monkeypatch):
         got = reduce_to_min(w, total)
         assert got.held == total
         assert got.w_min.key == w_min.key
-        assert [(st.label, st.before.key, st.after.key) for st in got.path] == _keys(steps)
+        assert _keys(got.path) == _keys(steps)
         taken += (w.key, total) in reused
     assert taken
+
+
+def test_a_served_path_holds_the_stored_steps(monkeypatch):
+    """A walk that a stop lookup ends holds the stored reduction's own
+    (label, before, after) tuples, with no new step object built for them."""
+    datum = build_root_datum("Sp4")
+    table = memo(datum, "reduce_min").table
+    hits = []  # the stored reduction a stop lookup served
+
+    def watched(start, moves, budget, what, stop=None):
+        def spy(v):
+            known = stop(v)
+            if known is not None:
+                hits.append(table[v.key])
+            return known
+
+        return descend(start, moves, budget, what, spy)
+
+    monkeypatch.setattr(classes, "descend", watched)
+    served = 0
+    for w in length_ball(datum, BOUND[datum.rank]):
+        hits.clear()
+        got = reduce_to_min(w)
+        assert all(type(step) is tuple for step in got.path)
+        if hits and hits[0].path:
+            stored = hits[0].path
+            assert all(a is b for a, b in zip(got.path[-len(stored):], stored, strict=True))
+            served += 1
+    assert served

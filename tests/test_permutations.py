@@ -141,14 +141,17 @@ def test_move_rows_match_the_matrix_reference(group):
     datum, w0 = group
     inverse_matrix = _inverse_matrix(w0)
     gens = simple_reflections(datum)
-    fields = ("alpha", "k", "coroot", "left_positive", "shift_positive", "beta2", "k2",
+    fields = ("alpha", "k", "coroot", "left_positive", "beta2", "k2", "shift_positive",
               "shift_lam")
     for u in w0:
         for m, (label, s) in zip(move_row(u), gens):
             ref = matrix_generator_move(label, s, u, inverse_matrix)
-            assert m.label == label
-            assert {f: getattr(m, f) for f in fields} == {f: ref[f] for f in fields}, (u, label)
-            assert (m.left.matrix, m.shifted.matrix) == (ref["left"], ref["shifted"])
+            (m_label, alpha, k, coroot, left_positive, left,
+             beta2, k2, shift_positive, shift_lam, shifted) = m
+            assert m_label == label
+            assert dict(zip(fields, (alpha, k, coroot, left_positive, beta2, k2, shift_positive,
+                                     shift_lam))) == {f: ref[f] for f in fields}, (u, label)
+            assert (left.matrix, shifted.matrix) == (ref["left"], ref["shifted"])
 
 
 def test_permutations_past_256_roots_are_tuples():
@@ -181,9 +184,10 @@ def test_permutations_past_256_roots_are_tuples():
     inverses.update({_matmul(s.fw.matrix, u.matrix): _matmul(inv, s.fw.matrix) for _, s in gens})
     for m, (label, s) in zip(move_row(u), gens):
         ref = matrix_generator_move(label, s, u, inverses.__getitem__)
-        assert (m.left_positive, m.shift_positive, m.beta2, m.k2, m.shift_lam) == (
+        _, _, _, _, left_positive, left, beta2, k2, shift_positive, shift_lam, shifted = m
+        assert (left_positive, shift_positive, beta2, k2, shift_lam) == (
             ref["left_positive"], ref["shift_positive"], ref["beta2"], ref["k2"], ref["shift_lam"])
-        assert (m.left.matrix, m.shifted.matrix) == (ref["left"], ref["shifted"])
+        assert (left.matrix, shifted.matrix) == (ref["left"], ref["shifted"])
 
 
 @pytest.mark.parametrize("name", ["SL4", "G2"])

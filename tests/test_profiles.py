@@ -163,16 +163,10 @@ def test_deep_element_needs_no_recursion_limit(capsys):
     assert doc["nonempty"] and doc["dim"] <= doc["virtual_dim"]
 
 
-def test_eta_memoised_per_element(monkeypatch):
+def test_eta_memoised_per_element():
+    """One class's virtual dimension walks w's eta decomposition; every
+    other class reads it back from the eta table."""
     datum = build_root_datum("SL3")
-    calls = []
-    original = dims.eta_decomposition
-
-    def counting(w):
-        calls.append(w.key)
-        return original(w)
-
-    monkeypatch.setattr(dims, "eta_decomposition", counting)
     classes = enumerate_straight_classes(datum, 4)
     w = from_parts(datum, (2, 1), [0, 1])
     for cls in classes:
@@ -180,7 +174,8 @@ def test_eta_memoised_per_element(monkeypatch):
             virtual_dimension(w, cls)
         except NonIntegralHalf:
             pass
-    assert calls == [w.key]
+    table = memo(datum, "eta")
+    assert (list(table.table), table.misses, table.hits) == ([w.key], 1, len(classes) - 1)
 
 
 def _reference_virtual_dim(w, cls):

@@ -21,7 +21,7 @@ from weylcalc import (
     from_parts,
 )
 from weylcalc.affweyl import EtaDecomposition
-from weylcalc.classes import ConjugationStep, MinimizationResult, UxDecomposition
+from weylcalc.classes import MinimizationResult, UxDecomposition
 from weylcalc.oracle import Ball
 
 SL3 = build_root_datum("SL3")
@@ -34,7 +34,6 @@ CLS = StraightClass((0, 0), (Fraction(1, 2), Fraction(1, 2)), length=2, defect=0
 RECORDS = [
     (DiagramAutomorphism, {"perm": (1, 0), "matrix": ((0, 1), (1, 0))}),
     (StraightClass, {"kappa": (0, 0), "nu_bar": (Fraction(1, 2), Fraction(1, 2)), "length": 2, "defect": 0}),
-    (ConjugationStep, {"label": 1, "before": S1, "after": S2}),
     (MinimizationResult, {"w_min": S1, "path": (), "held": 3}),
     (UxDecomposition, {"u": S1, "x": S2, "K": (1,), "witness": S2, "held": 4}),
     (DimValue, {"dim": 3}),

@@ -151,7 +151,7 @@ def test_shift_kernel_matches_the_product_reference(name):
                 w, want)
         assert [v.key for v in approx_closure(w)] == reference_closure(w), w
         r = reduce_to_min(w)
-        steps = [(st.label, st.before.key, st.after.key) for st in r.path]
+        steps = [(label, before.key, after.key) for label, before, after in r.path]
         assert (r.w_min.key, steps, r.held) == reference_reduction(w), w
 
 

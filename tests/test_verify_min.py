@@ -5,7 +5,7 @@ the oracle's ball minimum, which bounds the class minimum from above."""
 from conftest import cartan_config
 
 from weylcalc import build_root_datum, from_parts, reduce_to_min, simple_reflections, verify
-from weylcalc.classes import ConjugationStep, MinimizationResult
+from weylcalc.classes import MinimizationResult
 from weylcalc.oracle import brute_min_length
 from weylcalc.verify import min_failure, verify_min
 
@@ -48,9 +48,9 @@ def test_a_step_that_is_not_a_shift_fails(monkeypatch):
     def relabel(w, result):
         if not result.path:
             return result
-        st = result.path[0]
-        other = next(label for label, _ in simple_reflections(w.datum) if label != st.label)
-        return _with_path(result, (ConjugationStep(other, st.before, st.after),) + result.path[1:])
+        label, before, after = result.path[0]
+        other = next(l for l, _ in simple_reflections(w.datum) if l != label)
+        return _with_path(result, ((other, before, after),) + result.path[1:])
 
     failures = _mutated_report(monkeypatch, relabel)
     assert all(f["reason"].endswith("is not s v s") for f in failures)
