@@ -45,13 +45,13 @@ from operator import mul, sub
 from . import linalg
 from .errors import DatumMismatch, DecompositionFailure, InfinitePi1, InternalAssertion
 from .finiteweyl import (
-    W0_CAP,
     enumerate_w0,
     fw_from_word,
     fw_identity,
     fw_reflection,
     fw_simple,
     product,
+    require_w0_order,
 )
 from .memo import memo, memoised
 from .record import Record, setfield
@@ -465,7 +465,8 @@ def _levi(datum, mask):
     = ([u^-1 alpha_j < 0])_j and shift = den A_KJ A_JJ^-1 p_J.  Then nu =
     pr_J(lam') pairs to (den p_K - shift) / den with (alpha_k)_k.  The p_J
     run over Z^J / A_JJ Z^J, one per residue, which is checked against the
-    Smith form of A_JJ.
+    Smith form of A_JJ.  A W_J past W0_CAP is refused by its order
+    (require_w0_order) before any of its elements is built.
     """
     require_finite_pi1(datum)
     n, cartan, coeffs = datum.n_simple, datum.cartan, datum.pos_coeffs
@@ -479,10 +480,14 @@ def _levi(datum, mask):
     phi_j = [(k, [coeff[j] for j in J]) for k, coeff in enumerate(coeffs)
              if all(mask >> j & 1 for j, c in enumerate(coeff) if c)]
     # W_J by closure over J's own simple reflections, in the order of W0
-    gens = [(j, fw_simple(datum, j)) for j in J]
-    w_j = enumerate_w0(datum) if len(J) == n else sorted(
-        closure([fw_identity(datum)], right_moves(gens), W0_CAP, "Levi Weyl group").values(),
-        key=lambda u: (u.length, u.key))
+    if len(J) == n:
+        w_j = enumerate_w0(datum)
+    else:
+        order = require_w0_order(datum, J)
+        gens = [(j, fw_simple(datum, j)) for j in J]
+        w_j = sorted(
+            closure([fw_identity(datum)], right_moves(gens), order, "Levi Weyl group").values(),
+            key=lambda u: (u.length, u.key))
     cosets = []
     for u in w_j:
         neg = u.neg_mask

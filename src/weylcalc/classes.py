@@ -19,7 +19,11 @@ length_ball still enumerates elements.
 All searches run on the kernel in weylcalc.search and are deterministic:
 levels are explored smallest canonical key first and generators in label
 order, so reported witnesses and paths are reproducible.  Every search is
-budget-capped and raises instead of truncating silently.
+budget-capped and raises instead of truncating silently.  A minimal shift
+class is walked once per datum: the reduce_to_min walk that ends on it
+stores its members (the min_class table), and approx_closure, and so
+ux_decompose, and the leaves of dims.dim_profile read them while the
+class fits their budget.
 
 StraightClass and the search results (MinimizationResult, UxDecomposition)
 are frozen records (weylcalc.record); a StraightClass computes its pair_key
@@ -166,8 +170,12 @@ def reduce_to_min(w, budget=None):
     length-preserving shift class C of w_min, with no descent, and a walk
     from any member v of C explores exactly C: the table records (v, (), |C|)
     for every member, and the held rule serves it only within the budget.
+    The members, sorted by key, are also stored once as a tuple under every
+    member's key in the min_class table, which approx_closure and
+    dims.dim_profile read instead of walking C again.
     """
-    table = memo(w.datum, "reduce_min")
+    datum = w.datum
+    table = memo(datum, "reduce_min")
     known = table.table
 
     def stop(v):
@@ -177,14 +185,23 @@ def reduce_to_min(w, budget=None):
 
     w_min, steps, held, level = descend(w, low_shifts, budget, "cyclic-shift search", stop)
     if level is not None:
-        for key, (v, _) in level.items():
-            table.put(key, MinimizationResult(v, (), len(level)))
+        members = tuple([level[k][0] for k in sorted(level)])
+        classes = memo(datum, "min_class")
+        for v in members:
+            table.put(v.key, MinimizationResult(v, (), len(members)))
+            classes.put(v.key, members)
     return MinimizationResult(w_min, tuple(steps), held)
 
 
 def approx_closure(w, budget=None):
     """All elements connected to w by length-preserving conjugation steps,
-    as a list sorted by canonical key."""
+    as a list sorted by canonical key.  For a member of a minimal shift
+    class that reduce_to_min stored (min_class), that class is returned
+    with no walk when its size fits the budget; otherwise the closure runs,
+    and raises as on a fresh datum."""
+    members = memo(w.datum, "min_class").table.get(w.key)
+    if members is not None and len(members) <= (DEFAULT_BUDGET if budget is None else budget):
+        return list(members)
     lw = w.length
     elts = closure(
         [w], low_shifts, budget, "shift-class closure", keep=lambda v: v.length == lw

@@ -56,6 +56,7 @@ from .finiteweyl import (
     fw_from_word,
     is_elliptic_delta,
     supp_delta,
+    w0_order,
 )
 from .linalg import format_fraction, parse_fraction
 from .rootdata import PRESETS, build_root_datum, load_config
@@ -230,7 +231,7 @@ def cmd_describe(args):
         "n_simple": datum.n_simple,
         "cartan": [list(r) for r in datum.cartan],
         "positive_roots": len(datum.pos_roots),
-        "w0_order": len(enumerate_w0(datum)),
+        "w0_order": w0_order(datum),
         "generators": [{"label": l, "element": s.to_json()} for l, s in refl],
         "pi1": {
             "order": datum.pi1_order(),

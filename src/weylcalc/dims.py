@@ -4,9 +4,11 @@ dim_profile runs the reduction recursion once per element for every
 straight class at once: a minimal-length element w meets only its own class
 (kappa(w), nu_bar_w), in dimension l(w) - <2 rho, nu_bar_w>; otherwise a
 level-preserving shift exposes a length-reducing step and each class's
-dimension is 1 + max over the two shorter elements.  dim_X_flag reads one
-class off the profile.  Everything else is a closed formula layered on top,
-and the affine Lusztig evaluators add a GammaDescriptor's fiber dimension.
+dimension is 1 + max over the two shorter elements.  A minimal shift class
+that classes.reduce_to_min stored is a leaf read off its members, with no
+exploration.  dim_X_flag reads one class off the profile.  Everything else
+is a closed formula layered on top, and the affine Lusztig evaluators add a
+GammaDescriptor's fiber dimension.
 
 A class is named by StraightClass.pair_key, (kappa, nu_bar as reduced
 integer pairs), and enters profiles as an id from the datum's class_ids
@@ -50,7 +52,7 @@ from .errors import (
 from .finiteweyl import enumerate_w0, longest_element, supp
 from .memo import memo, memoised
 from .record import Record, setfield
-from .search import explore_level
+from .search import DEFAULT_BUDGET, explore_level
 
 
 class DimValue(Record):
@@ -223,13 +225,21 @@ def dim_profile(w, budget=None):
     recursion limit caps the length of w.  The result is independent of
     the witness, and this is asserted by comparing the whole profiles
     along a second witness when one exists.
+
+    A frame whose element lies in a minimal shift class C that
+    classes.reduce_to_min stored (the min_class table) is a leaf read off
+    C's members, with no exploration, when |C| fits the budget; its
+    exploration would find C and no descent.
     """
-    cache = _dim_cache(w.datum)
+    datum = w.datum
+    cache = _dim_cache(datum)
     hit = cache.get(w.key)
     if hit is not None:
         return hit
     table = cache.table
-    stack = [[w, None]]  # [element, its shift class and witness children]
+    min_class = memo(datum, "min_class").table
+    room = DEFAULT_BUDGET if budget is None else budget
+    stack = [[w, None]]  # [element, the keys of its shift class and witness children]
     while stack:
         frame = stack[-1]
         v = frame[0]
@@ -237,16 +247,20 @@ def dim_profile(w, budget=None):
             stack.pop()
             continue
         if frame[1] is None:
-            elts, descents = _shift_descents(v, budget)
-            # s u s is the descent the search built; s u is one left move
-            children = [(left_move(u, label), sus) for u, label, sus in descents]
-            frame[1] = (elts, children)
-            missing = [
-                c for pair in children for c in pair if cache.get(c.key) is None
-            ]
-            if missing:
-                stack.extend([c, None] for c in missing)
-                continue
+            members = min_class.get(v.key)
+            if members is not None and len(members) <= room:
+                frame[1] = ([u.key for u in members], ())
+            else:
+                elts, descents = _shift_descents(v, budget)
+                # s u s is the descent the search built; s u is one left move
+                children = [(left_move(u, label), sus) for u, label, sus in descents]
+                frame[1] = (elts, children)
+                missing = [
+                    c for pair in children for c in pair if cache.get(c.key) is None
+                ]
+                if missing:
+                    stack.extend([c, None] for c in missing)
+                    continue
         elts, children = frame[1]
         if children:
             values = [_raise_by_one(table[a.key], table[b.key]) for a, b in children]
@@ -260,10 +274,10 @@ def dim_profile(w, budget=None):
             # X_v(b) is nonempty only for b = [v], and there its dimension is
             # l(v) - <2 rho, nu_bar_v> (He, Ann. of Math. 179 (2014), Thm 4.8)
             n, _, dominant = _newton_data(v)
-            num = n * v.length - linalg.vec_dot(v.datum.two_rho, dominant)
+            num = n * v.length - linalg.vec_dot(datum.two_rho, dominant)
             if num < 0 or num % n:
                 raise InternalAssertion(f"minimal-length leaf has dimension {Fraction(num, n)}")
-            profile = {_class_id(v.datum, class_key(v)): num // n}
+            profile = {_class_id(datum, class_key(v)): num // n}
         for key in elts:
             cache.put(key, profile)
         stack.pop()

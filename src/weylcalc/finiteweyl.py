@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import count
 
 from . import linalg
-from .errors import DatumMismatch, ExplorationBudgetExceeded, GroupTooLarge, InternalAssertion
+from .errors import DatumMismatch, GroupTooLarge, InternalAssertion
 from .memo import memo, memoised
 from .rootdata import DiagramAutomorphism
 from .search import closure, descend, right_moves
@@ -239,19 +239,48 @@ def fw_reflection(datum, beta, betavee):
     return _reflection(datum, perm, index[beta])
 
 
+def w0_order(datum, J=None):
+    """|W_J| for the simple indices J (all of them when None), with no
+    element built: if m_h roots of Phi_J^+ (the positive roots supported
+    on J) have height h, the exponents of W_J are the e_i = #{h : m_h >= i}
+    (Kostant, Amer. J. Math. 81, 1959), and |W_J| is the product of the
+    degrees e_i + 1."""
+    off = [] if J is None else [i for i in range(datum.n_simple) if i not in J]
+    heights = {}
+    for coeff in datum.pos_coeffs:
+        if not any(coeff[i] for i in off):
+            h = sum(coeff)
+            heights[h] = heights.get(h, 0) + 1
+    order = 1
+    for i in range(1, max(heights.values(), default=0) + 1):
+        order *= 1 + sum(m >= i for m in heights.values())
+    return order
+
+
+def require_w0_order(datum, J=None):
+    """w0_order(datum, J), or GroupTooLarge when it is past W0_CAP: read
+    before any element of W_J is built."""
+    order = w0_order(datum, J)
+    if order > W0_CAP:
+        group = "W0" if J is None else f"W_J, J = {list(J)}"
+        raise GroupTooLarge(f"|{group}| = {order} exceeds cap {W0_CAP}")
+    return order
+
+
 @memoised("w0")
 def enumerate_w0(datum):
     """All elements of W0 by closure under right multiplication, or
-    GroupTooLarge past W0_CAP elements.
+    GroupTooLarge, before any element is built, when w0_order is past
+    W0_CAP.
 
     Cached on the datum; the returned list is sorted by (length, key) so
     the identity comes first and the longest element last.
     """
+    order = require_w0_order(datum)
     gens = [(i, fw_simple(datum, i)) for i in range(datum.n_simple)]
-    try:
-        elts = closure([fw_identity(datum)], right_moves(gens), W0_CAP, "W0 enumeration")
-    except ExplorationBudgetExceeded as exc:
-        raise GroupTooLarge(f"|W0| exceeds cap {W0_CAP}") from exc
+    elts = closure([fw_identity(datum)], right_moves(gens), order, "W0 enumeration")
+    if len(elts) != order:
+        raise InternalAssertion(f"W0 has {len(elts)} elements, Kostant's formula {order}")
     return tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
 
 

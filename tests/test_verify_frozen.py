@@ -1,13 +1,16 @@
 """`weylcalc verify` reports, frozen by SHA-256 of stdout.
 
-A change that keeps every answer keeps these bytes.  PGL3, SL4 and
-A3-twisted take several seconds for `--suite all`, so only their `--suite
-min` reports are frozen here; their other suites are left to manual
-comparison.  On the configs beyond the presets, the `verify_min` checked
-counts are frozen instead.  Every digest was re-taken from the CLI when
-the `min` report lost its `inconclusive` key: each new stdout is the old
-one (commit 423077d for `--suite all`, de61a09 for `--suite min`) with
-that one line removed."""
+A change that keeps every answer keeps these bytes.  Every preset's
+`--suite all` report is frozen, and the `--suite min` reports of PGL3,
+SL4 and A3-twisted too.  On the configs beyond the presets, the
+`verify_min` checked counts are frozen instead.  The digests of SL2, PGL2,
+SL3, Sp4, A2-twisted and of the `--suite min` reports were re-taken from
+the CLI when the `min` report lost its `inconclusive` key: each new stdout
+is the old one (commit 423077d for `--suite all`, de61a09 for `--suite
+min`) with that one line removed.  The `--suite all` digests of PGL3, SL4
+and A3-twisted were taken from the CLI at commit 99e4cba, before
+approx_closure and the dimension recursion read the shift classes that
+reduce_to_min stores."""
 
 import contextlib
 import hashlib
@@ -26,6 +29,9 @@ FROZEN = {
     "SL3": "a6164bf83137d5bcc40174aa05836097fb86e7aacf24e771c07eba76bd0f19ff",
     "Sp4": "cd11ba9c92a4ab78a8d9eb1692c8472bfafd30241b5afe1f3f3714215f0c8596",
     "A2-twisted": "4c89660e570b88a9aa0beda59876c762599ba2d8784dd302af5a8f13daa27e85",
+    "PGL3": "aa222e7daf381961d75a383a037d963b52c8dc82742b23e485395b6d0aa78d73",
+    "SL4": "f4fda5b90396acc2e0fccf62aca825bbdef3ce6680109ec77de547434cd1d5cc",
+    "A3-twisted": "2342d852323cc3dfab93964f3427fe015863abb76e8b19de254d8e4f492d7ace",
 }
 
 FROZEN_MIN = {
