@@ -32,8 +32,9 @@ Newton data are kept in integers: n nu_w = sum_{i<n} u^i(lam) for n the
 order of u is integral, and Fractions are built only when newton_point
 returns nu; class_key names a class by nu_bar as reduced integer pairs.
 The length-zero elements of each standard Levi's extended affine Weyl
-group are read off W_J and the Cartan matrix in integers, one J at a time
-(_levi): J = S gives omega_elements, and every J the straight census.
+group are read off longest elements of W_J and the Cartan matrix in
+integers, one J at a time (_levi): J = S gives omega_elements, and every J
+the straight census.
 """
 
 from __future__ import annotations
@@ -45,16 +46,15 @@ from operator import mul, sub
 from . import linalg
 from .errors import DatumMismatch, DecompositionFailure, InfinitePi1, InternalAssertion
 from .finiteweyl import (
-    enumerate_w0,
     fw_from_word,
     fw_identity,
     fw_reflection,
     fw_simple,
+    longest_element,
     product,
-    require_w0_order,
 )
 from .memo import memo, memoised
-from .record import Record, setfield
+from .record import Record
 from .search import closure, right_moves
 
 
@@ -380,12 +380,6 @@ class EtaDecomposition(Record):
 
     __slots__ = ("x", "mu", "y", "eta")
 
-    def __init__(self, x, mu, y, eta):
-        setfield(self, "x", x)
-        setfield(self, "mu", mu)
-        setfield(self, "y", y)
-        setfield(self, "eta", eta)
-
 
 def _finite_descent(datum, lam, u):
     """(i, <alpha_i, lam>) for the smallest finite left descent s_i of t^lam u,
@@ -438,7 +432,7 @@ def eta_decomposition(w):
         raise DecompositionFailure("w is not x t^mu y")
     if lw != x.length + short:
         raise DecompositionFailure("coset decomposition is not length-additive")
-    return EtaDecomposition(x=x, mu=mu, y=y, eta=y * x)
+    return EtaDecomposition(x, mu, y, y * x)
 
 
 def require_finite_pi1(datum):
@@ -465,8 +459,11 @@ def _levi(datum, mask):
     = ([u^-1 alpha_j < 0])_j and shift = den A_KJ A_JJ^-1 p_J.  Then nu =
     pr_J(lam') pairs to (den p_K - shift) / den with (alpha_k)_k.  The p_J
     run over Z^J / A_JJ Z^J, one per residue, which is checked against the
-    Smith form of A_JJ.  A W_J past W0_CAP is refused by its order
-    (require_w0_order) before any of its elements is built.
+    Smith form of A_JJ.  The finite parts are the group Omega_J generated
+    by the w_0^{J - j} w_0^J for the j in J minuscule in their component,
+    those whose alpha_j-coefficient is at most 1 on Phi_J^+ (Iwahori and
+    Matsumoto, Publ. IHES 25, 1965; Bourbaki, Lie Groups VI.2), each w_0
+    by longest_element's walk, so W_J is never enumerated.
     """
     require_finite_pi1(datum)
     n, cartan, coeffs = datum.n_simple, datum.cartan, datum.pos_coeffs
@@ -479,17 +476,12 @@ def _levi(datum, mask):
     # (position, coefficients on J) of each root of Phi_J^+
     phi_j = [(k, [coeff[j] for j in J]) for k, coeff in enumerate(coeffs)
              if all(mask >> j & 1 for j, c in enumerate(coeff) if c)]
-    # W_J by closure over J's own simple reflections, in the order of W0
-    if len(J) == n:
-        w_j = enumerate_w0(datum)
-    else:
-        order = require_w0_order(datum, J)
-        gens = [(j, fw_simple(datum, j)) for j in J]
-        w_j = sorted(
-            closure([fw_identity(datum)], right_moves(gens), order, "Levi Weyl group").values(),
-            key=lambda u: (u.length, u.key))
+    top = longest_element(datum, J)
+    gens = [(j, longest_element(datum, [i for i in J if i != j]) * top)
+            for j in J if all(coeffs[k][j] <= 1 for k, _ in phi_j)]
+    omega_j = closure([fw_identity(datum)], right_moves(gens), index, "Levi length-zero parts")
     cosets = []
-    for u in w_j:
+    for u in sorted(omega_j.values(), key=lambda u: (u.length, u.key)):
         neg = u.neg_mask
         p_j = tuple(int(neg[datum.simple_index[j]]) for j in J)
         # l_J(t^lam' u) = 0 iff <beta, lam'> = [u^-1 beta < 0] on Phi_J^+
@@ -528,7 +520,8 @@ def omega_elements(datum):
 
     These are the length-zero elements of the J = S Levi, which is the
     whole group: t^lam u for each coset (u, p) of _levi whose coweight lam
-    with simple pairings p is integral.  Refuses infinite quotients.
+    with simple pairings p is integral, u read off longest elements with no
+    W0 built.  Refuses infinite quotients.
     """
     order = require_finite_pi1(datum)
     *_, cosets = _levi(datum, (1 << datum.n_simple) - 1)

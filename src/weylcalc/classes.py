@@ -113,11 +113,6 @@ class MinimizationResult(Record):
 
     __slots__ = ("w_min", "path", "held")
 
-    def __init__(self, w_min, path, held):
-        setfield(self, "w_min", w_min)
-        setfield(self, "path", path)
-        setfield(self, "held", held)
-
     def to_json(self):
         path = [{"s": s, "before": v.to_json(), "after": v2.to_json()} for s, v, v2 in self.path]
         return {"w_min": self.w_min.to_json(), "path": path}
@@ -127,13 +122,6 @@ class UxDecomposition(Record):
     """held, the largest count its searches held, is not printed."""
 
     __slots__ = ("u", "x", "K", "witness", "held")
-
-    def __init__(self, u, x, K, witness, held):
-        setfield(self, "u", u)
-        setfield(self, "x", x)
-        setfield(self, "K", K)
-        setfield(self, "witness", witness)
-        setfield(self, "held", held)
 
     def to_json(self):
         return {

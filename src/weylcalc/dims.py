@@ -49,7 +49,7 @@ from .errors import (
     NonIntegralHalf,
     NotDominant,
 )
-from .finiteweyl import enumerate_w0, longest_element, supp
+from .finiteweyl import enumerate_w0, supp
 from .memo import memo, memoised
 from .record import Record, setfield
 from .search import DEFAULT_BUDGET, explore_level
@@ -508,7 +508,8 @@ def load_cache(datum, directory):
             return 0
         table = _parse_cache(payload, datum)
     except (
-        OSError, ValueError, ZeroDivisionError, KeyError, TypeError, IndexError, AttributeError
+        OSError, ValueError, ZeroDivisionError, KeyError, TypeError, IndexError, AttributeError,
+        RecursionError,
     ) as exc:
         print(f"weylcalc: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
         return 0
@@ -538,9 +539,9 @@ def _coset_max(datum, mu):
 def grass_fibration_max(datum, mu, cls):
     """Independent route to the Grassmannian dimension: the maximum of the
     flag dimensions over the double coset W0 t^mu W0, minus the dimension of
-    the finite flag fiber.  The class-by-class maximum of the profiles of
-    the coset is taken once per mu and answers every class."""
+    the finite flag fiber, l(w_0) = |Phi^+|.  The class-by-class maximum of
+    the profiles of the coset is taken once per mu and answers every class."""
     mu = _dominant(datum, mu)
     cid = _validate_class(datum, cls)
     dim = _coset_max(datum, mu).get(cid)
-    return EMPTY if dim is None else DimValue(dim - longest_element(datum).length)
+    return EMPTY if dim is None else DimValue(dim - len(datum.pos_roots))

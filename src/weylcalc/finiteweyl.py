@@ -239,31 +239,26 @@ def fw_reflection(datum, beta, betavee):
     return _reflection(datum, perm, index[beta])
 
 
-def w0_order(datum, J=None):
-    """|W_J| for the simple indices J (all of them when None), with no
-    element built: if m_h roots of Phi_J^+ (the positive roots supported
-    on J) have height h, the exponents of W_J are the e_i = #{h : m_h >= i}
-    (Kostant, Amer. J. Math. 81, 1959), and |W_J| is the product of the
-    degrees e_i + 1."""
-    off = [] if J is None else [i for i in range(datum.n_simple) if i not in J]
+def w0_order(datum):
+    """|W0|, with no element built: if m_h positive roots have height h,
+    the exponents of W0 are the e_i = #{h : m_h >= i} (Kostant, Amer. J.
+    Math. 81, 1959), and |W0| is the product of the degrees e_i + 1."""
     heights = {}
     for coeff in datum.pos_coeffs:
-        if not any(coeff[i] for i in off):
-            h = sum(coeff)
-            heights[h] = heights.get(h, 0) + 1
+        h = sum(coeff)
+        heights[h] = heights.get(h, 0) + 1
     order = 1
     for i in range(1, max(heights.values(), default=0) + 1):
         order *= 1 + sum(m >= i for m in heights.values())
     return order
 
 
-def require_w0_order(datum, J=None):
-    """w0_order(datum, J), or GroupTooLarge when it is past W0_CAP: read
-    before any element of W_J is built."""
-    order = w0_order(datum, J)
+def require_w0_order(datum):
+    """w0_order(datum), or GroupTooLarge when it is past W0_CAP: read
+    before any element of W0 is built."""
+    order = w0_order(datum)
     if order > W0_CAP:
-        group = "W0" if J is None else f"W_J, J = {list(J)}"
-        raise GroupTooLarge(f"|{group}| = {order} exceeds cap {W0_CAP}")
+        raise GroupTooLarge(f"|W0| = {order} exceeds cap {W0_CAP}")
     return order
 
 
@@ -284,8 +279,18 @@ def enumerate_w0(datum):
     return tuple(sorted(elts.values(), key=lambda w: (w.length, w.key)))
 
 
-def longest_element(datum):
-    return enumerate_w0(datum)[-1]
+def longest_element(datum, J=None):
+    """The longest element w_0^J of W_J for the simple indices J (all of
+    them when None), by a right-ascent walk: u s_j > u iff u alpha_j > 0,
+    so u takes its first ascent in J until it has none.  Builds at most
+    |Phi_J^+| elements, never W_J."""
+    J = range(datum.n_simple) if J is None else J
+    u, half = fw_identity(datum), len(datum.pos_roots)
+    while True:
+        j = next((j for j in J if u.perm[datum.simple_index[j]] < half), None)
+        if j is None:
+            return u
+        u = u * fw_simple(datum, j)
 
 
 def _resolve_delta(datum, delta):
@@ -327,8 +332,9 @@ def supp(w):
     return frozenset(w.word)
 
 
-def supp_delta(w, delta=None):
-    delta = _resolve_delta(w.datum, delta)
+def supp_delta(w):
+    """The closure of supp(w) under the datum's diagram automorphism."""
+    delta = _resolve_delta(w.datum, None)
     out = set()
     frontier = set(supp(w))
     while frontier:
@@ -337,5 +343,5 @@ def supp_delta(w, delta=None):
     return frozenset(out)
 
 
-def is_elliptic_delta(w, delta=None):
-    return supp_delta(w, delta) == frozenset(range(w.datum.n_simple))
+def is_elliptic_delta(w):
+    return supp_delta(w) == frozenset(range(w.datum.n_simple))

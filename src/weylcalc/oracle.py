@@ -33,7 +33,7 @@ from . import linalg
 from .affweyl import aw_identity, omega_elements, simple_reflections
 from .errors import ExplorationBudgetExceeded
 from .memo import memo, memoised
-from .record import Record, setfield
+from .record import Record
 
 BALL_CAP = 1_000_000
 
@@ -48,14 +48,6 @@ class Ball(Record):
     first use."""
 
     __slots__ = ("radius", "elements", "distances", "levels", "heads", "rows")
-
-    def __init__(self, radius, elements, distances, levels, heads, rows):
-        setfield(self, "radius", radius)
-        setfield(self, "elements", elements)
-        setfield(self, "distances", distances)
-        setfield(self, "levels", levels)
-        setfield(self, "heads", heads)
-        setfield(self, "rows", rows)
 
 
 @memoised("oracle_ball", key=lambda datum, radius: radius)

@@ -27,7 +27,7 @@ from .errors import (
     NotDominant,
     NotFiniteType,
 )
-from .record import Record, setfield
+from .record import Record
 
 # Backstop against bad configs even if the positive-definiteness check is
 # bypassed: reflection closure refuses to generate more roots than this.
@@ -95,10 +95,6 @@ class DiagramAutomorphism(Record):
     with the lattice automorphism of X realizing it."""
 
     __slots__ = ("perm", "matrix")
-
-    def __init__(self, perm, matrix):
-        setfield(self, "perm", perm)
-        setfield(self, "matrix", matrix)
 
     @property
     def is_identity(self):
@@ -493,5 +489,5 @@ def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, nested too deep
             raise MalformedConfig(f"config file {path} is not valid JSON: {exc}") from exc

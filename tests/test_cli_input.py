@@ -103,6 +103,33 @@ def test_a_non_integer_config_entry_is_refused(tmp_path, config, entry):
     assert (code, out, err) == (1, "", f"error: expected an integer, got {entry}\n")
 
 
+NESTED = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"\xff\xfe{}", "'utf-8' codec can't decode"), (NESTED.encode(), "maximum recursion depth")],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_an_unreadable_config_file_is_one_error_line(tmp_path, content, reason):
+    path = tmp_path / "datum.json"
+    path.write_bytes(content)
+    code, out, err = _run(("describe", "--group", str(path)))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: config file {path} is not valid JSON: {reason}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_cache_file_nested_too_deep_loads_nothing_with_one_warning(tmp_path):
+    path = tmp_path / f"dimx-{build_root_datum('SL2').hash_hex[:16]}.json"
+    path.write_text(NESTED)
+    code, out, err = _run(("dim", "x-flag", "--group", "SL2", "--w", W,
+                           "--class", '{"kappa":[0],"nu":[0]}', "--cache-dir", str(tmp_path)))
+    assert code == 0 and out
+    assert err.startswith(f"weylcalc: ignoring unreadable cache {path}: maximum recursion depth")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "config",
     [

@@ -112,3 +112,20 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, match",
+    [
+        ((S1, ()), {}, "is missing field 'held'"),
+        ((S1, (), 3, 4), {}, "takes 3 fields but 4 were given"),
+        ((S1,), {"path": (), "held": 3, "steps": 2}, "has no field 'steps'"),
+        ((S1, ()), {"path": (), "held": 3}, "got field 'path' twice"),
+        ((S1, ()), {"steps": 2}, "is missing field 'held'"),
+    ],
+    ids=["missing", "extra", "unknown", "twice", "missing-and-unknown"],
+)
+def test_record_init_refuses_a_missing_extra_or_unknown_field(args, kwargs, match):
+    """Record's own __init__, here MinimizationResult's, names the field."""
+    with pytest.raises(TypeError, match=match):
+        MinimizationResult(*args, **kwargs)
